@@ -161,7 +161,11 @@ class StepFunction:
         return self.values[i]
 
     def sup_abs(self) -> float:
-        return max((abs(v) for v in self.values), default=0.0)
+        return self._sup_abs
+
+    @cached_property
+    def _sup_abs(self) -> float:
+        return float(self._abs_arrays[1].max()) if self.values else 0.0
 
     # -- derived functions --------------------------------------------
 
@@ -385,9 +389,9 @@ def prefix_at(b: np.ndarray, w: np.ndarray, prefix: np.ndarray, x: np.ndarray) -
     x = np.asarray(x, dtype=float)
     if len(w) == 0:
         return np.zeros_like(x)
-    idx = np.clip(np.searchsorted(b, x, side="right") - 1, 0, len(w) - 1)
-    out = prefix[idx] + w[idx] * (np.clip(x, b[0], b[-1]) - b[idx])
-    return out
+    # minimum/maximum rather than np.clip, whose overhead dominates short inputs
+    idx = np.minimum(np.maximum(b.searchsorted(x, side="right") - 1, 0), len(w) - 1)
+    return prefix[idx] + w[idx] * (np.minimum(np.maximum(x, b[0]), b[-1]) - b[idx])
 
 
 def batch_abs_integrals(f: StepFunction, lefts: np.ndarray, rights: np.ndarray) -> np.ndarray:

@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from morreylab.cli import main
@@ -48,6 +49,23 @@ class TestMaxfn:
         assert lo <= 1.0 + 1e-9
         assert hi >= 1.0 - 1e-9
         assert lo <= hi
+
+    def test_m2_bracket_never_inverted(self, tmp_path, capsys):
+        # lower and upper close on a plateau near x = -0.8 here, and used
+        # to print as [38.74128976866414, 38.74128976866413]
+        rng = np.random.default_rng(20150416)
+        for _ in range(2):
+            bp = np.sort(rng.uniform(0.0, 1.0, 11))
+            vals = np.exp(rng.uniform(math.log(2.0**-8), math.log(2.0**8), 10))
+        f = StepFunction(-bp[::-1], vals[::-1])
+        path = tmp_path / "f.json"
+        path.write_text(f.to_json())
+        argv = ["maxfn", "--input", str(path), "--op", "M2", "--tol", "0.05", "--grid=-1.5:0.5:17"]
+        assert main(argv) == 0
+        rows = [[float(t) for t in ln.split(",")] for ln in capsys.readouterr().out.splitlines()[1:]]
+        assert len(rows) == 17
+        assert all(0.0 <= lo <= hi for _, lo, hi in rows)
+        assert rows[5][1:] == pytest.approx([38.7412897686641] * 2, rel=1e-14)
 
     def test_empty_function(self, tmp_path, capsys):
         path = tmp_path / "zero.json"

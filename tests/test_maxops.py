@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,6 +8,9 @@ from morreylab.maxops import (
     HardyOriginWarning,
     RadialProfile,
     RefinePolicy,
+    _candidate_arrays,
+    _cell_floor,
+    _window_average,
     brute_force_maximal,
     commutator,
     commutator_envelope,
@@ -31,6 +35,43 @@ def random_step(rng, max_cells=12, signed=False):
     if signed:
         vals *= rng.choice([-1.0, 1.0], n)
     return StepFunction(bp, vals)
+
+
+def pair_scan(f, left, right, min_length=0.0):
+    """Steepest chord from a candidate u <= left to a candidate v >= right
+    by the dense O(m^2) pair matrix, the enumeration the chord search
+    replaced; kept as its oracle."""
+    ts, ps, k = _candidate_arrays(f, left, right)
+    lengths = ts[None, k:] - ts[:k, None]
+    masses = ps[None, k:] - ps[:k, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = np.where(lengths > min_length, masses / lengths, -np.inf)
+    return float(ratios.max())
+
+
+def pair_scan_maximal(f, x):
+    return min(max(pair_scan(f, x, x), abs(f(x))), f.sup_abs())
+
+
+def pair_scan_cell_floor(f, left, right):
+    best = pair_scan(f, left, right, 1e-9 * (right - left + 1.0))
+    return min(max(best, _window_average(f, left, right)), f.sup_abs())
+
+
+def exact_maximal(f, x):
+    """Mf(x) in rational arithmetic over the candidate endpoints."""
+    cells = [(Fraction(l), Fraction(r), abs(Fraction(v))) for l, r, v in f.cells()]
+
+    def prefix(t):
+        return sum((v * (min(r, t) - l) for l, r, v in cells if t > l), Fraction(0))
+
+    x = Fraction(x)
+    us = [Fraction(b) for b in f.breakpoints if b < x] + [x]
+    vs = [x] + [Fraction(b) for b in f.breakpoints if b > x]
+    pus, pvs = [prefix(u) for u in us], [prefix(v) for v in vs]
+    return max(
+        (pv - pu) / (v - u) for u, pu in zip(us, pus) for v, pv in zip(vs, pvs) if v > u
+    )
 
 
 class TestMaximal:
@@ -81,12 +122,77 @@ class TestMaximal:
             rough = brute_force_maximal(f, x, samples=4000, seed=i)
             assert exact >= rough - 1e-12
 
+    def test_matches_pair_scan(self):
+        rng = np.random.default_rng(22)
+        for i in range(60):
+            f = random_step(rng, max_cells=1000 if i % 4 == 0 else 40)
+            for x in rng.uniform(-3.0, 3.0, 4):
+                oracle = pair_scan_maximal(f, float(x))
+                assert maximal(f, float(x)) == pytest.approx(oracle, rel=1e-12, abs=0.0)
+
+    def test_matches_exact_rational_maximum(self):
+        # the result is one pair's float slope, so only the rounding of the
+        # prefix sums and of one division separates it from the exact value
+        rng = np.random.default_rng(23)
+        for _ in range(80):
+            f = random_step(rng, max_cells=30)
+            x = float(rng.uniform(-3.0, 3.0))
+            exact = float(exact_maximal(f, x))
+            assert maximal(f, x) == pytest.approx(exact, rel=1e-13, abs=0.0)
+
+    def test_large_m_closed_forms(self):
+        # m = 1e5 cells: a pair matrix would hold about 2.5e9 entries
+        rng = np.random.default_rng(24)
+        m = 100_000
+        bp = np.sort(rng.uniform(0.0, 1.0, m + 1))
+        assert np.all(np.diff(bp) > 0.0)
+        vals = np.exp(rng.uniform(math.log(2.0**-8), math.log(2.0**8), m))
+        f = StepFunction(bp, vals)
+        b, _, prefix = f._abs_arrays
+        for x in (-0.5, -1e-2, -1e-4):
+            # left of the support x is the only left candidate and P(x) = 0
+            expect = float(np.max(prefix[1:] / (b[1:] - x)))
+            assert maximal(f, x) == pytest.approx(expect, rel=1e-12, abs=0.0)
+        for x in (1.5, 1.0 + 1e-2, 1.0 + 1e-4):
+            expect = float(np.max((prefix[-1] - prefix[:-1]) / (x - b[:-1])))
+            assert maximal(f, x) == pytest.approx(expect, rel=1e-12, abs=0.0)
+        k = int(np.argmax(vals))
+        assert maximal(f, 0.5 * (bp[k] + bp[k + 1])) == f.sup_abs()
+
     def test_brute_force_converges(self):
         f = StepFunction((0.0, 0.4, 1.0, 1.3), (1.0, 0.25, 2.0))
         for x in (0.2, 1.1, 2.0):
             exact = maximal(f, x)
             dense = brute_force_maximal(f, x, samples=200_000, seed=5, zoom_rounds=14)
             assert abs(exact - dense) <= 1e-6 * max(1.0, exact)
+
+
+class TestCellFloor:
+    def test_against_pair_scan_and_maximal(self):
+        rng = np.random.default_rng(25)
+        for i in range(400):
+            f = random_step(rng, max_cells=300 if i % 8 == 0 else 20)
+            left = float(rng.uniform(-3.0, 3.0))
+            width = float(10.0 ** rng.uniform(-9.0, 0.0))
+            right = left + width
+            got = _cell_floor(f, left, right)
+            oracle = pair_scan_cell_floor(f, left, right)
+            assert got <= oracle * (1.0 + 1e-12)
+            if width >= 1e-6:
+                # narrower cells inflate the pair scan by prefix cancellation
+                assert got >= oracle * (1.0 - 1e-10)
+            for x in np.linspace(left, right, 5):
+                assert got <= maximal(f, float(x)) * (1.0 + 1e-12)
+
+    def test_narrow_cell_skips_cancellation_noise(self):
+        # far mass puts P(t) near 100 on the plateau, where Mf = 2; the prefix
+        # difference over a cell narrower than delta is mostly rounding noise
+        f = StepFunction((-1000.0, -999.0, 0.0, 1.0), (100.0, 0.0, 2.0))
+        rng = np.random.default_rng(26)
+        for left in rng.uniform(0.1, 0.9, 100):
+            for width in (1e-12, 1e-11, 1e-10):
+                got = _cell_floor(f, float(left), float(left) + width)
+                assert 2.0 <= got <= 2.0 * (1.0 + 1e-12)
 
 
 class TestFractionalMaximal:
