@@ -8,10 +8,9 @@ All numbers print with 17 significant digits and a '.' decimal separator.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import experiments
@@ -147,15 +146,15 @@ def cmd_norm(args) -> int:
         if args.kind == "morrey":
             est = morrey_norm(f, args.p, args.lam, fam)
         elif args.kind == "zygmund":
-            est = zygmund_morrey_norm(f, args.lam, fam, args.tol)
+            est = zygmund_morrey_norm(f, args.lam, fam)
         elif args.kind == "weak-zygmund":
-            est = weak_zygmund_morrey_norm(f, args.lam, fam, args.tol)
+            est = weak_zygmund_morrey_norm(f, args.lam, fam)
         elif args.kind == "bmo":
             est = bmo_seminorm(f, fam)
         elif args.kind == "bmo-p":
             est = bmo_p_seminorm(f, args.p, fam)
         elif args.kind == "characterization":
-            est = characterization_functional(f, args.lam, fam, args.tol)
+            est = characterization_functional(f, args.lam, fam)
         else:  # pragma: no cover
             raise UsageError(f"unknown norm kind {args.kind!r}")
     _emit(json.dumps(est.to_json_obj(), sort_keys=True) + "\n", args.out)
@@ -189,31 +188,12 @@ def _counterexample_csv(rows: list[dict]) -> str:
 
 
 def cmd_verify(args) -> int:
-    threads = int(os.environ.get("MORREYLAB_THREADS", "1") or "1")
     if args.suite == "all":
-        names = ["pointwise", "holder", "weaktype", "radial", "counterexample"]
-
-        def run(name: str) -> dict:
-            if name == "counterexample":
-                return experiments.suite_counterexample(_ks_from_args(args))
-            return experiments.SUITES[name](args.seed)
-
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=min(threads, len(names))) as pool:
-                parts = list(pool.map(run, names))
-        else:
-            parts = [run(n) for n in names]
-        report = {
-            "suite": "all",
-            "ok": all(p["ok"] for p in parts),
-            "parts": {n: p for n, p in zip(names, parts)},
-        }
+        report = experiments.suite_all(args.seed, _ks_from_args(args))
     elif args.suite == "counterexample":
         report = experiments.suite_counterexample(_ks_from_args(args))
-    elif args.suite in experiments.SUITES:
+    else:
         report = experiments.SUITES[args.suite](args.seed)
-    else:  # pragma: no cover
-        raise UsageError(f"unknown suite {args.suite!r}")
     _emit(json.dumps(report, sort_keys=True, default=float) + "\n", args.out)
     return 0 if report["ok"] else 1
 
@@ -244,21 +224,15 @@ def cmd_radial(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built on first use and shared by later calls; parsing
+    leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="morreylab",
         description="maximal operators, log-average norms and verification suites on step functions",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser, norm_flags: bool = True) -> None:
-        p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument("--format", choices=("json", "csv"), default="json")
-        if norm_flags:
-            p.add_argument("--tol", type=float, default=1e-9)
-            p.add_argument("--family", choices=("auto", "breakpoint_pairs", "dyadic", "dense"), default=None)
-            p.add_argument("--depth", type=int, default=None)
-            p.add_argument("--cap", type=int, default=None)
 
     p = sub.add_parser("maxfn", help="evaluate M, M_alpha, C_b, [M,b] or the M^2 bracket on a point grid")
     p.add_argument("--input", required=True)
@@ -269,7 +243,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", default=None, help="lo:hi:count uniform grid")
     p.add_argument("--tol", type=float, default=1e-3, help="envelope tolerance for M2")
     p.add_argument("--out", default=None)
-    p.add_argument("--format", choices=("json", "csv"), default="csv")
     p.set_defaults(func=cmd_maxfn)
 
     p = sub.add_parser("norm", help="norm estimates with certified brackets")
@@ -290,16 +263,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--p", type=float, default=1.0)
     p.add_argument("--lambda", dest="lam", type=float, default=0.5)
-    p.add_argument("--n", type=int, default=1, help="dimension for radial kinds (carried by the profile)")
-    common(p)
+    p.add_argument("--out", default=None, help="output path (default stdout)")
+    p.add_argument("--family", choices=("auto", "breakpoint_pairs", "dyadic", "dense"), default=None)
+    p.add_argument("--depth", type=int, default=None)
+    p.add_argument("--cap", type=int, default=None)
     p.set_defaults(func=cmd_norm)
 
     p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument("--suite", choices=("pointwise", "weaktype", "holder", "radial", "counterexample", "all"), required=True)
+    p.add_argument("--suite", choices=(*experiments.SUITES, "all"), required=True)
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--K", default=None, help="comma-separated bump counts for the counterexample suite")
     p.add_argument("--out", default=None)
-    p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("counterexample", help="emit the divergence table")
@@ -313,20 +287,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--op", choices=("hardy", "zm", "zm-m", "reduction"), required=True)
     p.add_argument("--lambda", dest="lam", type=float, default=0.5)
-    p.add_argument("--n", type=int, default=None, help="accepted for symmetry; the dimension lives in the profile file")
     p.add_argument("--at", default=None)
     p.add_argument("--grid", default=None)
     p.add_argument("--out", default=None)
-    p.add_argument("--format", choices=("json", "csv"), default="csv")
     p.set_defaults(func=cmd_radial)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

@@ -41,7 +41,7 @@ from .norms import (
 )
 from .orlicz import LLOG, holder_check, llog_functional, log_plus, luxemburg_average, weak_llog_average
 from .radial import hardy_reduction_check, zm_radial_functional
-from .stepfn import Interval, StepFunction, combine, distribution, pos_neg_parts
+from .stepfn import Interval, StepFunction, combine, default_hull, distribution, pos_neg_parts
 
 __all__ = [
     "CounterexampleSpec",
@@ -166,9 +166,7 @@ def build_counterexample(K: int) -> StepFunction:
     return StepFunction(bp, vals)
 
 
-def counterexample_upper(
-    K: int, lam: float = 0.5, family: FamilySpec | None = None, tol: float = 1e-7
-) -> NormEstimate:
+def counterexample_upper(K: int, lam: float = 0.5, family: FamilySpec | None = None) -> NormEstimate:
     """Bracketed log-average Morrey norm of the K-bump function.
 
     The default family pairs every bump endpoint (the dyadic-only ladder
@@ -176,7 +174,7 @@ def counterexample_upper(
     ladder over the expanded hull.
     """
     f = build_counterexample(K)
-    return zygmund_morrey_norm(f, lam, family, tol)
+    return zygmund_morrey_norm(f, lam, family)
 
 
 def m2_lower_bound(K: int, lam: float = 0.5) -> float:
@@ -303,10 +301,7 @@ def _abs_commutator_lower(
     takes the distance to zero from below.
     """
     bf = combine(b, f, lambda x, y: x * y)
-    hulls = [h for h in (f.support_hull(), b.support_hull()) if h is not None]
-    lo = min(h.left for h in hulls)
-    hi = max(h.right for h in hulls)
-    window = Interval(lo, hi).expanded(max(hi - lo, 1e-6))
+    window = default_hull(f, b)
     env_bf = maximal_envelope(bf, refine, window)
     env_f = maximal_envelope(f, refine, window)
     pts = sorted(
@@ -332,6 +327,24 @@ def _abs_commutator_lower(
     return StepFunction(pts, vals)
 
 
+def _witness_lower(
+    op_id: str, f: StepFunction, b: StepFunction | None, refine: RefinePolicy
+) -> tuple[StepFunction, float]:
+    """Certified lower envelope of the operator ``op_id`` applied to f
+    (with symbol b for the commutators) and the scale of the inequality's
+    right side: 1, or c0 (1 + log+ c0) for [M, b], which is 0 when b
+    vanishes."""
+    if op_id == "M2":
+        return iterated_maximal(f, refine).lower, 1.0
+    if op_id == "Cb":
+        return commutator_envelope(b, f, refine).lower, 1.0
+    if op_id == "MbCommutator":
+        plus, minus = pos_neg_parts(b)
+        c0 = bmo_seminorm(plus).upper_bound + minus.sup_abs()
+        return _abs_commutator_lower(b, f, refine), c0 * (1.0 + log_plus(c0))
+    raise ValueError(f"unknown operator id {op_id!r}")
+
+
 def weak_type_constant(op_id: str, corpus_spec: dict, params: dict | None = None) -> ConstantReport:
     """Best observed constant of the weak-type inequality for ``op_id`` in
     {"M2", "Cb", "MbCommutator"} over a seeded corpus.
@@ -355,22 +368,9 @@ def weak_type_constant(op_id: str, corpus_spec: dict, params: dict | None = None
             raise ValueError("symbol corpus must match the function corpus")
     best, witness = 0.0, {}
     for i, f in enumerate(fs):
-        if op_id == "M2":
-            lower = iterated_maximal(f, refine).lower
-            scale = 1.0
-        elif op_id == "Cb":
-            lower = commutator_envelope(symbols[i], f, refine).lower
-            scale = 1.0
-        elif op_id == "MbCommutator":
-            b = symbols[i]
-            lower = _abs_commutator_lower(b, f, refine)
-            plus, minus = pos_neg_parts(b)
-            c0 = bmo_seminorm(plus).upper_bound + minus.sup_abs()
-            if c0 <= 0.0:
-                continue
-            scale = c0 * (1.0 + log_plus(c0))
-        else:
-            raise ValueError(f"unknown operator id {op_id!r}")
+        lower, scale = _witness_lower(op_id, f, symbols[i] if symbols else None, refine)
+        if scale <= 0.0:
+            continue
         ratio, level = _best_level_ratio(lower, f, scale)
         if ratio > best:
             best = ratio
@@ -381,9 +381,7 @@ def weak_type_constant(op_id: str, corpus_spec: dict, params: dict | None = None
     return ConstantReport(f"weak_type_{op_id}", descriptor, best, witness)
 
 
-def weak_morrey_M2_constant(
-    corpus_spec: dict, lam: float, tol: float = 1e-6, refine: RefinePolicy = LOOSE
-) -> ConstantReport:
+def weak_morrey_M2_constant(corpus_spec: dict, lam: float, refine: RefinePolicy = LOOSE) -> ConstantReport:
     """Best observed ratio of the weak log-average Morrey norm of the
     iterated maximal function against the log-average Morrey norm of the
     input, over a seeded corpus; reported and regression-locked."""
@@ -397,8 +395,8 @@ def weak_morrey_M2_constant(
         lower = iterated_maximal(f, refine).lower
         if lower.is_zero:
             continue
-        num = weak_zygmund_morrey_norm(lower, lam, tol=tol).value
-        den = zygmund_morrey_norm(f, lam, tol=tol).value
+        num = weak_zygmund_morrey_norm(lower, lam).value
+        den = zygmund_morrey_norm(f, lam).value
         if den > 0.0 and num / den > best:
             best = num / den
             witness = {"index": i}
@@ -559,7 +557,7 @@ def standard_constant_reports() -> dict[str, ConstantReport]:
     lo_band, hi_band = math.inf, 0.0
     for _ in range(5):
         p, f = random_even_decreasing(rng)
-        ratio = zygmund_morrey_norm(f, 0.5, tol=1e-7).value / zm_radial_functional(p, 0.5).value
+        ratio = zygmund_morrey_norm(f, 0.5).value / zm_radial_functional(p, 0.5).value
         lo_band = min(lo_band, ratio)
         hi_band = max(hi_band, ratio)
     reports["radial_vs_interval_band_lo"] = ConstantReport(
@@ -682,8 +680,8 @@ def suite_weaktype(seed: int = 7) -> dict:
     f = fs[i]
     base_ratio = reevaluate_constant(rep)
     g = f.dilate(4.0)
-    lower_g = iterated_maximal(g, LOOSE).lower
-    ratio_g = distribution(lower_g, t) / _zygmund_integral(g, t)
+    lower_g, scale_g = _witness_lower("M2", g, None, LOOSE)
+    ratio_g = distribution(lower_g, t) / (scale_g * _zygmund_integral(g, t))
     checks.append(
         _check(
             "m2_dilation_invariant",
@@ -827,14 +825,9 @@ SUITES = {
 }
 
 
-def suite_all(seed: int = 7) -> dict:
-    parts = {
-        "pointwise": suite_pointwise(seed),
-        "holder": suite_holder(seed),
-        "weaktype": suite_weaktype(seed),
-        "radial": suite_radial(seed),
-        "counterexample": suite_counterexample(),
-    }
+def suite_all(seed: int = 7, ks: tuple[int, ...] = (8, 16, 32, 64)) -> dict:
+    parts = {name: SUITES[name](seed) for name in ("pointwise", "holder", "weaktype", "radial")}
+    parts["counterexample"] = suite_counterexample(ks)
     return {
         "suite": "all",
         "ok": all(p["ok"] for p in parts.values()),
@@ -852,19 +845,9 @@ def reevaluate_constant(report: ConstantReport) -> float:
         i = report.witness["index"]
         f = fs[i]
         t = report.witness["level"]
-        if op == "M2":
-            lower = iterated_maximal(f, LOOSE).lower
-            scale = 1.0
-        elif op == "Cb":
-            syms = corpus(**{k: report.corpus["symbols"][k] for k in ("seed", "size", "max_cells", "signed")})
-            lower = commutator_envelope(syms[i], f, LOOSE).lower
-            scale = 1.0
-        else:
-            syms = corpus(**{k: report.corpus["symbols"][k] for k in ("seed", "size", "max_cells", "signed")})
-            b = syms[i]
-            lower = _abs_commutator_lower(b, f, LOOSE)
-            plus, minus = pos_neg_parts(b)
-            c0 = bmo_seminorm(plus).upper_bound + minus.sup_abs()
-            scale = c0 * (1.0 + log_plus(c0))
+        b = None
+        if op != "M2":
+            b = corpus(**{k: report.corpus["symbols"][k] for k in ("seed", "size", "max_cells", "signed")})[i]
+        lower, scale = _witness_lower(op, f, b, LOOSE)
         return distribution(lower, t) / (scale * _zygmund_integral(f, t))
     raise ValueError(f"no witness reevaluation for {kind!r}")

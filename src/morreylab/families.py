@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .stepfn import Interval, StepFunction
+from .stepfn import Interval, StepFunction, default_hull
 
 __all__ = ["FamilySpec", "ResolvedFamily", "resolve_family"]
 
@@ -112,18 +112,11 @@ class ResolvedFamily:
         return max(ratio(a) for a in anchors if a <= h)
 
 
-def default_hull_for(f: StepFunction) -> Interval:
-    hull = f.support_hull()
-    if hull is None:
-        return Interval(-1.0, 1.0)
-    return hull.expanded(max(hull.length, 1e-6))
-
-
 def resolve_family(
     spec: FamilySpec | None, f: StepFunction, extra_points: tuple[float, ...] = ()
 ) -> ResolvedFamily:
     spec = spec or FamilySpec()
-    hull = spec.hull or default_hull_for(f)
+    hull = spec.hull or default_hull(f)
     bps = [b for b in f.breakpoints if hull.left < b < hull.right]
     bps += [p for p in extra_points if hull.left < p < hull.right]
     base = sorted({hull.left, hull.right, *bps})

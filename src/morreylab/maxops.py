@@ -51,6 +51,7 @@ from .stepfn import (
     Interval,
     StepFunction,
     combine,
+    default_hull,
     integrate,
     prefix_at,
 )
@@ -67,7 +68,6 @@ __all__ = [
     "iterated_maximal",
     "commutator_envelope",
     "hardy",
-    "default_hull",
 ]
 
 
@@ -267,15 +267,6 @@ def brute_force_maximal(
 # envelopes
 
 
-def default_hull(f: StepFunction) -> Interval:
-    """Support hull expanded by its own length on each side."""
-    hull = f.support_hull()
-    if hull is None:
-        return Interval(-1.0, 1.0)
-    margin = max(hull.length, 1e-6)
-    return hull.expanded(margin)
-
-
 def _window_average(f: StepFunction, left: float, right: float) -> float:
     """Average of |f| over (left, right) via per-cell overlaps; free of the
     large-prefix cancellation that poisons very narrow windows."""
@@ -449,15 +440,7 @@ def commutator_envelope(
     if f.is_zero:
         z = StepFunction.zero()
         return EnvelopePair(z, z)
-    if hull is None:
-        hulls = [h for h in (f.support_hull(), b.support_hull()) if h is not None]
-        if not hulls:
-            z = StepFunction.zero()
-            return EnvelopePair(z, z)
-        lo = min(h.left for h in hulls)
-        hi = max(h.right for h in hulls)
-        base = Interval(lo, hi)
-        hull = base.expanded(max(base.length, 1e-6))
+    hull = hull or default_hull(f, b)
     pts = sorted(
         {hull.left, hull.right} | {p for p in b.breakpoints if hull.left < p < hull.right}
     )

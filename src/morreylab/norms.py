@@ -3,14 +3,17 @@
 Every norm returns a :class:`NormEstimate`: ``value`` is the exact maximum
 of the objective over the enumerated family (a certified lower bound of
 the true supremum over all intervals, attained at ``argmax_interval``) and
-``upper_bound`` certifies the other side.
+``upper_bound`` certifies the other side.  The Morrey norm needs no family:
+given none, it returns the exact supremum, scanned over breakpoint pairs.
 
 Upper-bound machinery
 ---------------------
 For the Morrey objective |Q|^((lam-1)/p) * (int_Q |f|^p)^(1/p) the
 one-endpoint scan has derivative sign (lam-1)(A + c d) + c (L + d), which
 is nondecreasing in the penetration depth, so the global supremum over all
-intervals is attained at breakpoint pairs of f and the bracket is exact.
+intervals is attained at breakpoint pairs of f and the bracket is exact;
+the pairs are scanned one left endpoint at a time, vectorized over the
+right ones, in O(m) memory.
 
 The Luxemburg-based objectives |Q|^lam * avg(f, Q) need three lemmas, each
 a consequence of convexity and the submultiplicative bound
@@ -39,7 +42,7 @@ import numpy as np
 
 from .families import FamilySpec, ResolvedFamily, resolve_family
 from .orlicz import LLOG, llog_functional, luxemburg_average, weak_llog_average
-from .stepfn import EnvelopePair, Interval, StepFunction
+from .stepfn import EnvelopePair, Interval, StepFunction, prefix_at
 
 __all__ = [
     "NormEstimate",
@@ -56,7 +59,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class NormEstimate:
-    """Family-restricted supremum with a certified two-sided bracket."""
+    """Supremum with a certified two-sided bracket.
+
+    ``value`` is the maximum over ``family`` (attained at
+    ``argmax_interval``), or the exact supremum when ``family`` is None;
+    ``upper_bound`` holds for every interval.
+    """
 
     value: float
     upper_bound: float
@@ -148,6 +156,27 @@ def _certified_upper_scale_invariant(
 # Morrey norm (exact)
 
 
+def _first_max(lengths: np.ndarray, masses: np.ndarray, e: float, p: float) -> tuple[float, int]:
+    """First maximum of lengths**e * masses**(1/p) over the positive masses
+    and its index (0.0 and -1 if there is none).
+
+    numpy's array power can round an ulp away from the scalar one, so the
+    arrays only preselect the near-maximal entries, and those are compared
+    in scalar arithmetic: the result is the scalar per-interval maximum.
+    """
+    pos = masses > 0.0
+    approx = np.zeros(len(masses))
+    approx[pos] = lengths[pos] ** e * masses[pos] ** (1.0 / p)
+    best, arg = 0.0, -1
+    top = approx.max(initial=0.0)
+    if top > 0.0:
+        for k in np.flatnonzero(approx >= top * (1.0 - 1e-12)):
+            v = float(lengths[k] ** e * masses[k] ** (1.0 / p))
+            if v > best:
+                best, arg = v, int(k)
+    return best, arg
+
+
 def morrey_norm(
     f: StepFunction,
     p: float,
@@ -156,10 +185,12 @@ def morrey_norm(
 ) -> NormEstimate:
     """Morrey norm sup_Q |Q|^((lam-1)/p) (int_Q |f|^p)^(1/p), n = 1.
 
-    ``value`` is the family maximum; ``upper_bound`` is the exact global
-    supremum, attained at a breakpoint pair of f (endpoint scan, see module
-    docstring), so the bracket is tight whenever the family contains the
-    breakpoint pairs.
+    The supremum is attained at a breakpoint pair of f (endpoint scan, see
+    module docstring).  Without a family the result is that exact
+    supremum, ``value == upper_bound``, attained at ``argmax_interval``.
+    With a family ``value`` is the family maximum and ``upper_bound`` the
+    exact supremum, so the bracket is tight whenever the family contains
+    the breakpoint pairs.
     """
     if p < 1 or not math.isfinite(p):
         raise ValueError("p must satisfy 1 <= p < inf")
@@ -167,30 +198,23 @@ def morrey_norm(
         raise ValueError("lambda must lie in [0, 1]")
     if f.is_zero:
         return NormEstimate(0.0, 0.0, None, family)
-    fam = resolve_family(family, f)
     b = np.asarray(f.breakpoints)
     w = np.abs(np.asarray(f.values)) ** p
     prefix = np.concatenate(([0.0], np.cumsum(w * np.diff(b))))
-
-    def objective(q: Interval) -> float:
-        lo = np.clip(q.left, b[0], b[-1])
-        hi = np.clip(q.right, b[0], b[-1])
-        il = np.searchsorted(b, lo, side="right") - 1
-        ih = np.searchsorted(b, hi, side="right") - 1
-        il = min(max(il, 0), len(w) - 1)
-        ih = min(max(ih, 0), len(w) - 1)
-        mass = (prefix[ih] + w[ih] * (hi - b[ih])) - (prefix[il] + w[il] * (lo - b[il]))
-        if mass <= 0.0:
-            return 0.0
-        return q.length ** ((lam - 1.0) / p) * mass ** (1.0 / p)
-
-    value, arg = _maximize(objective, fam)
-    exact = 0.0
-    for i in range(len(b)):
-        for j in range(i + 1, len(b)):
-            mass = prefix[j] - prefix[i]
-            if mass > 0.0:
-                exact = max(exact, (b[j] - b[i]) ** ((lam - 1.0) / p) * mass ** (1.0 / p))
+    e = (lam - 1.0) / p
+    exact, pair = 0.0, None
+    for i in range(len(b) - 1):
+        v, j = _first_max(b[i + 1 :] - b[i], prefix[i + 1 :] - prefix[i], e, p)
+        if v > exact:
+            exact, pair = v, Interval(b[i], b[i + 1 + j])
+    if family is None:
+        return NormEstimate(exact, exact, pair, None)
+    fam = resolve_family(family, f)
+    lefts = np.array([q.left for q in fam.intervals])
+    rights = np.array([q.right for q in fam.intervals])
+    masses = prefix_at(b, w, prefix, rights) - prefix_at(b, w, prefix, lefts)
+    value, k = _first_max(rights - lefts, masses, e, p)
+    arg = fam.intervals[k] if k >= 0 else None
     return NormEstimate(value, max(value, exact), arg, fam.spec)
 
 
@@ -202,7 +226,6 @@ def zygmund_morrey_norm(
     f: StepFunction,
     lam: float,
     family: FamilySpec | None = None,
-    tol: float = 1e-9,
 ) -> NormEstimate:
     """sup_Q |Q|^lam * (Luxemburg llog average of f over Q), n = 1."""
     if not 0.0 < lam < 1.0:
@@ -212,7 +235,7 @@ def zygmund_morrey_norm(
     fam = resolve_family(family, f)
 
     def objective(q: Interval) -> float:
-        return q.length**lam * luxemburg_average(f, q, LLOG, tol)
+        return q.length**lam * luxemburg_average(f, q, LLOG)
 
     value, arg = _maximize(objective, fam)
     upper = _certified_upper_scale_invariant(value, f, lam, fam)
@@ -223,7 +246,6 @@ def weak_zygmund_morrey_norm(
     f: StepFunction,
     lam: float,
     family: FamilySpec | None = None,
-    tol: float = 1e-9,
 ) -> NormEstimate:
     """sup_Q |Q|^lam * (weak L(1+log+ L) average of f over Q), n = 1."""
     if not 0.0 < lam < 1.0:
@@ -233,7 +255,7 @@ def weak_zygmund_morrey_norm(
     fam = resolve_family(family, f)
 
     def objective(q: Interval) -> float:
-        return q.length**lam * weak_llog_average(f, q, tol)
+        return q.length**lam * weak_llog_average(f, q)
 
     value, arg = _maximize(objective, fam)
     upper = _certified_upper_scale_invariant(value, f, lam, fam)
@@ -244,7 +266,6 @@ def characterization_functional(
     f: StepFunction,
     lam: float,
     family: FamilySpec | None = None,
-    tol: float = 1e-9,
 ) -> NormEstimate:
     """sup_Q |Q|^lam * (1/|Q|) int_Q |f| (1 + log+(|f| / mean_Q |f|)).
 
@@ -263,7 +284,7 @@ def characterization_functional(
     value, arg = _maximize(objective, fam)
 
     def lux_objective(q: Interval) -> float:
-        return q.length**lam * luxemburg_average(f, q, LLOG, tol)
+        return q.length**lam * luxemburg_average(f, q, LLOG)
 
     lux_value, _ = _maximize(lux_objective, fam)
     upper = 2.0 * _certified_upper_scale_invariant(lux_value, f, lam, fam)

@@ -1,11 +1,12 @@
 """Orlicz gauges, Luxemburg averages and the weak L(1+log+ L) average.
 
 The two gauges in play are the Zygmund gauge t*(1+log+ t) and the
-exponential gauge e^t - 1 (normalized so it vanishes at 0).  All averages
-are exact for step functions up to the bisection tolerance of the defining
-infimum: the gauge integral is a finite closed-form sum per candidate
-level, and the weak average's inner supremum over t is a finite exact
-maximum over the jump levels of the distribution function.
+exponential gauge e^t - 1 (normalized so it vanishes at 0).  The gauge
+integral of a step function is a finite closed-form sum per candidate
+level, so the llog Luxemburg average is solved segment-exactly and only the
+exp gauge bisects (to ``tol``); the weak average's inner supremum over t is
+a finite exact maximum over the jump levels of the distribution function,
+so it has a closed form.
 """
 
 from __future__ import annotations
@@ -218,7 +219,7 @@ def _weak_level_data(f: StepFunction, window: Interval) -> tuple[np.ndarray, np.
     return levels, mus
 
 
-def weak_llog_average(f: StepFunction, window: Interval, tol: float = 1e-9) -> float:
+def weak_llog_average(f: StepFunction, window: Interval) -> float:
     """Weak L(1+log+ L) average: inf{alpha : S(alpha) <= 1} where S is the
     supremum over t of the superlevel fraction against (1/t)(1+log+(1/t)).
 
@@ -231,8 +232,6 @@ def weak_llog_average(f: StepFunction, window: Interval, tol: float = 1e-9) -> f
     is nonincreasing in alpha, so the infimum is the largest of those
     roots:  max_k v_k |{|f| >= v_k} cap I| / |I|, exact to rounding.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     levels, mus = _weak_level_data(f, window)
     if len(levels) == 0:
         return 0.0

@@ -257,9 +257,7 @@ def zm_radial_functional_M(p: RadialProfile, lam: float) -> NormEstimate:
     return NormEstimate(value, upper, argmax, None)
 
 
-def hardy_reduction_check(
-    p: RadialProfile, lam: float, tol: float = 1e-9
-) -> tuple[float, float, float]:
+def hardy_reduction_check(p: RadialProfile, lam: float) -> tuple[float, float, float]:
     """(lhs, rhs, bound): the triple-nested supremum, the double-nested one,
     and the reduction bound rhs / (n - lam).
 

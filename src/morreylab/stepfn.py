@@ -32,6 +32,7 @@ __all__ = [
     "distribution",
     "rearrangement",
     "double_star",
+    "default_hull",
 ]
 
 
@@ -378,6 +379,16 @@ def double_star(f: StepFunction, t: float) -> float:
         raise ValueError("double_star requires t > 0")
     fstar = rearrangement(f)
     return integrate(fstar, Interval(0.0, t)) / t
+
+
+def default_hull(*fs: StepFunction) -> Interval:
+    """Hull of the supports expanded by its own length (at least 1e-6) on
+    each side; (-1, 1) when every input is zero."""
+    live = [f.breakpoints for f in fs if not f.is_zero]
+    if not live:
+        return Interval(-1.0, 1.0)
+    lo, hi = min(b[0] for b in live), max(b[-1] for b in live)
+    return Interval(lo, hi).expanded(max(hi - lo, 1e-6))
 
 
 # ---------------------------------------------------------------------------

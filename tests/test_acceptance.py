@@ -110,7 +110,7 @@ def test_criterion_03_luxemburg_calibration_and_sandwich():
 def test_criterion_04_weak_average_calibration():
     for size in (0.25, 1.0, 3.0):
         q = Interval(0.0, size)
-        got = weak_llog_average(StepFunction.indicator(0.0, size), q, 1e-10)
+        got = weak_llog_average(StepFunction.indicator(0.0, size), q)
         assert got == pytest.approx(1.0, abs=1e-8)
     print("ACCEPTANCE 4: PASS - weak log-average of the indicator over its "
           "own interval is 1 to 1e-8")

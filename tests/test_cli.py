@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from morreylab import cli
 from morreylab.cli import main
 from morreylab.stepfn import StepFunction
 
@@ -118,6 +123,49 @@ class TestNorm:
     def test_missing_file(self, capsys):
         assert main(["norm", "--input", "does-not-exist.json", "--kind", "bmo"]) == 2
 
+    def test_morrey_without_family_is_exact(self, tmp_path, capsys):
+        path = tmp_path / "f.json"
+        path.write_text(StepFunction((0.0, 0.3, 1.0, 1.5), (2.0, -1.0, 4.0)).to_json())
+        assert main(["norm", "--input", str(path), "--kind", "morrey", "--p", "2"]) == 0
+        obj = json.loads(capsys.readouterr().out)
+        assert obj["family"] is None
+        assert obj["value"] == obj["upper_bound"] > 0.0
+
+
+class TestParser:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["maxfn", "--op", "M", "--at", "0.5", "--format", "json"],
+            ["verify", "--suite", "holder", "--format", "json"],
+            ["norm", "--kind", "morrey", "--n", "3"],
+            ["norm", "--kind", "morrey", "--tol", "1e-3"],
+            ["radial", "--op", "zm", "--format", "json"],
+        ],
+    )
+    def test_removed_flags_rejected(self, chi01_file, profile_file, argv, capsys):
+        path = profile_file if argv[0] == "radial" else chi01_file
+        assert main(argv[:1] + ["--input", path] + argv[1:]) == 2
+
+    def test_shared_parser_leaks_no_state(self, chi01_file, capsys):
+        calls = [
+            ["maxfn", "--input", chi01_file, "--op", "M", "--at", "2,0.5"],
+            ["norm", "--input", chi01_file, "--kind", "morrey", "--p", "2"],
+            ["maxfn", "--input", chi01_file, "--op", "M", "--grid", "0:2:5"],
+        ]
+        together = []
+        for argv in calls:
+            assert main(argv) == 0
+            together.append(capsys.readouterr().out)
+        # each call alone, in a fresh interpreter
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        for argv, out in zip(calls, together):
+            alone = subprocess.run(
+                [sys.executable, "-m", "morreylab.cli", *argv], env=env, capture_output=True, text=True
+            )
+            assert alone.returncode == 0
+            assert alone.stdout == out
+
 
 class TestVerify:
     def test_holder_suite_green(self, tmp_path):
@@ -147,13 +195,15 @@ class TestVerify:
         bad = [c for c in rep["checks"] if not c["ok"]]
         assert bad and bad[0]["name"] == "holder_all_pairs"
 
-    def test_thread_cap_deterministic(self, tmp_path, monkeypatch):
+    def test_verify_all_deterministic(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         code_a = main(["verify", "--suite", "all", "--seed", "7", "--K", "4,8", "--out", str(a)])
-        monkeypatch.setenv("MORREYLAB_THREADS", "3")
         code_b = main(["verify", "--suite", "all", "--seed", "7", "--K", "4,8", "--out", str(b)])
         assert code_a == code_b
         assert a.read_bytes() == b.read_bytes()
+        rep = json.loads(a.read_text())
+        assert rep["parts"]["counterexample"]["ks"] == [4, 8]
+        assert code_a == (0 if rep["ok"] else 1)
 
 
 class TestCounterexampleCmd:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -98,16 +99,113 @@ class TestMorrey:
             assert est2.value == pytest.approx(c * est.value, rel=1e-12)
 
 
+def morrey_pair_oracle(f, p, lam):
+    """The Morrey supremum over breakpoint pairs, one pair at a time."""
+    b = np.asarray(f.breakpoints)
+    w = np.abs(np.asarray(f.values)) ** p
+    prefix = np.concatenate(([0.0], np.cumsum(w * np.diff(b))))
+    best = 0.0
+    for i in range(len(b)):
+        for j in range(i + 1, len(b)):
+            mass = prefix[j] - prefix[i]
+            if mass > 0.0:
+                best = max(best, (b[j] - b[i]) ** ((lam - 1.0) / p) * mass ** (1.0 / p))
+    return best
+
+
+def morrey_objective(f, p, lam, lefts, rights):
+    """|Q|^((lam-1)/p) (int_Q |f|^p)^(1/p) per interval, from cell overlaps."""
+    b = np.asarray(f.breakpoints)
+    w = np.abs(np.asarray(f.values)) ** p
+    lefts, rights = np.atleast_1d(lefts), np.atleast_1d(rights)
+    mass = np.empty(len(lefts))
+    for k in range(0, len(lefts), 64):  # 64 rows of overlaps at a time
+        lo, hi = lefts[k : k + 64, None], rights[k : k + 64, None]
+        mass[k : k + 64] = np.sum(w * np.maximum(np.minimum(b[1:], hi) - np.maximum(b[:-1], lo), 0.0), axis=1)
+    return (rights - lefts) ** ((lam - 1.0) / p) * mass ** (1.0 / p)
+
+
+class TestMorreyExact:
+    def test_matches_pair_oracle(self):
+        rng = np.random.default_rng(70)
+        # the supremum sits on the first cell, then on the last
+        spike = StepFunction((0.0, 0.001, 1.0), (100.0, 1.0))
+        spikes = [spike, StepFunction((-1.0, -0.001, 0.0), (1.0, 100.0))]
+        for f in spikes + [random_step(rng, max_cells=40) for _ in range(12)]:
+            for p in (1.0, 2.0, 3.0):
+                for lam in (0.0, 0.25, 0.5, 1.0):
+                    est = morrey_norm(f, p, lam)
+                    assert est.family is None
+                    assert est.value == est.upper_bound
+                    assert est.value == morrey_pair_oracle(f, p, lam)
+                    q = est.argmax_interval
+                    assert q.left in f.breakpoints and q.right in f.breakpoints
+
+    def test_no_family_reports_null(self):
+        assert morrey_norm(CHI01, 2.0, 0.5).to_json_obj()["family"] is None
+
+    def test_explicit_family_matches_interval_loop(self):
+        rng = np.random.default_rng(71)
+        spec = FamilySpec(depth=4)
+        for _ in range(6):
+            f = random_step(rng, max_cells=12)
+            for p, lam in ((1.0, 0.5), (2.0, 0.25), (3.0, 0.75)):
+                est = morrey_norm(f, p, lam, spec)
+                fam = resolve_family(spec, f)
+                b = np.asarray(f.breakpoints)
+                w = np.abs(np.asarray(f.values)) ** p
+                prefix = np.concatenate(([0.0], np.cumsum(w * np.diff(b))))
+
+                def mass_to(x):
+                    x = min(max(x, b[0]), b[-1])
+                    i = min(max(int(np.searchsorted(b, x, side="right")) - 1, 0), len(w) - 1)
+                    return prefix[i] + w[i] * (x - b[i])
+
+                best = 0.0
+                for q in fam.intervals:
+                    mass = mass_to(q.right) - mass_to(q.left)
+                    if mass > 0.0:
+                        best = max(best, q.length ** ((lam - 1.0) / p) * mass ** (1.0 / p))
+                assert est.family == spec
+                assert est.value == best
+                assert est.upper_bound == max(best, morrey_pair_oracle(f, p, lam))
+                q = est.argmax_interval
+                assert morrey_objective(f, p, lam, q.left, q.right)[0] == pytest.approx(est.value, rel=1e-12)
+
+    def test_ten_thousand_cells(self):
+        # the family-based norm raised above about 630 breakpoints; the
+        # scan keeps O(m) memory, far below one m x m float array (800 MB)
+        rng = np.random.default_rng(72)
+        m = 10_000
+        bp = np.sort(rng.uniform(-2.0, 2.0, m + 1))
+        f = StepFunction(bp, np.exp(rng.uniform(np.log(2.0**-4), np.log(2.0**4), m)))
+        assert f.num_cells == m
+        tracemalloc.start()
+        try:
+            est = morrey_norm(f, 2.0, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 50e6
+        assert est.value == est.upper_bound
+        q = est.argmax_interval
+        assert morrey_objective(f, 2.0, 0.5, q.left, q.right)[0] == pytest.approx(est.value, rel=1e-12)
+        lefts = rng.uniform(-2.5, 2.0, 1000)
+        rights = lefts + np.exp(rng.uniform(np.log(1e-6), np.log(4.5), 1000))
+        objective = morrey_objective(f, 2.0, 0.5, lefts, rights)
+        assert np.all(objective <= est.upper_bound * (1 + 1e-12))
+
+
 class TestZygmundMorrey:
     def test_chi_unit(self):
-        est = zygmund_morrey_norm(CHI01, 0.5, tol=1e-9)
+        est = zygmund_morrey_norm(CHI01, 0.5)
         assert est.value >= 1.0 - 1e-7
         assert est.upper_bound <= 2.0
         assert est.value <= est.upper_bound
 
     def test_chi_four(self):
         f = StepFunction.indicator(0.0, 4.0)
-        est = zygmund_morrey_norm(f, 0.5, tol=1e-9)
+        est = zygmund_morrey_norm(f, 0.5)
         assert est.value >= 2.0 - 1e-6  # |Q0|^lam = 2 from Q0 itself
         assert est.upper_bound >= 2.0
         assert est.upper_bound <= 2.0 * 2.0  # within the factor-2 band
@@ -121,34 +219,34 @@ class TestZygmundMorrey:
         fam = FamilySpec(depth=6)
         for _ in range(8):
             f = random_step(rng, max_cells=6)
-            s = zygmund_morrey_norm(f, 0.5, fam, tol=1e-8)
-            w = weak_zygmund_morrey_norm(f, 0.5, fam, tol=1e-8)
+            s = zygmund_morrey_norm(f, 0.5, fam)
+            w = weak_zygmund_morrey_norm(f, 0.5, fam)
             assert w.value <= s.value * (1 + 1e-6)
 
     def test_weak_chi(self):
-        est = weak_zygmund_morrey_norm(CHI01, 0.5, tol=1e-9)
+        est = weak_zygmund_morrey_norm(CHI01, 0.5)
         assert est.value >= 1.0 - 1e-7
 
     def test_family_refinement_monotone(self):
         rng = np.random.default_rng(32)
         f = random_step(rng, max_cells=5)
-        small = zygmund_morrey_norm(f, 0.5, FamilySpec(depth=3), tol=1e-8)
-        big = zygmund_morrey_norm(f, 0.5, FamilySpec(depth=6), tol=1e-8)
+        small = zygmund_morrey_norm(f, 0.5, FamilySpec(depth=3))
+        big = zygmund_morrey_norm(f, 0.5, FamilySpec(depth=6))
         assert big.value >= small.value - 1e-9
 
     def test_homogeneity(self):
         rng = np.random.default_rng(33)
         f = random_step(rng, max_cells=5)
         fam = FamilySpec(depth=5)
-        base = zygmund_morrey_norm(f, 0.5, fam, tol=1e-9)
-        scaled = zygmund_morrey_norm(f.scale(5.0), 0.5, fam, tol=1e-9)
+        base = zygmund_morrey_norm(f, 0.5, fam)
+        scaled = zygmund_morrey_norm(f.scale(5.0), 0.5, fam)
         assert scaled.value == pytest.approx(5.0 * base.value, rel=1e-6)
 
     def test_argmax_reattains_value(self):
         rng = np.random.default_rng(36)
         for _ in range(5):
             f = random_step(rng, max_cells=6)
-            est = zygmund_morrey_norm(f, 0.5, FamilySpec(depth=5), tol=1e-9)
+            est = zygmund_morrey_norm(f, 0.5, FamilySpec(depth=5))
             q = est.argmax_interval
             again = q.length**0.5 * luxemburg_average(f, q, LLOG, 1e-9)
             assert again == pytest.approx(est.value, rel=1e-9)
@@ -175,8 +273,8 @@ class TestCharacterization:
         fam = FamilySpec(depth=6)
         for _ in range(8):
             f = random_step(rng, max_cells=6)
-            zm = zygmund_morrey_norm(f, 0.5, fam, tol=1e-9)
-            ch = characterization_functional(f, 0.5, fam, tol=1e-9)
+            zm = zygmund_morrey_norm(f, 0.5, fam)
+            ch = characterization_functional(f, 0.5, fam)
             assert zm.value <= ch.value * (1 + 1e-6)
             assert ch.value <= 2.0 * zm.value * (1 + 1e-6)
 
@@ -245,20 +343,20 @@ class TestUpperBoundSoundness:
         rng = np.random.default_rng(60)
         for _ in range(4):
             f = random_step(rng, max_cells=5)
-            est = zygmund_morrey_norm(f, 0.5, FamilySpec(depth=6), tol=1e-8)
+            est = zygmund_morrey_norm(f, 0.5, FamilySpec(depth=6))
             hull = f.support_hull().expanded(3.0 * f.support_hull().length)
             rich = zygmund_morrey_norm(
-                f, 0.5, FamilySpec(mode="dense", resolution=150, hull=hull), tol=1e-8
+                f, 0.5, FamilySpec(mode="dense", resolution=150, hull=hull)
             )
             assert rich.value <= est.upper_bound * (1 + 1e-9)
 
     def test_weak_upper_dominates_rich_family(self):
         rng = np.random.default_rng(61)
         f = random_step(rng, max_cells=5)
-        est = weak_zygmund_morrey_norm(f, 0.7, FamilySpec(depth=6), tol=1e-8)
+        est = weak_zygmund_morrey_norm(f, 0.7, FamilySpec(depth=6))
         hull = f.support_hull().expanded(3.0 * f.support_hull().length)
         rich = weak_zygmund_morrey_norm(
-            f, 0.7, FamilySpec(mode="dense", resolution=150, hull=hull), tol=1e-8
+            f, 0.7, FamilySpec(mode="dense", resolution=150, hull=hull)
         )
         assert rich.value <= est.upper_bound * (1 + 1e-9)
 
