@@ -357,13 +357,13 @@ def weak_type_constant(op_id: str, corpus_spec: dict, params: dict | None = None
     """
     params = params or {}
     refine = params.get("refine", LOOSE)
-    fs = corpus(**{k: corpus_spec[k] for k in ("seed", "size", "max_cells", "signed")})
+    fs = corpus(**corpus_spec)
     if not fs:
         raise ValueError("empty corpus")
     symbols: list[StepFunction] = []
     if op_id in ("Cb", "MbCommutator"):
         sym_spec = params["symbols"]
-        symbols = corpus(**{k: sym_spec[k] for k in ("seed", "size", "max_cells", "signed")})
+        symbols = corpus(**sym_spec)
         if len(symbols) != len(fs):
             raise ValueError("symbol corpus must match the function corpus")
     best, witness = 0.0, {}
@@ -387,7 +387,7 @@ def weak_morrey_M2_constant(corpus_spec: dict, lam: float, refine: RefinePolicy 
     input, over a seeded corpus; reported and regression-locked."""
     if not 0.0 < lam < 1.0:
         raise ValueError("lambda must lie in (0, 1)")
-    fs = corpus(**{k: corpus_spec[k] for k in ("seed", "size", "max_cells", "signed")})
+    fs = corpus(**corpus_spec)
     if not fs:
         raise ValueError("empty corpus")
     best, witness = 0.0, {}
@@ -841,13 +841,13 @@ def reevaluate_constant(report: ConstantReport) -> float:
     kind = report.inequality
     if kind.startswith("weak_type_"):
         op = kind.removeprefix("weak_type_")
-        fs = corpus(**{k: report.corpus["functions"][k] for k in ("seed", "size", "max_cells", "signed")})
+        fs = corpus(**report.corpus["functions"])
         i = report.witness["index"]
         f = fs[i]
         t = report.witness["level"]
         b = None
         if op != "M2":
-            b = corpus(**{k: report.corpus["symbols"][k] for k in ("seed", "size", "max_cells", "signed")})[i]
+            b = corpus(**report.corpus["symbols"])[i]
         lower, scale = _witness_lower(op, f, b, LOOSE)
         return distribution(lower, t) / (scale * _zygmund_integral(f, t))
     raise ValueError(f"no witness reevaluation for {kind!r}")

@@ -41,6 +41,7 @@ separate into one term per endpoint, so it still scans every pair.
 from __future__ import annotations
 
 import bisect
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -291,9 +292,14 @@ def _cell_floor(f: StepFunction, left: float, right: float) -> float:
     via prefix sums.  Pairs shorter than delta carry only the cancellation
     noise of prefix differences; they can occur only when the cell itself
     is that narrow, and are then left out, which can only lower the bound.
-    The sup |f| clamp bounds any remaining rounding noise.
+    Pairs only somewhat longer still carry that noise, the rounding of the
+    two interpolated ends and of the few cell sums between them, each about
+    an ulp of max P; so every chord's mass is charged four such ulps, taken
+    off the right ends, which keeps the search separable.  The sup |f|
+    clamp bounds what remains.
     """
     ts, ps, k = _candidate_arrays(f, left, right)
+    ps[k:] -= 4.0 * math.ulp(ps[-1])
     best = _window_average(f, left, right)
     delta = 1e-9 * (right - left + 1.0)
     if right - left > delta:

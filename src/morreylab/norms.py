@@ -1,20 +1,30 @@
-"""Supremum-type norms over interval families, with certified brackets.
+"""Supremum-type norms over all intervals, exact or with certified brackets.
 
-Every norm returns a :class:`NormEstimate`: ``value`` is the exact maximum
-of the objective over the enumerated family (a certified lower bound of
-the true supremum over all intervals, attained at ``argmax_interval``) and
-``upper_bound`` certifies the other side.  The Morrey norm needs no family:
-given none, it returns the exact supremum, scanned over breakpoint pairs.
+Every norm returns a :class:`NormEstimate`: ``value`` is attained at
+``argmax_interval`` and ``upper_bound`` holds for every interval.  The
+Morrey and weak Zygmund-Morrey norms are exact: without a family,
+``value == upper_bound``; an explicit family makes ``value`` the family
+maximum and leaves ``upper_bound`` exact.
 
-Upper-bound machinery
----------------------
+Exact norms
+-----------
 For the Morrey objective |Q|^((lam-1)/p) * (int_Q |f|^p)^(1/p) the
 one-endpoint scan has derivative sign (lam-1)(A + c d) + c (L + d), which
-is nondecreasing in the penetration depth, so the global supremum over all
-intervals is attained at breakpoint pairs of f and the bracket is exact;
-the pairs are scanned one left endpoint at a time, vectorized over the
-right ones, in O(m) memory.
+is nondecreasing in the penetration depth, so the supremum over all
+intervals is attained at breakpoint pairs of f; the pairs are scanned one
+left endpoint at a time, vectorized over the right ones, in O(m) memory.
 
+The weak L(1+log+ L) average over Q is max_k v_k |E_k cap Q| / |Q| with
+E_k = {|f| >= v_k} over the distinct values v_k of |f|
+(``orlicz.weak_llog_average``).  Exchanging the two maxima, the weak norm
+is max_k v_k ||1_{E_k}||_{M_{1,lam}}: one p = 1 Morrey norm per superlevel
+set, scanned by the same pair kernel over the component ends of E_k
+(lengthening Q into E_k or shortening it out of the complement raises
+|Q|^(lam-1) |E_k cap Q|).  As ||1_E||_{M_{1,lam}} <= |E|^lam, levels are
+scanned in decreasing order of v_k |E_k|^lam until that cannot win.
+
+Certified upper bounds
+----------------------
 The Luxemburg-based objectives |Q|^lam * avg(f, Q) need three lemmas, each
 a consequence of convexity and the submultiplicative bound
 1 + log+(ab) <= (1 + log+ a)(1 + log+ b):
@@ -22,26 +32,21 @@ a consequence of convexity and the submultiplicative bound
 - containment: Q inside Q' gives obj(Q) <= obj(Q') * (|Q'|/|Q|)^(1-lam);
 - small intervals: obj(Q) <= sup|f| * |Q|^lam;
 - mass-preserving extension: if Q1 is the interval hull of (Q cap supp f)
-  then obj(Q) <= obj(Q1) * psi(|Q|/|Q1|) with
-  psi(c) = c^lam / k(c), k(1 + log k) = c; psi <= 1 for lam <= 1/2 and
-  stays within a small computable constant otherwise.  This reduces every
+  then obj(Q) <= obj(Q1) * psi(|Q|/|Q1|) with psi(c) = c^lam / k(c),
+  k(1 + log k) = c, bounded by :func:`_psi_max`.  This reduces every
   interval, however large or far, to one inside the support hull, which
   the family covers up to the covering ratio.
-
-The same three lemmas hold for the weak average (the superlevel-measure
-analogue of each step is elementary), so one assembly routine serves both.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .families import FamilySpec, ResolvedFamily, resolve_family
-from .orlicz import LLOG, llog_functional, luxemburg_average, weak_llog_average
+from .orlicz import LLOG, llog_functional, luxemburg_average
 from .stepfn import EnvelopePair, Interval, StepFunction, prefix_at
 
 __all__ = [
@@ -100,31 +105,17 @@ def _maximize(objective, fam: ResolvedFamily) -> tuple[float, Interval | None]:
 # psi factor for the mass-preserving extension lemma
 
 
-@lru_cache(maxsize=64)
 def _psi_max(lam: float) -> float:
     """sup over c >= 1 of c^lam / k(c) with k (1 + log k) = c.
 
-    Equals 1 for lam <= 1/2 (since sqrt(c) (1 + log sqrt(c)) <= c); for
-    lam > 1/2 the smooth ratio is maximized numerically on a log grid and
-    padded.
+    In s = 1 + log k >= 1 the ratio is e^((lam-1)(s-1)) s^lam, log-concave
+    with its stationary point at s = lam/(1-lam), which lies in s >= 1 iff
+    lam >= 1/2.  So the supremum is 1 (at c = 1) for lam <= 1/2 and
+    e^(1-2 lam) (lam/(1-lam))^lam above.
     """
     if lam <= 0.5:
         return 1.0
-    cs = np.exp(np.linspace(0.0, 60.0, 4001))
-    ks = np.ones_like(cs)
-    for _ in range(60):  # Newton on k(1+log k) - c = 0, well conditioned
-        fk = ks * (1.0 + np.log(ks)) - cs
-        dk = 2.0 + np.log(ks)
-        ks = np.maximum(ks - fk / dk, 1.0)
-    psi = cs**lam / ks
-    return float(np.max(psi)) * (1.0 + 1e-9)
-
-
-def _hull_margins_positive(f: StepFunction, fam: ResolvedFamily) -> bool:
-    supp = f.support_hull()
-    if supp is None:
-        return True
-    return fam.hull.left < supp.left and supp.right < fam.hull.right
+    return math.exp(1.0 - 2.0 * lam) * (lam / (1.0 - lam)) ** lam
 
 
 def _certified_upper_scale_invariant(
@@ -139,7 +130,8 @@ def _certified_upper_scale_invariant(
     """
     if value <= 0.0:
         return 0.0
-    if not _hull_margins_positive(f, fam):
+    supp = f.support_hull()
+    if not (fam.hull.left < supp.left and supp.right < fam.hull.right):
         return math.inf
     supnorm = f.sup_abs()
     h = fam.hull.length
@@ -177,21 +169,30 @@ def _first_max(lengths: np.ndarray, masses: np.ndarray, e: float, p: float) -> t
     return best, arg
 
 
+def _pair_scan(
+    lefts: np.ndarray, plefts: np.ndarray, rights: np.ndarray, prights: np.ndarray, e: float, p: float
+) -> tuple[float, Interval | None]:
+    """First maximum of (r - l)**e * (P(r) - P(l))**(1/p) over the pairs of
+    a left candidate l and a right candidate r > l (both sorted, P given at
+    each), with the attaining interval; one left candidate at a time,
+    vectorized over the right ones, in O(m) memory."""
+    best, pair = 0.0, None
+    for i, j0 in enumerate(rights.searchsorted(lefts, side="right")):
+        v, j = _first_max(rights[j0:] - lefts[i], prights[j0:] - plefts[i], e, p)
+        if v > best:
+            best, pair = v, Interval(lefts[i], rights[j0 + j])
+    return best, pair
+
+
 def morrey_norm(
     f: StepFunction,
     p: float,
     lam: float,
     family: FamilySpec | None = None,
 ) -> NormEstimate:
-    """Morrey norm sup_Q |Q|^((lam-1)/p) (int_Q |f|^p)^(1/p), n = 1.
-
-    The supremum is attained at a breakpoint pair of f (endpoint scan, see
-    module docstring).  Without a family the result is that exact
-    supremum, ``value == upper_bound``, attained at ``argmax_interval``.
-    With a family ``value`` is the family maximum and ``upper_bound`` the
-    exact supremum, so the bracket is tight whenever the family contains
-    the breakpoint pairs.
-    """
+    """Morrey norm sup_Q |Q|^((lam-1)/p) (int_Q |f|^p)^(1/p), n = 1, exact
+    by the breakpoint-pair scan (module docstring); a family only changes
+    ``value``, which is tight whenever it contains the breakpoint pairs."""
     if p < 1 or not math.isfinite(p):
         raise ValueError("p must satisfy 1 <= p < inf")
     if not 0.0 <= lam <= 1.0:
@@ -202,11 +203,7 @@ def morrey_norm(
     w = np.abs(np.asarray(f.values)) ** p
     prefix = np.concatenate(([0.0], np.cumsum(w * np.diff(b))))
     e = (lam - 1.0) / p
-    exact, pair = 0.0, None
-    for i in range(len(b) - 1):
-        v, j = _first_max(b[i + 1 :] - b[i], prefix[i + 1 :] - prefix[i], e, p)
-        if v > exact:
-            exact, pair = v, Interval(b[i], b[i + 1 + j])
+    exact, pair = _pair_scan(b[:-1], prefix[:-1], b[1:], prefix[1:], e, p)
     if family is None:
         return NormEstimate(exact, exact, pair, None)
     fam = resolve_family(family, f)
@@ -242,24 +239,61 @@ def zygmund_morrey_norm(
     return NormEstimate(value, upper, arg, fam.spec)
 
 
+def _superlevel_max(
+    g: StepFunction, lam: float, strict: bool = False, fam: ResolvedFamily | None = None
+) -> tuple[float, Interval | None]:
+    """max over the distinct levels t of |g| of t * ||1_E||_{M_{1,lam}} with
+    E = {|g| >= t}, or {|g| > t} when ``strict``, and the attaining interval;
+    each Morrey norm is the pair scan over E's component ends, or the
+    maximum over ``fam`` when one is given (module docstring)."""
+    b, w, _ = g._abs_arrays
+    dx = np.diff(b)
+    levels, inv = np.unique(w, return_inverse=True)
+    meas = np.cumsum(np.bincount(inv, weights=dx)[::-1])[::-1]  # |{|g| >= level}|
+    coef, cut = levels, np.arange(len(levels))
+    if strict:  # {|g| > levels[k]} = {|g| >= levels[k + 1]}
+        coef, cut = levels[:-1], cut[1:]
+    bound = coef * meas[cut] ** lam
+    if fam is not None:
+        lefts = np.array([q.left for q in fam.intervals])
+        rights = np.array([q.right for q in fam.intervals])
+    best, arg = 0.0, None
+    for k in np.argsort(-bound, kind="stable"):
+        if not bound[k] > best:
+            break
+        inside = (w >= levels[cut[k]]).astype(float)
+        prefix = np.concatenate(([0.0], np.cumsum(inside * dx)))
+        if fam is None:
+            edge = np.diff(inside, prepend=0.0, append=0.0)
+            starts, ends = np.flatnonzero(edge > 0), np.flatnonzero(edge < 0)
+            v, q = _pair_scan(b[starts], prefix[starts], b[ends], prefix[ends], lam - 1.0, 1.0)
+        else:
+            masses = prefix_at(b, inside, prefix, rights) - prefix_at(b, inside, prefix, lefts)
+            v, i = _first_max(rights - lefts, masses, lam - 1.0, 1.0)
+            q = fam.intervals[i] if i >= 0 else None
+        if coef[k] * v > best:
+            best, arg = float(coef[k] * v), q
+    return best, arg
+
+
 def weak_zygmund_morrey_norm(
     f: StepFunction,
     lam: float,
     family: FamilySpec | None = None,
 ) -> NormEstimate:
-    """sup_Q |Q|^lam * (weak L(1+log+ L) average of f over Q), n = 1."""
+    """sup_Q |Q|^lam * (weak L(1+log+ L) average of f over Q), n = 1, exact
+    by the superlevel reduction (module docstring); a family only changes
+    ``value``."""
     if not 0.0 < lam < 1.0:
         raise ValueError("lambda must lie in (0, 1)")
     if f.is_zero:
         return NormEstimate(0.0, 0.0, None, family)
+    exact, pair = _superlevel_max(f, lam)
+    if family is None:
+        return NormEstimate(exact, exact, pair, None)
     fam = resolve_family(family, f)
-
-    def objective(q: Interval) -> float:
-        return q.length**lam * weak_llog_average(f, q)
-
-    value, arg = _maximize(objective, fam)
-    upper = _certified_upper_scale_invariant(value, f, lam, fam)
-    return NormEstimate(value, upper, arg, fam.spec)
+    value, arg = _superlevel_max(f, lam, fam=fam)
+    return NormEstimate(value, max(value, exact), arg, fam.spec)
 
 
 def characterization_functional(
@@ -360,42 +394,18 @@ def bmo_p_seminorm(
 # weak-type Morrey constant (reported)
 
 
-def weak_type_morrey_check(
-    f: StepFunction,
-    lam: float,
-    envelope: EnvelopePair,
-    family: FamilySpec | None = None,
-) -> float:
+def weak_type_morrey_check(f: StepFunction, lam: float, envelope: EnvelopePair) -> float:
     """Empirical constant of the weak-type Morrey inequality for M:
-    sup over family intervals B and superlevel jumps t of the lower
-    envelope of t |{Mf > t} cap B| / (|B|^(1-lam) ||f||_{M_{1,lam}}).
+    sup over intervals B and jump levels t of the lower envelope of
+    t |{Mf > t} cap B| / (|B|^(1-lam) ||f||_{M_{1,lam}}).
 
-    Uses the lower envelope, so the reported constant is a certified lower
-    bound on the best constant; reported, never asserted.
+    The sup over B is the Morrey norm of the superlevel indicator, scanned
+    exactly, so the constant is attained by the lower envelope: a certified
+    lower bound on the best constant; reported, never asserted.
     """
-    if f.is_zero:
+    if f.is_zero or envelope.lower.is_zero:
         return 0.0
     norm = morrey_norm(f, 1.0, lam).upper_bound
     if norm <= 0.0:
         return 0.0
-    if family is None:
-        family = FamilySpec(mode="breakpoint_pairs")
-    fam = resolve_family(family, f)
-    lower = envelope.lower
-    distinct = sorted({v for v in lower.values if v > 0.0})
-    if len(distinct) > 12:  # thin to quantile-spaced levels; reported quantity
-        idx = np.linspace(0, len(distinct) - 1, 12).astype(int)
-        distinct = [distinct[i] for i in idx]
-    if not distinct:
-        return 0.0
-    ls = np.asarray([c[0] for c in lower.cells()])
-    rs = np.asarray([c[1] for c in lower.cells()])
-    vs = np.asarray([c[2] for c in lower.cells()])
-    best = 0.0
-    for q in fam.intervals:
-        overlap = np.maximum(np.minimum(rs, q.right) - np.maximum(ls, q.left), 0.0)
-        for t in distinct:
-            meas = float(np.sum(overlap[vs > t]))
-            if meas > 0.0:
-                best = max(best, t * meas / (q.length ** (1.0 - lam) * norm))
-    return best
+    return _superlevel_max(envelope.lower, lam, strict=True)[0] / norm

@@ -146,11 +146,6 @@ class StepFunction:
             return None
         return Interval(self.breakpoints[0], self.breakpoints[-1])
 
-    def support_measure(self) -> float:
-        return math.fsum(
-            (r - l) for l, r, v in self.cells() if v != 0.0
-        )
-
     def cells(self) -> Iterator[tuple[float, float, float]]:
         for i, v in enumerate(self.values):
             yield self.breakpoints[i], self.breakpoints[i + 1], v
@@ -190,22 +185,6 @@ class StepFunction:
         if self.is_zero:
             return self
         return StepFunction(tuple(b + dx for b in self.breakpoints), self.values)
-
-    def restrict(self, window: Interval) -> "StepFunction":
-        """Pointwise product with the indicator of ``window``."""
-        bp: list[float] = []
-        vals: list[float] = []
-        for l, r, v in self.cells():
-            lo, hi = max(l, window.left), min(r, window.right)
-            if hi <= lo:
-                continue
-            if not bp:
-                bp.append(lo)
-            vals.append(v)
-            bp.append(hi)
-        if not vals:
-            return StepFunction.zero()
-        return StepFunction(bp, vals)
 
     # -- cached numeric arrays (hot paths) -----------------------------
 

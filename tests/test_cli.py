@@ -131,6 +131,14 @@ class TestNorm:
         assert obj["family"] is None
         assert obj["value"] == obj["upper_bound"] > 0.0
 
+    def test_weak_zygmund_without_family_is_exact(self, tmp_path, capsys):
+        path = tmp_path / "f.json"
+        path.write_text(StepFunction((0.0, 0.3, 1.0, 1.5), (2.0, -1.0, 4.0)).to_json())
+        assert main(["norm", "--input", str(path), "--kind", "weak-zygmund"]) == 0
+        obj = json.loads(capsys.readouterr().out)
+        assert obj["family"] is None
+        assert obj["value"] == obj["upper_bound"] > 0.0
+
 
 class TestParser:
     @pytest.mark.parametrize(

@@ -194,6 +194,16 @@ class TestCellFloor:
                 got = _cell_floor(f, float(left), float(left) + width)
                 assert 2.0 <= got <= 2.0 * (1.0 + 1e-12)
 
+    def test_prefix_rounding_never_lifts_floor_above_mf(self):
+        # chords about as long as the guard length, or somewhat longer,
+        # carry the same rounding noise; without a charge on the mass the
+        # floor read up to 2 * (1 + 3.7e-6) on these cells
+        f = StepFunction((-1000.0, -999.0, 0.0, 1.0), (100.0, 0.0, 2.0))
+        rng = np.random.default_rng(27)
+        for width in (1e-9, 1e-6):
+            for left in rng.uniform(0.1, 0.9, 200):
+                assert _cell_floor(f, float(left), float(left) + width) <= 2.0
+
 
 class TestFractionalMaximal:
     def test_alpha_zero_is_maximal(self):

@@ -8,6 +8,7 @@ from morreylab.families import FamilySpec, resolve_family
 from morreylab.maxops import RefinePolicy, maximal_envelope
 from morreylab.norms import (
     NormEstimate,
+    _psi_max,
     bmo_p_seminorm,
     bmo_seminorm,
     characterization_functional,
@@ -16,8 +17,8 @@ from morreylab.norms import (
     weak_zygmund_morrey_norm,
     zygmund_morrey_norm,
 )
-from morreylab.orlicz import LLOG, llog_functional, luxemburg_average
-from morreylab.stepfn import Interval, StepFunction
+from morreylab.orlicz import LLOG, llog_functional, luxemburg_average, weak_llog_average
+from morreylab.stepfn import EnvelopePair, Interval, StepFunction
 
 CHI01 = StepFunction.indicator(0.0, 1.0)
 
@@ -258,6 +259,107 @@ class TestZygmundMorrey:
             weak_zygmund_morrey_norm(CHI01, 1.0)
 
 
+def weak_pair_oracle(f, lam):
+    """The weak Zygmund-Morrey supremum over breakpoint pairs, one interval
+    at a time: the per-interval maximum the superlevel scan replaced."""
+    b = f.breakpoints
+    return max(
+        Interval(b[i], b[j]).length ** lam * weak_llog_average(f, Interval(b[i], b[j]))
+        for i in range(len(b))
+        for j in range(i + 1, len(b))
+    )
+
+
+def weak_objective(f, lam, q):
+    return q.length**lam * weak_llog_average(f, q)
+
+
+class TestWeakZygmundExact:
+    def test_matches_pair_oracle(self):
+        rng = np.random.default_rng(80)
+        spikes = [
+            StepFunction((0.0, 0.001, 1.0), (100.0, 1.0)),
+            StepFunction((0.0, 1.0, 2.0, 3.0, 4.0), (1.0, 0.0, 3.0, 1.0)),
+        ]
+        for f in spikes + [random_step(rng, max_cells=40) for _ in range(12)]:
+            for lam in (0.25, 0.5, 0.75):
+                est = weak_zygmund_morrey_norm(f, lam)
+                assert est.family is None
+                assert est.value == est.upper_bound
+                assert est.value == pytest.approx(weak_pair_oracle(f, lam), rel=1e-12)
+                q = est.argmax_interval
+                assert weak_objective(f, lam, q) == pytest.approx(est.value, rel=1e-12)
+
+    def test_no_family_reports_null(self):
+        assert weak_zygmund_morrey_norm(CHI01, 0.5).to_json_obj()["family"] is None
+
+    def test_explicit_family_matches_interval_loop(self):
+        rng = np.random.default_rng(81)
+        spec = FamilySpec(depth=4)
+        for _ in range(6):
+            f = random_step(rng, max_cells=10)
+            for lam in (0.25, 0.5, 0.75):
+                est = weak_zygmund_morrey_norm(f, lam, spec)
+                loop = max(weak_objective(f, lam, q) for q in resolve_family(spec, f).intervals)
+                assert est.family == spec
+                assert est.value == pytest.approx(loop, rel=1e-12)
+                assert est.upper_bound == weak_zygmund_morrey_norm(f, lam).value
+                q = est.argmax_interval
+                assert weak_objective(f, lam, q) == pytest.approx(est.value, rel=1e-12)
+
+    def test_dominates_dense_wide_family(self):
+        rng = np.random.default_rng(82)
+        for _ in range(4):
+            f = random_step(rng, max_cells=6)
+            hull = f.support_hull().expanded(3.0 * f.support_hull().length)
+            dense = FamilySpec(mode="dense", resolution=150, hull=hull)
+            for lam in (0.25, 0.75):
+                exact = weak_zygmund_morrey_norm(f, lam)
+                rich = weak_zygmund_morrey_norm(f, lam, dense)
+                assert rich.value <= exact.value * (1 + 1e-12)
+                assert rich.upper_bound == exact.value
+
+    def test_past_the_family_cap(self):
+        # 640 cells: the default family would exceed its cap, which is why
+        # the family-based norm raised on such inputs
+        rng = np.random.default_rng(83)
+        m = 640
+        bp = np.sort(rng.uniform(-2.0, 2.0, m + 1))
+        f = StepFunction(bp, np.exp(rng.uniform(np.log(2.0**-4), np.log(2.0**4), m)))
+        assert f.num_cells == m
+        with pytest.raises(ValueError, match="cap"):
+            resolve_family(FamilySpec(), f)
+        est = weak_zygmund_morrey_norm(f, 0.5)
+        assert est.value == est.upper_bound
+        assert weak_objective(f, 0.5, est.argmax_interval) == pytest.approx(est.value, rel=1e-12)
+        for left in rng.uniform(-2.5, 2.0, 200):
+            q = Interval(left, left + float(np.exp(rng.uniform(np.log(1e-4), np.log(4.5)))))
+            assert weak_objective(f, 0.5, q) <= est.upper_bound * (1 + 1e-12)
+
+
+def psi_on_grid(lam, s):
+    """psi(c) = c^lam / k at c = s e^(s-1), where k = e^(s-1) solves
+    k (1 + log k) = c; s = 1 + log k runs over a fine grid, so c does too."""
+    return np.exp(lam * (np.log(s) + s - 1.0) - (s - 1.0))
+
+
+class TestPsiMax:
+    S = 1.0 + np.linspace(0.0, 300.0, 600_001)
+
+    def test_closed_form(self):
+        for lam in (0.55, 0.6, 0.75, 0.9, 0.99):
+            want = math.exp(1.0 - 2.0 * lam) * (lam / (1.0 - lam)) ** lam
+            assert _psi_max(lam) == pytest.approx(want, rel=1e-12)
+            psi = psi_on_grid(lam, self.S)
+            assert psi.max() <= want * (1 + 1e-12)
+            assert psi.max() >= want * (1 - 1e-7)
+
+    def test_one_at_most_half(self):
+        for lam in (0.1, 0.25, 0.5):
+            assert _psi_max(lam) == 1.0
+            assert psi_on_grid(lam, self.S).max() <= 1.0 + 1e-12
+
+
 class TestCharacterization:
     def test_chi(self):
         est = characterization_functional(CHI01, 0.5)
@@ -333,6 +435,26 @@ class TestWeakTypeMorreyCheck:
         env2 = maximal_envelope(f2, RefinePolicy(tol=0.02, max_depth=14))
         c2 = weak_type_morrey_check(f2, 0.5, env2)
         assert c2 == pytest.approx(c1, rel=1e-9)
+
+
+    def test_matches_interval_level_oracle(self):
+        # every interval between breakpoints of the lower envelope, every
+        # jump level, with the strict superlevel set
+        rng = np.random.default_rng(84)
+        for _ in range(6):
+            f = random_step(rng, max_cells=6)
+            lower = random_step(rng, max_cells=10)
+            got = weak_type_morrey_check(f, 0.5, EnvelopePair(lower, lower))
+            norm = morrey_norm(f, 1.0, 0.5).upper_bound
+            cells = list(lower.cells())
+            best = 0.0
+            b = lower.breakpoints
+            for i in range(len(b)):
+                for j in range(i + 1, len(b)):
+                    for t in set(lower.values):
+                        meas = sum(min(r, b[j]) - max(l, b[i]) for l, r, v in cells if v > t and min(r, b[j]) > max(l, b[i]))
+                        best = max(best, t * meas / ((b[j] - b[i]) ** 0.5 * norm))
+            assert got == pytest.approx(best, rel=1e-12)
 
 
 class TestUpperBoundSoundness:
