@@ -31,15 +31,18 @@ from .maxops import (
     maximal_commutator,
     maximal_envelope,
 )
+from .families import resolve_family
 from .norms import (
     FamilySpec,
     NormEstimate,
+    _oscillation_rows,
     bmo_seminorm,
     weak_type_morrey_check,
     weak_zygmund_morrey_norm,
     zygmund_morrey_norm,
 )
-from .orlicz import LLOG, holder_check, llog_functional, log_plus, luxemburg_average, weak_llog_average
+from .orlicz import (LLOG, gauge_average, holder_check, llog_functional, log_plus, luxemburg_average,
+                     orlicz_maximal, weak_llog_average)
 from .radial import hardy_reduction_check, zm_radial_functional
 from .stepfn import Interval, StepFunction, combine, default_hull, distribution, pos_neg_parts
 
@@ -472,12 +475,10 @@ def cb_chi_lower_check(
     """(lhs, rhs) of the indicator lower bound for the maximal commutator:
     the smallest sampled C_b(chi_Q0) value on Q0 against half the mean
     oscillation of the symbol over Q0."""
-    from .norms import _oscillation_p
-
     chi = StepFunction.indicator(q0.left, q0.right)
     xs = [q0.left + (i + 0.5) * q0.length / samples for i in range(samples)]
     lhs = min(maximal_commutator(b, chi, x) for x in xs)
-    rhs = 0.5 * _oscillation_p(b, q0, 1.0)
+    rhs = 0.5 * float(_oscillation_rows(b, np.array([q0.left]), np.array([q0.right]), 1.0)[0])
     return lhs, rhs
 
 
@@ -530,18 +531,13 @@ def standard_constant_reports() -> dict[str, ConstantReport]:
     # iterated-maximal bracket
     rng = np.random.default_rng(37)
     lo_band, hi_band = math.inf, 0.0
-    from .families import resolve_family
-
     for _ in range(5):
         f = random_step_function(rng, 8, False)
         env2 = iterated_maximal(f, LOOSE)
         fam = resolve_family(FamilySpec(mode="breakpoint_pairs"), f)
         hull = f.support_hull()
         for x in np.linspace(hull.left + 0.05, hull.right - 0.05, 5):
-            m_orl = max(
-                (luxemburg_average(f, q, LLOG, 1e-9) for q in fam.intervals_containing(float(x))),
-                default=0.0,
-            )
+            m_orl = orlicz_maximal(f, LLOG, float(x), fam)
             up, lo = env2.upper(float(x)), env2.lower(float(x))
             if m_orl > 0.0 and lo > 0.0:
                 lo_band = min(lo_band, m_orl / up)
@@ -640,8 +636,6 @@ def suite_holder(seed: int = 7, n_pairs: int = 200) -> dict:
         q = Interval(a, a + float(rng.uniform(0.2, 1.5)))
         lux = luxemburg_average(f, q, LLOG, 1e-9)
         if lux > 0.0:
-            from .orlicz import gauge_average
-
             worst_resid = max(worst_resid, abs(gauge_average(f, q, LLOG, lux) - 1.0))
             func = llog_functional(f, q)
             worst_sandwich = max(worst_sandwich, lux / func, func / (2.0 * lux))

@@ -12,16 +12,20 @@ A :class:`FamilySpec` describes how candidate intervals are enumerated:
 - ``auto`` (default): breakpoint pairs over a grid enriched with uniform
   points, union the dyadic ladder.
 
-Exceeding ``cap`` raises; raise the cap or coarsen the depth rather than
-subsample silently.  Enumeration order is deterministic (sorted by
-endpoints), so reductions over a family are reproducible under any
-scheduling.
+A resolved family is two endpoint arrays, ``lefts`` and ``rights``, sorted
+by (left, right) without repeats, so reductions over a family are
+reproducible.  Objectives read the arrays whole (the level sweep of
+``stepfn.level_measures``); no per-interval object is built.  Exceeding
+``cap`` raises, before any pair is built when the grid alone has too many;
+raise the cap or coarsen the depth rather than subsample silently.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .stepfn import Interval, StepFunction, default_hull
 
@@ -56,28 +60,19 @@ class FamilySpec:
         }
 
 
+@dataclass(frozen=True, eq=False)
 class ResolvedFamily:
-    """A concrete enumerated family together with covering metadata."""
+    """A concrete family, as sorted endpoint arrays, with covering metadata."""
 
-    def __init__(
-        self,
-        spec: FamilySpec,
-        hull: Interval,
-        intervals: list[Interval],
-        grid_gap: float | None,
-        ladder_sizes: tuple[float, ...],
-    ):
-        self.spec = spec
-        self.hull = hull
-        self.intervals = intervals
-        self.grid_gap = grid_gap
-        self.ladder_sizes = ladder_sizes
+    spec: FamilySpec
+    hull: Interval
+    lefts: np.ndarray
+    rights: np.ndarray
+    grid_gap: float | None
+    ladder_sizes: tuple[float, ...]
 
     def __len__(self) -> int:
-        return len(self.intervals)
-
-    def intervals_containing(self, x: float):
-        return (q for q in self.intervals if q.contains(x))
+        return len(self.lefts)
 
     def cover_ratio_sup(self, delta: float) -> float:
         """sup over lengths l in [delta, |hull|] of |Q'| / l, where Q' is the
@@ -112,63 +107,60 @@ class ResolvedFamily:
         return max(ratio(a) for a in anchors if a <= h)
 
 
+def _over_cap(count: int, spec: FamilySpec, at_least: str = "") -> None:
+    if count > spec.cap:
+        raise ValueError(f"family would enumerate {at_least}{count} intervals, over the cap "
+                         f"{spec.cap}; raise the cap or coarsen depth/resolution")
+
+
 def resolve_family(
     spec: FamilySpec | None, f: StepFunction, extra_points: tuple[float, ...] = ()
 ) -> ResolvedFamily:
     spec = spec or FamilySpec()
     hull = spec.hull or default_hull(f)
-    bps = [b for b in f.breakpoints if hull.left < b < hull.right]
-    bps += [p for p in extra_points if hull.left < p < hull.right]
-    base = sorted({hull.left, hull.right, *bps})
+    pts = np.array([*f.breakpoints, *extra_points], dtype=float)
+    base = np.unique(np.concatenate(([hull.left, hull.right], pts[(hull.left < pts) & (pts < hull.right)])))
 
-    grid: list[float] | None = None
-    ladder: list[Interval] = []
-    ladder_sizes: list[float] = []
-
-    if spec.mode in ("auto", "breakpoint_pairs"):
-        grid = list(base)
-        if spec.mode == "auto":
-            # enrich with uniform points; keep the pair count modest so the
-            # dyadic ladder (about 3 * 2^depth intervals) carries the deep
-            # scales and the cap stays available for dense user requests
-            budget = min(spec.cap, 40_000)
-            ladder_budget = 3 * (2**spec.depth)
-            g = 0
-            while g < min(spec.depth, 8):
-                n_pts = len(base) + 2**(g + 1) + 1
-                if n_pts * (n_pts - 1) // 2 + ladder_budget > budget:
-                    break
-                g += 1
-            step = hull.length / (2**g)
-            grid = sorted(set(grid) | {hull.left + j * step for j in range(2**g + 1)})
-    if spec.mode == "dense":
+    grid: np.ndarray | None = None
+    if spec.mode == "breakpoint_pairs":
+        grid = base
+    elif spec.mode == "auto":
+        # enrich with uniform points; keep the pair count modest so the
+        # dyadic ladder (about 3 * 2^depth intervals) carries the deep
+        # scales and the cap stays available for dense user requests
+        budget = min(spec.cap, 40_000)
+        g = 0
+        while g < min(spec.depth, 8):
+            n_pts = len(base) + 2**(g + 1) + 1
+            if n_pts * (n_pts - 1) // 2 + 3 * 2**spec.depth > budget:
+                break
+            g += 1
+        grid = np.unique(np.concatenate((base, hull.left + np.arange(2**g + 1) * (hull.length / 2**g))))
+    elif spec.mode == "dense":
         step = hull.length / spec.resolution
-        grid = sorted(set(base) | {hull.left + j * step for j in range(spec.resolution + 1)})
-    if spec.mode in ("auto", "dyadic"):
+        grid = np.unique(np.concatenate((base, hull.left + np.arange(spec.resolution + 1) * step)))
+    ladder = spec.mode in ("auto", "dyadic")
+
+    # members known distinct: the grid pairs, the finest ladder level
+    n = 0 if grid is None else len(grid)
+    _over_cap(max(n * (n - 1) // 2, 2 ** (spec.depth + 1) - 1 if ladder else 0), spec, "at least ")
+
+    lefts, rights, ladder_sizes = [], [], []
+    if grid is not None:
+        i, j = np.triu_indices(n, 1)
+        lefts.append(grid[i])
+        rights.append(grid[j])
+    if ladder:
         for d in range(spec.depth + 1):
             s = hull.length / (2**d)
             ladder_sizes.append(s)
-            for j in range(2**d):
-                ladder.append(Interval(hull.left + j * s, hull.left + (j + 1) * s))
-            for j in range(2**d - 1):
-                ladder.append(Interval(hull.left + j * s, hull.left + (j + 2) * s))
-
-    intervals: set[tuple[float, float]] = set()
-    if grid is not None:
-        garr = grid
-        for i, a in enumerate(garr):
-            for b in garr[i + 1 :]:
-                intervals.add((a, b))
-    for q in ladder:
-        intervals.add(q.as_tuple())
-
-    if len(intervals) > spec.cap:
-        raise ValueError(
-            f"family would enumerate {len(intervals)} intervals, over the cap "
-            f"{spec.cap}; raise the cap or coarsen depth/resolution"
-        )
-    ordered = [Interval(a, b) for a, b in sorted(intervals)]
-    gap = None
-    if grid is not None and len(grid) > 1:
-        gap = float(max(b - a for a, b in zip(grid, grid[1:])))
-    return ResolvedFamily(spec, hull, ordered, gap, tuple(sorted(ladder_sizes)))
+            j = np.arange(2**d)
+            lefts += [hull.left + j * s, hull.left + j[:-1] * s]
+            rights += [hull.left + (j + 1) * s, hull.left + (j[:-1] + 2) * s]
+    order = np.lexsort((np.concatenate(rights), np.concatenate(lefts)))
+    lefts, rights = np.concatenate(lefts)[order], np.concatenate(rights)[order]
+    new = np.concatenate(([True], (lefts[1:] != lefts[:-1]) | (rights[1:] != rights[:-1])))
+    lefts, rights = lefts[new], rights[new]
+    _over_cap(len(lefts), spec)
+    gap = float(np.max(np.diff(grid))) if grid is not None and len(grid) > 1 else None
+    return ResolvedFamily(spec, hull, lefts, rights, gap, tuple(sorted(ladder_sizes)))

@@ -4,7 +4,11 @@ Every norm returns a :class:`NormEstimate`: ``value`` is attained at
 ``argmax_interval`` and ``upper_bound`` holds for every interval.  The
 Morrey and weak Zygmund-Morrey norms are exact: without a family,
 ``value == upper_bound``; an explicit family makes ``value`` the family
-maximum and leaves ``upper_bound`` exact.
+maximum and leaves ``upper_bound`` exact.  The other norms read a
+family's endpoint arrays whole: per distinct value v of f, the level sweep
+(``stepfn.level_measures``) gives |{f = v} cap Q| on every member Q, and
+the Luxemburg root, the llog functional and the p-oscillation are folds
+over it (``orlicz._llog_rows``, ``_oscillation_rows``).
 
 Exact norms
 -----------
@@ -46,8 +50,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .families import FamilySpec, ResolvedFamily, resolve_family
-from .orlicz import LLOG, llog_functional, luxemburg_average
-from .stepfn import EnvelopePair, Interval, StepFunction, prefix_at
+from .orlicz import _llog_rows
+from .stepfn import EnvelopePair, Interval, StepFunction, level_measures, prefix_at
 
 __all__ = [
     "NormEstimate",
@@ -91,14 +95,12 @@ class NormEstimate:
         }
 
 
-def _maximize(objective, fam: ResolvedFamily) -> tuple[float, Interval | None]:
-    best = 0.0
-    arg: Interval | None = None
-    for q in fam.intervals:
-        v = objective(q)
-        if v > best:
-            best, arg = v, q
-    return best, arg
+def _family_max(objective: np.ndarray, fam: ResolvedFamily) -> tuple[float, Interval | None]:
+    """First maximum of a per-member objective and its interval, or (0.0, None)."""
+    k = int(np.argmax(objective))
+    if not objective[k] > 0.0:
+        return 0.0, None
+    return float(objective[k]), Interval(fam.lefts[k], fam.rights[k])
 
 
 # ---------------------------------------------------------------------------
@@ -207,11 +209,9 @@ def morrey_norm(
     if family is None:
         return NormEstimate(exact, exact, pair, None)
     fam = resolve_family(family, f)
-    lefts = np.array([q.left for q in fam.intervals])
-    rights = np.array([q.right for q in fam.intervals])
-    masses = prefix_at(b, w, prefix, rights) - prefix_at(b, w, prefix, lefts)
-    value, k = _first_max(rights - lefts, masses, e, p)
-    arg = fam.intervals[k] if k >= 0 else None
+    masses = prefix_at(b, w, prefix, fam.rights) - prefix_at(b, w, prefix, fam.lefts)
+    value, k = _first_max(fam.rights - fam.lefts, masses, e, p)
+    arg = Interval(fam.lefts[k], fam.rights[k]) if k >= 0 else None
     return NormEstimate(value, max(value, exact), arg, fam.spec)
 
 
@@ -230,11 +230,8 @@ def zygmund_morrey_norm(
     if f.is_zero:
         return NormEstimate(0.0, 0.0, None, family)
     fam = resolve_family(family, f)
-
-    def objective(q: Interval) -> float:
-        return q.length**lam * luxemburg_average(f, q, LLOG)
-
-    value, arg = _maximize(objective, fam)
+    lux = _llog_rows(f, fam.lefts, fam.rights)[0]
+    value, arg = _family_max((fam.rights - fam.lefts) ** lam * lux, fam)
     upper = _certified_upper_scale_invariant(value, f, lam, fam)
     return NormEstimate(value, upper, arg, fam.spec)
 
@@ -254,9 +251,6 @@ def _superlevel_max(
     if strict:  # {|g| > levels[k]} = {|g| >= levels[k + 1]}
         coef, cut = levels[:-1], cut[1:]
     bound = coef * meas[cut] ** lam
-    if fam is not None:
-        lefts = np.array([q.left for q in fam.intervals])
-        rights = np.array([q.right for q in fam.intervals])
     best, arg = 0.0, None
     for k in np.argsort(-bound, kind="stable"):
         if not bound[k] > best:
@@ -268,9 +262,9 @@ def _superlevel_max(
             starts, ends = np.flatnonzero(edge > 0), np.flatnonzero(edge < 0)
             v, q = _pair_scan(b[starts], prefix[starts], b[ends], prefix[ends], lam - 1.0, 1.0)
         else:
-            masses = prefix_at(b, inside, prefix, rights) - prefix_at(b, inside, prefix, lefts)
-            v, i = _first_max(rights - lefts, masses, lam - 1.0, 1.0)
-            q = fam.intervals[i] if i >= 0 else None
+            masses = prefix_at(b, inside, prefix, fam.rights) - prefix_at(b, inside, prefix, fam.lefts)
+            v, i = _first_max(fam.rights - fam.lefts, masses, lam - 1.0, 1.0)
+            q = Interval(fam.lefts[i], fam.rights[i]) if i >= 0 else None
         if coef[k] * v > best:
             best, arg = float(coef[k] * v), q
     return best, arg
@@ -304,23 +298,18 @@ def characterization_functional(
     """sup_Q |Q|^lam * (1/|Q|) int_Q |f| (1 + log+(|f| / mean_Q |f|)).
 
     Per interval the functional sits between the Luxemburg average and
-    twice it, so the certified upper bound is twice the Zygmund-Morrey one.
+    twice it, so the certified upper bound is twice the Zygmund-Morrey one,
+    whose family maximum comes from the same level sweep.
     """
     if not 0.0 < lam < 1.0:
         raise ValueError("lambda must lie in (0, 1)")
     if f.is_zero:
         return NormEstimate(0.0, 0.0, None, family)
     fam = resolve_family(family, f)
-
-    def objective(q: Interval) -> float:
-        return q.length**lam * llog_functional(f, q)
-
-    value, arg = _maximize(objective, fam)
-
-    def lux_objective(q: Interval) -> float:
-        return q.length**lam * luxemburg_average(f, q, LLOG)
-
-    lux_value, _ = _maximize(lux_objective, fam)
+    lux, func = _llog_rows(f, fam.lefts, fam.rights)
+    scale = (fam.rights - fam.lefts) ** lam
+    value, arg = _family_max(scale * func, fam)
+    lux_value = float(np.max(scale * lux))
     upper = 2.0 * _certified_upper_scale_invariant(lux_value, f, lam, fam)
     return NormEstimate(value, max(value, upper), arg, fam.spec)
 
@@ -329,39 +318,41 @@ def characterization_functional(
 # BMO
 
 
-def _oscillation_p(b: StepFunction, q: Interval, p: float) -> float:
-    lens = []
-    vals = []
-    for l, r, v in b.cells():
-        lo, hi = max(l, q.left), min(r, q.right)
-        if hi > lo:
-            lens.append(hi - lo)
-            vals.append(v)
-    covered = math.fsum(lens)
-    slack = q.length - covered
-    if slack > 0:
-        lens.append(slack)
-        vals.append(0.0)
-    mean = math.fsum(le * v for le, v in zip(lens, vals)) / q.length
-    if p == 1.0:
-        return math.fsum(le * abs(v - mean) for le, v in zip(lens, vals)) / q.length
-    s = math.fsum(le * abs(v - mean) ** p for le, v in zip(lens, vals)) / q.length
-    return s ** (1.0 / p)
+def _oscillation_rows(b: StepFunction, lefts: np.ndarray, rights: np.ndarray, p: float) -> np.ndarray:
+    """p-mean oscillation of b over every interval (l, r) at once: the level
+    sweep's sum of |v - mean_Q|^p |{b = v} cap Q|, plus the zero slack
+    outside the support."""
+    bp = np.asarray(b.breakpoints)
+    vals = np.asarray(b.values)
+    prefix = np.concatenate(([0.0], np.cumsum(vals * np.diff(bp))))
+    area = rights - lefts
+    mean = (prefix_at(bp, vals, prefix, rights) - prefix_at(bp, vals, prefix, lefts)) / area
+    outside = np.maximum(np.minimum(rights, bp[0]) - lefts, 0.0)
+    outside += np.maximum(rights - np.maximum(lefts, bp[-1]), 0.0)
+    total = np.abs(mean) ** p * outside
+    for v, meas in level_measures(b, lefts, rights, signed=True):
+        total += np.abs(v - mean) ** p * meas
+    return (total / area) ** (1.0 / p)
 
 
 def _two_level_oscillation_sup(jump: float, p: float) -> float:
-    """sup over split fractions of the p-oscillation of a two-valued cell."""
+    """sup over split fractions a of the p-oscillation of a two-valued cell,
+    jump * sup g^(1/p) with g(a) = a (1-a)^p + (1-a) a^p on [0, 1].
+
+    Each of the four terms of g'(a) is at most 1 or p in size, so
+    |g'| <= 2(p+1); every a lies within 1/4000 of the 2001-point grid, so
+    sup g <= max over the grid of g + (p+1)/2000, a proved bound.
+    """
     a = np.linspace(0.0, 1.0, 2001)
-    osc = (a * (1 - a) ** p + (1 - a) * a**p) ** (1.0 / p)
-    return float(jump * np.max(osc)) * (1.0 + 1e-9)
+    g = a * (1 - a) ** p + (1 - a) * a**p
+    return float(jump * (np.max(g) + (p + 1.0) / 2000.0) ** (1.0 / p))
 
 
 def _bmo_upper(value: float, b: StepFunction, p: float, fam: ResolvedFamily) -> float:
     vals = (0.0,) + b.values + (0.0,)
     max_jump = max(abs(x - y) for x, y in zip(vals, vals[1:]))
     jump_term = _two_level_oscillation_sup(max_jump, p)
-    gaps = [r - l for l, r, _ in b.cells()]
-    delta = min(gaps)
+    delta = min(r - l for l, r, _ in b.cells())
     shift = 2.0 * value * fam.cover_ratio_sup(delta) ** (1.0 / p)
     supp = b.support_hull()
     assert supp is not None
@@ -385,7 +376,7 @@ def bmo_p_seminorm(
     if b.is_zero:
         return NormEstimate(0.0, 0.0, None, family)
     fam = resolve_family(family, b)
-    value, arg = _maximize(lambda q: _oscillation_p(b, q, p), fam)
+    value, arg = _family_max(_oscillation_rows(b, fam.lefts, fam.rights, p), fam)
     upper = _bmo_upper(value, b, p, fam)
     return NormEstimate(value, upper, arg, fam.spec)
 

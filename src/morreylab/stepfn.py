@@ -384,7 +384,25 @@ def prefix_at(b: np.ndarray, w: np.ndarray, prefix: np.ndarray, x: np.ndarray) -
     return prefix[idx] + w[idx] * (np.minimum(np.maximum(x, b[0]), b[-1]) - b[idx])
 
 
-def batch_abs_integrals(f: StepFunction, lefts: np.ndarray, rights: np.ndarray) -> np.ndarray:
-    """Integrals of |f| over many intervals at once."""
-    b, w, prefix = f._abs_arrays
-    return prefix_at(b, w, prefix, rights) - prefix_at(b, w, prefix, lefts)
+def level_measures(
+    f: StepFunction, lefts: np.ndarray, rights: np.ndarray, signed: bool = False
+) -> Iterator[tuple[float, np.ndarray]]:
+    """The level sweep: for each distinct value v of |f| (of f when
+    ``signed``), in decreasing order, yields v and |{f = v} cap (l, r)| for
+    every pair of endpoints at once.  One prefix table of the level's
+    indicator serves all N intervals, so each level costs O(m + N) time
+    and memory; nothing of size N x levels is built.  The zero level counts
+    only the zero cells inside the support."""
+    b, w, _ = f._abs_arrays
+    vals = np.asarray(f.values, dtype=float) if signed else w
+    dx = np.diff(b)
+
+    def cell_and_offset(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        i = np.minimum(np.maximum(b.searchsorted(x, side="right") - 1, 0), len(dx) - 1)
+        return i, np.minimum(np.maximum(x, b[0]), b[-1]) - b[i]
+
+    (il, ol), (ir, orr) = cell_and_offset(lefts), cell_and_offset(rights)
+    for v in np.unique(vals)[::-1]:
+        on = (vals == v).astype(float)
+        prefix = np.concatenate(([0.0], np.cumsum(on * dx)))
+        yield float(v), np.maximum(prefix[ir] + on[ir] * orr - prefix[il] - on[il] * ol, 0.0)

@@ -6,9 +6,12 @@ import pytest
 
 from morreylab.families import FamilySpec, resolve_family
 from morreylab.maxops import RefinePolicy, maximal_envelope
+from morreylab.experiments import build_counterexample
 from morreylab.norms import (
     NormEstimate,
+    _oscillation_rows,
     _psi_max,
+    _two_level_oscillation_sup,
     bmo_p_seminorm,
     bmo_seminorm,
     characterization_functional,
@@ -17,8 +20,8 @@ from morreylab.norms import (
     weak_zygmund_morrey_norm,
     zygmund_morrey_norm,
 )
-from morreylab.orlicz import LLOG, llog_functional, luxemburg_average, weak_llog_average
-from morreylab.stepfn import EnvelopePair, Interval, StepFunction
+from morreylab.orlicz import LLOG, _llog_rows, llog_functional, luxemburg_average, weak_llog_average
+from morreylab.stepfn import EnvelopePair, Interval, StepFunction, default_hull
 
 CHI01 = StepFunction.indicator(0.0, 1.0)
 
@@ -40,9 +43,7 @@ class TestFamilies:
     def test_deterministic_order(self):
         fam1 = resolve_family(FamilySpec(depth=4), CHI01)
         fam2 = resolve_family(FamilySpec(depth=4), CHI01)
-        assert [q.as_tuple() for q in fam1.intervals] == [
-            q.as_tuple() for q in fam2.intervals
-        ]
+        assert list(zip(fam1.lefts, fam1.rights)) == list(zip(fam2.lefts, fam2.rights))
 
     def test_cover_ratio_bounded(self):
         fam = resolve_family(FamilySpec(depth=8), CHI01)
@@ -51,6 +52,137 @@ class TestFamilies:
     def test_bad_mode(self):
         with pytest.raises(ValueError):
             FamilySpec(mode="triadic")
+
+    def test_matches_tuple_enumeration(self):
+        rng = np.random.default_rng(90)
+        inputs = [CHI01, build_counterexample(8)] + [random_step(rng, max_cells=8) for _ in range(4)]
+        specs = [
+            FamilySpec(depth=5),
+            FamilySpec(mode="breakpoint_pairs"),
+            FamilySpec(mode="dyadic", depth=7),
+            FamilySpec(mode="dense", resolution=40),
+            FamilySpec(depth=3, hull=Interval(-3.0, 2.5)),
+        ]
+        for f in inputs:
+            for spec in specs:
+                for extra in ((), (0.3,)):
+                    fam = resolve_family(spec, f, extra)
+                    want = tuple_enumeration(spec, f, extra)
+                    got = np.stack((fam.lefts, fam.rights), axis=1)
+                    assert len(fam) == len(want)
+                    assert got.tobytes() == np.array(want).tobytes()
+
+    def test_cap_raises_before_building_pairs(self):
+        # 10^4 breakpoints give about 5e7 grid pairs; building them first
+        # would take gigabytes
+        rng = np.random.default_rng(91)
+        f = StepFunction(np.sort(rng.uniform(-2.0, 2.0, 10_001)), rng.uniform(0.5, 2.0, 10_000))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="cap"):
+                resolve_family(FamilySpec(), f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 50e6
+
+
+def tuple_enumeration(spec, f, extra_points=()):
+    """The family as a sorted list of (left, right) tuples, enumerated one
+    pair at a time into a set: the construction the endpoint arrays
+    replaced."""
+    hull = spec.hull or default_hull(f)
+    bps = [b for b in (*f.breakpoints, *extra_points) if hull.left < b < hull.right]
+    base = sorted({hull.left, hull.right, *bps})
+    grid = None
+    if spec.mode in ("auto", "breakpoint_pairs"):
+        grid = list(base)
+        if spec.mode == "auto":
+            budget = min(spec.cap, 40_000)
+            g = 0
+            while g < min(spec.depth, 8):
+                n_pts = len(base) + 2 ** (g + 1) + 1
+                if n_pts * (n_pts - 1) // 2 + 3 * 2**spec.depth > budget:
+                    break
+                g += 1
+            step = hull.length / (2**g)
+            grid = sorted(set(grid) | {hull.left + j * step for j in range(2**g + 1)})
+    if spec.mode == "dense":
+        step = hull.length / spec.resolution
+        grid = sorted(set(base) | {hull.left + j * step for j in range(spec.resolution + 1)})
+    intervals = set()
+    for i, a in enumerate(grid or []):
+        for b in grid[i + 1 :]:
+            intervals.add((a, b))
+    if spec.mode in ("auto", "dyadic"):
+        for d in range(spec.depth + 1):
+            s = hull.length / (2**d)
+            for j in range(2**d):
+                intervals.add((hull.left + j * s, hull.left + (j + 1) * s))
+            for j in range(2**d - 1):
+                intervals.add((hull.left + j * s, hull.left + (j + 2) * s))
+    return sorted(intervals)
+
+
+def oscillation_oracle(b, q, p):
+    """p-mean oscillation over one interval, summed cell by cell."""
+    lens, vals = [], []
+    for l, r, v in b.cells():
+        lo, hi = max(l, q.left), min(r, q.right)
+        if hi > lo:
+            lens.append(hi - lo)
+            vals.append(v)
+    slack = q.length - math.fsum(lens)
+    if slack > 0:
+        lens.append(slack)
+        vals.append(0.0)
+    mean = math.fsum(le * v for le, v in zip(lens, vals)) / q.length
+    return (math.fsum(le * abs(v - mean) ** p for le, v in zip(lens, vals)) / q.length) ** (1.0 / p)
+
+
+class TestLevelSweep:
+    """The family objectives from one level sweep against the per-interval
+    functions, on every member of explicit families."""
+
+    @staticmethod
+    def cases():
+        rng = np.random.default_rng(92)
+        randoms = [random_step(rng, max_cells=8) for _ in range(12)]
+        signed = [
+            StepFunction(f.breakpoints, np.asarray(f.values) * rng.choice([-1.0, 1.0], f.num_cells))
+            for f in randoms[:6]
+        ]
+        fs = [CHI01, build_counterexample(8)] + randoms[6:] + signed
+        specs = [FamilySpec(depth=d) for d in (3, 4, 5, 6)] + [FamilySpec(mode="dense", resolution=24)]
+        return [(f, specs[i % len(specs)]) for i, f in enumerate(fs)]
+
+    def test_llog_rows_match_one_window_solvers(self):
+        for f, spec in self.cases():
+            fam = resolve_family(spec, f)
+            lux, func = _llog_rows(f, fam.lefts, fam.rights)
+            for left, right, a, fn in zip(fam.lefts, fam.rights, lux, func):
+                q = Interval(left, right)
+                assert a == pytest.approx(luxemburg_average(f, q, LLOG), rel=1e-9, abs=0.0)
+                assert fn == pytest.approx(llog_functional(f, q), rel=1e-12, abs=0.0)
+
+    def test_oscillation_rows_match_cell_loop(self):
+        for f, spec in self.cases():
+            fam = resolve_family(spec, f)
+            scale = f.sup_abs()
+            for p in (1.0, 2.0, 3.0):
+                osc = _oscillation_rows(f, fam.lefts, fam.rights, p)
+                for left, right, o in zip(fam.lefts, fam.rights, osc):
+                    want = oscillation_oracle(f, Interval(left, right), p)
+                    assert o == pytest.approx(want, rel=1e-12, abs=1e-13 * scale)
+
+
+class TestTwoLevelOscillation:
+    def test_dominates_fine_grid(self):
+        a = np.linspace(0.0, 1.0, 1_000_001)
+        for p in (1.0, 1.5, 2.0, 3.0, 4.0, 8.0):
+            fine = float(np.max(a * (1 - a) ** p + (1 - a) * a**p) ** (1.0 / p))
+            got = _two_level_oscillation_sup(1.0, p)
+            assert got >= fine
 
 
 class TestMorrey:
@@ -163,7 +295,8 @@ class TestMorreyExact:
                     return prefix[i] + w[i] * (x - b[i])
 
                 best = 0.0
-                for q in fam.intervals:
+                for left, right in zip(fam.lefts, fam.rights):
+                    q = Interval(left, right)
                     mass = mass_to(q.right) - mass_to(q.left)
                     if mass > 0.0:
                         best = max(best, q.length ** ((lam - 1.0) / p) * mass ** (1.0 / p))
@@ -300,7 +433,8 @@ class TestWeakZygmundExact:
             f = random_step(rng, max_cells=10)
             for lam in (0.25, 0.5, 0.75):
                 est = weak_zygmund_morrey_norm(f, lam, spec)
-                loop = max(weak_objective(f, lam, q) for q in resolve_family(spec, f).intervals)
+                fam = resolve_family(spec, f)
+                loop = max(weak_objective(f, lam, Interval(l, r)) for l, r in zip(fam.lefts, fam.rights))
                 assert est.family == spec
                 assert est.value == pytest.approx(loop, rel=1e-12)
                 assert est.upper_bound == weak_zygmund_morrey_norm(f, lam).value

@@ -288,3 +288,19 @@ class TestOrliczMaximal:
     def test_accepts_family_spec(self):
         got = orlicz_maximal(CHI01, LLOG, 0.5, FamilySpec(mode="breakpoint_pairs"))
         assert got >= 1.0 - 1e-8
+
+    def test_matches_window_loop(self):
+        rng = np.random.default_rng(93)
+        for _ in range(6):
+            f = random_step(rng, max_cells=8)
+            fam = resolve_family(FamilySpec(depth=4), f)
+            for x in rng.uniform(-2.0, 2.0, 3):
+                loop = max(
+                    (luxemburg_average(f, Interval(l, r), LLOG) for l, r in zip(fam.lefts, fam.rights) if l <= x <= r),
+                    default=0.0,
+                )
+                assert orlicz_maximal(f, LLOG, float(x), fam) == pytest.approx(loop, rel=1e-9)
+
+    def test_exp_gauge_rejected(self):
+        with pytest.raises(ValueError, match="llog"):
+            orlicz_maximal(CHI01, EXP, 0.5, FamilySpec(mode="breakpoint_pairs"))
