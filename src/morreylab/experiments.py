@@ -537,7 +537,7 @@ def standard_constant_reports() -> dict[str, ConstantReport]:
         fam = resolve_family(FamilySpec(mode="breakpoint_pairs"), f)
         hull = f.support_hull()
         for x in np.linspace(hull.left + 0.05, hull.right - 0.05, 5):
-            m_orl = orlicz_maximal(f, LLOG, float(x), fam)
+            m_orl = orlicz_maximal(f, float(x), fam)
             up, lo = env2.upper(float(x)), env2.lower(float(x))
             if m_orl > 0.0 and lo > 0.0:
                 lo_band = min(lo_band, m_orl / up)

@@ -25,7 +25,9 @@ is max_k v_k ||1_{E_k}||_{M_{1,lam}}: one p = 1 Morrey norm per superlevel
 set, scanned by the same pair kernel over the component ends of E_k
 (lengthening Q into E_k or shortening it out of the complement raises
 |Q|^(lam-1) |E_k cap Q|).  As ||1_E||_{M_{1,lam}} <= |E|^lam, levels are
-scanned in decreasing order of v_k |E_k|^lam until that cannot win.
+scanned in decreasing order of v_k |E_k|^lam until that cannot win.  Over
+an explicit family, |E_k cap Q| is the running sum of the level sweep's
+measures from the top level down.
 
 Certified upper bounds
 ----------------------
@@ -51,7 +53,7 @@ import numpy as np
 
 from .families import FamilySpec, ResolvedFamily, resolve_family
 from .orlicz import _llog_rows
-from .stepfn import EnvelopePair, Interval, StepFunction, level_measures, prefix_at
+from .stepfn import EnvelopePair, Interval, StepFunction, level_measures, window_integrals, window_split
 
 __all__ = [
     "NormEstimate",
@@ -209,7 +211,7 @@ def morrey_norm(
     if family is None:
         return NormEstimate(exact, exact, pair, None)
     fam = resolve_family(family, f)
-    masses = prefix_at(b, w, prefix, fam.rights) - prefix_at(b, w, prefix, fam.lefts)
+    masses = window_integrals(w, prefix, window_split(b, fam.lefts, fam.rights))
     value, k = _first_max(fam.rights - fam.lefts, masses, e, p)
     arg = Interval(fam.lefts[k], fam.rights[k]) if k >= 0 else None
     return NormEstimate(value, max(value, exact), arg, fam.spec)
@@ -243,6 +245,15 @@ def _superlevel_max(
     E = {|g| >= t}, or {|g| > t} when ``strict``, and the attaining interval;
     each Morrey norm is the pair scan over E's component ends, or the
     maximum over ``fam`` when one is given (module docstring)."""
+    best, arg = 0.0, None
+    if fam is not None:
+        lengths, above = fam.rights - fam.lefts, np.zeros(len(fam))  # |{|g| > t} cap Q|
+        for t, meas in level_measures(g, fam.lefts, fam.rights):
+            v, i = _first_max(lengths, above if strict else above + meas, lam - 1.0, 1.0)
+            if t * v > best:
+                best, arg = float(t * v), Interval(fam.lefts[i], fam.rights[i])
+            above += meas
+        return best, arg
     b, w, _ = g._abs_arrays
     dx = np.diff(b)
     levels, inv = np.unique(w, return_inverse=True)
@@ -251,20 +262,14 @@ def _superlevel_max(
     if strict:  # {|g| > levels[k]} = {|g| >= levels[k + 1]}
         coef, cut = levels[:-1], cut[1:]
     bound = coef * meas[cut] ** lam
-    best, arg = 0.0, None
     for k in np.argsort(-bound, kind="stable"):
         if not bound[k] > best:
             break
         inside = (w >= levels[cut[k]]).astype(float)
         prefix = np.concatenate(([0.0], np.cumsum(inside * dx)))
-        if fam is None:
-            edge = np.diff(inside, prepend=0.0, append=0.0)
-            starts, ends = np.flatnonzero(edge > 0), np.flatnonzero(edge < 0)
-            v, q = _pair_scan(b[starts], prefix[starts], b[ends], prefix[ends], lam - 1.0, 1.0)
-        else:
-            masses = prefix_at(b, inside, prefix, fam.rights) - prefix_at(b, inside, prefix, fam.lefts)
-            v, i = _first_max(fam.rights - fam.lefts, masses, lam - 1.0, 1.0)
-            q = Interval(fam.lefts[i], fam.rights[i]) if i >= 0 else None
+        edge = np.diff(inside, prepend=0.0, append=0.0)
+        starts, ends = np.flatnonzero(edge > 0), np.flatnonzero(edge < 0)
+        v, q = _pair_scan(b[starts], prefix[starts], b[ends], prefix[ends], lam - 1.0, 1.0)
         if coef[k] * v > best:
             best, arg = float(coef[k] * v), q
     return best, arg
@@ -326,7 +331,7 @@ def _oscillation_rows(b: StepFunction, lefts: np.ndarray, rights: np.ndarray, p:
     vals = np.asarray(b.values)
     prefix = np.concatenate(([0.0], np.cumsum(vals * np.diff(bp))))
     area = rights - lefts
-    mean = (prefix_at(bp, vals, prefix, rights) - prefix_at(bp, vals, prefix, lefts)) / area
+    mean = window_integrals(vals, prefix, window_split(bp, lefts, rights)) / area
     outside = np.maximum(np.minimum(rights, bp[0]) - lefts, 0.0)
     outside += np.maximum(rights - np.maximum(lefts, bp[-1]), 0.0)
     total = np.abs(mean) ** p * outside
@@ -352,7 +357,8 @@ def _bmo_upper(value: float, b: StepFunction, p: float, fam: ResolvedFamily) -> 
     vals = (0.0,) + b.values + (0.0,)
     max_jump = max(abs(x - y) for x, y in zip(vals, vals[1:]))
     jump_term = _two_level_oscillation_sup(max_jump, p)
-    delta = min(r - l for l, r, _ in b.cells())
+    gaps = [r - l for l, r, _ in b.cells()]
+    delta = min(gaps)
     shift = 2.0 * value * fam.cover_ratio_sup(delta) ** (1.0 / p)
     supp = b.support_hull()
     assert supp is not None

@@ -37,7 +37,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .families import ResolvedFamily, resolve_family
-from .stepfn import Interval, StepFunction, average, combine, level_measures, prefix_at
+from .stepfn import (Interval, StepFunction, average, combine, level_measures, window_integrals,
+                     window_split)
 
 __all__ = [
     "OrliczGauge",
@@ -125,9 +126,12 @@ def _luxemburg_bisection(
     mean = float(np.sum(lens * vals)) / area
     sup = float(np.max(vals))
     lo = max(mean, 1e-300)
-    hi = max(sup if gauge.kind == "llog" else sup / math.log(2.0), lo)
-    while g(hi) > 1.0:  # only at the degenerate boundary; widen defensively
-        hi *= 2.0
+    hi = sup if gauge.kind == "llog" else sup / math.log(2.0)
+    if hi <= lo:
+        hi = lo
+    if g(hi) > 1.0:  # only at the degenerate boundary; widen defensively
+        while g(hi) > 1.0:
+            hi *= 2.0
     for _ in range(_MAX_BISECT):
         if hi - lo <= max(tol * hi, _ABS_TOL):
             return 0.5 * (lo + hi)
@@ -167,7 +171,7 @@ def _llog_rows(f: StepFunction, lefts: np.ndarray, rights: np.ndarray) -> tuple[
     (l, r) at once, both folded over one level sweep (module docstring)."""
     lux, func = np.zeros(len(lefts)), np.zeros(len(lefts))
     b, w, prefix = f._abs_arrays
-    mass = prefix_at(b, w, prefix, rights) - prefix_at(b, w, prefix, lefts)
+    mass = window_integrals(w, prefix, window_split(b, lefts, rights))
     live = np.flatnonzero(mass > 0.0)
     lefts, rights, mass = lefts[live], rights[live], mass[live]
     area = rights - lefts
@@ -278,17 +282,14 @@ def holder_check(
     return lhs, rhs
 
 
-def orlicz_maximal(f: StepFunction, gauge: OrliczGauge, x: float, family, tol: float = 1e-9) -> float:
-    """Family-restricted Orlicz maximal function: the best Luxemburg average
-    over family intervals containing x (a lower bound of the full sup),
-    from the level sweep over the endpoint arrays.  Only the llog gauge is
-    supported, and its root is exact, so ``tol`` is not read.
+def orlicz_maximal(f: StepFunction, x: float, family) -> float:
+    """Family-restricted llog Orlicz maximal function: the best llog
+    Luxemburg average over family intervals containing x (a lower bound of
+    the full sup), from the level sweep over the endpoint arrays.
 
     ``family`` may be a FamilySpec (resolved against f) or an already
     resolved family.
     """
-    if gauge.kind != "llog":
-        raise ValueError("orlicz_maximal supports the llog gauge only")
     if f.is_zero:
         return 0.0
     if not isinstance(family, ResolvedFamily):

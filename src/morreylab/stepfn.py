@@ -181,11 +181,6 @@ class StepFunction:
             return self
         return StepFunction(tuple(b * s for b in self.breakpoints), self.values)
 
-    def translate(self, dx: float) -> "StepFunction":
-        if self.is_zero:
-            return self
-        return StepFunction(tuple(b + dx for b in self.breakpoints), self.values)
-
     # -- cached numeric arrays (hot paths) -----------------------------
 
     @cached_property
@@ -384,6 +379,24 @@ def prefix_at(b: np.ndarray, w: np.ndarray, prefix: np.ndarray, x: np.ndarray) -
     return prefix[idx] + w[idx] * (np.minimum(np.maximum(x, b[0]), b[-1]) - b[idx])
 
 
+def window_split(b: np.ndarray, lefts: np.ndarray, rights: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Every window (l, r), clipped to the support, split at the breakpoints
+    b: its end cells il <= ir, the lengths it covers in them (0 in ir when
+    il == ir) and jl = min(il + 1, ir); the cells jl .. ir - 1 lie whole inside."""
+    lc, rc = (np.minimum(np.maximum(x, b[0]), b[-1]) for x in (lefts, rights))
+    il, ir = (np.minimum(b.searchsorted(x, side="right") - 1, len(b) - 2) for x in (lc, rc))
+    return il, np.minimum(b[il + 1], rc) - lc, np.minimum(il + 1, ir), ir, np.where(ir > il, rc - b[ir], 0.0)
+
+
+def window_integrals(w: np.ndarray, prefix: np.ndarray, split: tuple[np.ndarray, ...]) -> np.ndarray:
+    """Integral of the cell weights w over every window of ``window_split``:
+    the end cells by their covered lengths, only the whole cells between by
+    a prefix difference.  (prefix_at(r) - prefix_at(l) carries an absolute
+    error of eps times the prefix, large for short windows far along.)"""
+    il, left_len, jl, ir, right_len = split
+    return w[il] * left_len + (prefix[ir] - prefix[jl]) + w[ir] * right_len
+
+
 def level_measures(
     f: StepFunction, lefts: np.ndarray, rights: np.ndarray, signed: bool = False
 ) -> Iterator[tuple[float, np.ndarray]]:
@@ -395,14 +408,7 @@ def level_measures(
     only the zero cells inside the support."""
     b, w, _ = f._abs_arrays
     vals = np.asarray(f.values, dtype=float) if signed else w
-    dx = np.diff(b)
-
-    def cell_and_offset(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        i = np.minimum(np.maximum(b.searchsorted(x, side="right") - 1, 0), len(dx) - 1)
-        return i, np.minimum(np.maximum(x, b[0]), b[-1]) - b[i]
-
-    (il, ol), (ir, orr) = cell_and_offset(lefts), cell_and_offset(rights)
+    dx, split = np.diff(b), window_split(b, lefts, rights)
     for v in np.unique(vals)[::-1]:
         on = (vals == v).astype(float)
-        prefix = np.concatenate(([0.0], np.cumsum(on * dx)))
-        yield float(v), np.maximum(prefix[ir] + on[ir] * orr - prefix[il] - on[il] * ol, 0.0)
+        yield float(v), window_integrals(on, np.concatenate(([0.0], np.cumsum(on * dx))), split)

@@ -156,8 +156,21 @@ class TestLevelSweep:
         specs = [FamilySpec(depth=d) for d in (3, 4, 5, 6)] + [FamilySpec(mode="dense", resolution=24)]
         return [(f, specs[i % len(specs)]) for i, f in enumerate(fs)]
 
+    @staticmethod
+    def long_cases():
+        # 1000 unit cells alternating between two levels, so prefix sums
+        # reach hundreds; the short members sit far along the support with
+        # grid points off the breakpoints, many straddling a jump
+        alt = np.arange(1000) % 2 == 0
+        fs = [StepFunction(np.arange(1001.0), np.where(alt, 1.0, 3.0)),
+              StepFunction(np.arange(1001.0), np.where(alt, 1.0, -2.5))]
+        specs = [FamilySpec(mode="dense", resolution=12, hull=Interval(700.37, 703.11)),
+                 FamilySpec(mode="dense", resolution=12, hull=Interval(998.93, 1001.4)),
+                 FamilySpec(mode="dyadic", depth=6)]
+        return [(f, spec) for f in fs for spec in specs]
+
     def test_llog_rows_match_one_window_solvers(self):
-        for f, spec in self.cases():
+        for f, spec in self.cases() + self.long_cases():
             fam = resolve_family(spec, f)
             lux, func = _llog_rows(f, fam.lefts, fam.rights)
             for left, right, a, fn in zip(fam.lefts, fam.rights, lux, func):
@@ -166,7 +179,7 @@ class TestLevelSweep:
                 assert fn == pytest.approx(llog_functional(f, q), rel=1e-12, abs=0.0)
 
     def test_oscillation_rows_match_cell_loop(self):
-        for f, spec in self.cases():
+        for f, spec in self.cases() + self.long_cases():
             fam = resolve_family(spec, f)
             scale = f.sup_abs()
             for p in (1.0, 2.0, 3.0):

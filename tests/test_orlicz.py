@@ -278,15 +278,15 @@ class TestHolder:
 class TestOrliczMaximal:
     def test_chi_attains_one(self):
         fam = resolve_family(FamilySpec(mode="breakpoint_pairs"), CHI01)
-        got = orlicz_maximal(CHI01, LLOG, 0.5, fam, 1e-9)
+        got = orlicz_maximal(CHI01, 0.5, fam)
         assert got >= 1.0 - 1e-8
 
     def test_zero(self):
         fam = resolve_family(FamilySpec(), CHI01)
-        assert orlicz_maximal(StepFunction.zero(), LLOG, 0.5, fam) == 0.0
+        assert orlicz_maximal(StepFunction.zero(), 0.5, fam) == 0.0
 
     def test_accepts_family_spec(self):
-        got = orlicz_maximal(CHI01, LLOG, 0.5, FamilySpec(mode="breakpoint_pairs"))
+        got = orlicz_maximal(CHI01, 0.5, FamilySpec(mode="breakpoint_pairs"))
         assert got >= 1.0 - 1e-8
 
     def test_matches_window_loop(self):
@@ -299,8 +299,4 @@ class TestOrliczMaximal:
                     (luxemburg_average(f, Interval(l, r), LLOG) for l, r in zip(fam.lefts, fam.rights) if l <= x <= r),
                     default=0.0,
                 )
-                assert orlicz_maximal(f, LLOG, float(x), fam) == pytest.approx(loop, rel=1e-9)
-
-    def test_exp_gauge_rejected(self):
-        with pytest.raises(ValueError, match="llog"):
-            orlicz_maximal(CHI01, EXP, 0.5, FamilySpec(mode="breakpoint_pairs"))
+                assert orlicz_maximal(f, float(x), fam) == pytest.approx(loop, rel=1e-9)
