@@ -37,8 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .families import ResolvedFamily, resolve_family
-from .stepfn import (Interval, StepFunction, average, combine, level_measures, window_integrals,
-                     window_split)
+from .stepfn import Interval, StepFunction, average, combine, level_measures, window_integrals, window_split
 
 __all__ = [
     "OrliczGauge",

@@ -181,6 +181,11 @@ class StepFunction:
             return self
         return StepFunction(tuple(b * s for b in self.breakpoints), self.values)
 
+    def translate(self, dx: float) -> "StepFunction":
+        if self.is_zero:
+            return self
+        return StepFunction(tuple(b + dx for b in self.breakpoints), self.values)
+
     # -- cached numeric arrays (hot paths) -----------------------------
 
     @cached_property
