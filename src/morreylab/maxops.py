@@ -36,6 +36,35 @@ derivative sign (a-1)(A + c*d) + c(L + d), which is nondecreasing in d
 (a, c >= 0), so any interior critical point is a minimum along the scan
 direction and endpoint enumeration is again exact.  Its objective does not
 separate into one term per endpoint, so it still scans every pair.
+
+The per-cell split
+------------------
+Take a cell [l, r] of f where |f| = c (or a half-line off the support, with
+c = 0) and x in it.  The candidate pairs for Mf(x) fall into three groups:
+- u <= l and v >= r, both breakpoints: the chords spanning the cell, whose
+  best slope C does not depend on x (C = 0 off the support);
+- u = x and v >= r: since P(v) - P(x) = P(v) - P(r) + c(r - x), the average
+  is c + K_v / (v - x) with K_v = P(v) - P(r) - c(v - r), and
+  R(x) = c + max(0, max_v K_v / (v - x)), the 0 standing for v = r, where
+  K_r = 0, and for the shrinking interval at x;
+- v = x and u <= l: the mirror image L(x) = c + max(0, max_u K_u / (x - u))
+  with K_u = P(l) - P(u) - c(l - u).
+So Mf = max(C, R, L) on the cell.  R is nondecreasing: the 0 is constant,
+and each K_v / (v - x) with K_v > 0 rises as x moves toward v (terms with
+K_v <= 0 never exceed the 0).  L is nonincreasing by the mirror argument.
+Hence on a sub-cell [a, b] the maximum of Mf is max(C, R(b), L(a)), which
+max(Mf(a), Mf(b)) attains.  The intervals containing all of [a, b] have
+u <= l or u = a, and v >= r or v = b: the pairs spanning the cell give C,
+u = a gives R(a) (with v = b averaging c), and v = b gives L(b).  So
+max(C, R(a), L(b)) is the spanning-chord floor of the sub-cell, and it
+bounds Mf from below at each of its points.
+
+No quantity here depends on the sub-cell's width.  K_v is a difference of
+prefix sums at two breakpoints, less c times their distance; x enters only
+through v - x >= v - r.  The direct chord (P(v) - P(x)) / (v - x) instead
+interpolates P(x), whose rounding error of about an ulp of max P swamps
+the mass of a short sub-cell next to r.  The rounding of K itself, a few
+ulps of max P, is charged on the lower side.
 """
 
 from __future__ import annotations
@@ -55,6 +84,8 @@ from .stepfn import (
     default_hull,
     integrate,
     prefix_at,
+    window_integrals,
+    window_split,
 )
 
 __all__ = [
@@ -267,53 +298,133 @@ def brute_force_maximal(
 # ---------------------------------------------------------------------------
 # envelopes
 
-
-def _window_average(f: StepFunction, left: float, right: float) -> float:
-    """Average of |f| over (left, right) via per-cell overlaps; free of the
-    large-prefix cancellation that poisons very narrow windows."""
-    b, w, _ = f._abs_arrays
-    if len(w) == 0 or right <= left:
-        return 0.0
-    overlap = np.minimum(b[1:], right) - np.maximum(b[:-1], left)
-    mask = overlap > 0.0
-    if not mask.any():
-        return 0.0
-    return float(np.sum(w[mask] * overlap[mask])) / (right - left)
+# float64 entries in any one temporary of the row-blocked passes below
+_BLOCK = 16_384
 
 
-def _cell_floor(f: StepFunction, left: float, right: float) -> float:
-    """Certified lower bound for min of Mf over [left, right].
+def _max_chords(
+    ts: np.ndarray, ps: np.ndarray, nu: np.ndarray, jv: np.ndarray, lam: np.ndarray, charge: float = 0.0
+) -> np.ndarray:
+    """:func:`_max_chord` for many rows over the shared ``ts``/``ps``: row r
+    takes left candidates i < nu[r], right candidates j >= jv[r] and starts
+    at lam[r].  ``charge`` is taken off every chord's mass.  Rows run in
+    blocks of at most _BLOCK entries, and a row drops out once its slope
+    stops rising."""
+    lam = np.array(lam, dtype=float)
+    cols = np.arange(len(ts))
+    step = max(1, _BLOCK // len(ts))
+    live = np.flatnonzero((nu > 0) & (jv < len(ts)))
+    while live.size:
+        rising = []
+        for s in range(0, live.size, step):
+            r = live[s : s + step]
+            e = lam[r, None] * ts - ps
+            i = np.where(cols < nu[r, None], e, -np.inf).argmax(axis=1)
+            j = np.where(cols >= jv[r, None], e, np.inf).argmin(axis=1)
+            length = ts[j] - ts[i]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                slope = (ps[j] - ps[i] - charge) / length
+            up = (length > 0.0) & (slope > lam[r])
+            lam[r[up]] = slope[up]
+            rising.append(r[up])
+        live = np.concatenate(rising)
+    return lam
 
-    Every interval containing the whole cell contains each of its points,
+
+def _side_chords(
+    f: StepFunction, lefts: np.ndarray, rights: np.ndarray, i: np.ndarray, j: np.ndarray, charge: float
+) -> tuple[np.ndarray, ...]:
+    """Best averages of |f| from each left to a breakpoint v > right (R)
+    and from a breakpoint u < left to right (L), for left in the closed
+    extended cell i and right in j (module docstring).  Each is
+    c + K / (v - x), with c the value on x's cell and K measured from the
+    breakpoint next to x on that side.  Returns R and L, each also with
+    ``charge`` taken off every chord's mass; -inf where no such breakpoint
+    exists.  Points run in blocks of at most _BLOCK entries."""
+    b, w, prefix = f._abs_arrays
+    c = np.concatenate(([0.0], w, [0.0]))
+    n, k = len(b), len(lefts)
+    xs = np.concatenate((lefts, rights))
+    cs = np.concatenate((c[i + 1], c[j + 1]))
+    q = np.minimum(np.maximum(np.concatenate((i + 1, j)), 0), n - 1)
+    # the charge lowers a chord's mass: K on the right, -K on the left
+    j0 = np.concatenate((j + 1 + (b[np.minimum(j + 1, n - 1)] == rights), np.zeros_like(i)))
+    j1 = np.concatenate((np.full_like(i, n), i + 1 - (b[np.maximum(i, 0)] == lefts)))
+    charges = np.repeat([charge, -charge], k)
+    hi = np.full(2 * k, -np.inf)
+    lo = hi.copy()
+    live = np.flatnonzero(j0 < j1)
+    step = max(1, _BLOCK // n)
+    for s in range(0, live.size, step):
+        r = live[s : s + step]
+        a, z = j0[r].min(), j1[r].max()
+        cols = np.arange(a, z)
+        inside = (cols >= j0[r, None]) & (cols < j1[r, None])
+        den = np.where(inside, b[a:z] - xs[r, None], 1.0)
+        excess = prefix[a:z] - prefix[q[r], None] - cs[r, None] * (b[a:z] - b[q[r], None])
+        hi[r] = np.where(inside, excess / den, -np.inf).max(axis=1)
+        lo[r] = np.where(inside, (excess - charges[r, None]) / den, -np.inf).max(axis=1)
+    hi, lo = cs + hi, cs + lo
+    return hi[:k], lo[:k], hi[k:], lo[k:]
+
+
+def _cell_floor(f: StepFunction, lefts, rights) -> np.ndarray:
+    """Certified lower bounds for min of Mf over each window [left, right]
+    (arrays of one shape, left < right).
+
+    Every interval containing a whole window contains each of its points,
     so the best average over such intervals bounds Mf from below uniformly
-    on the cell.  The candidate-endpoint lemma puts the best one on
-    breakpoint pairs, searched by :func:`_max_chord`.  The cell itself is
-    averaged by direct overlap and seeds the search; everything else goes
-    via prefix sums.  Pairs shorter than delta carry only the cancellation
-    noise of prefix differences; they can occur only when the cell itself
-    is that narrow, and are then left out, which can only lower the bound.
-    Pairs only somewhat longer still carry that noise, the rounding of the
-    two interpolated ends and of the few cell sums between them, each about
-    an ulp of max P; so every chord's mass is charged four such ulps, taken
-    off the right ends, which keeps the search separable.  The sup |f|
-    clamp bounds what remains.
+    on the window.  The candidate-endpoint lemma puts its ends at u in
+    {breakpoints <= left} or left, v in {breakpoints >= right} or right:
+    the window itself, averaged by its covered lengths; the breakpoint
+    pairs, searched by :func:`_max_chords`; and the chords from left or to
+    right, by :func:`_side_chords`.  Every chord's mass is charged four ulps
+    of max P, the rounding of the prefix sums and of the few cell sums
+    between its ends; the sup |f| clamp bounds what remains.
     """
-    ts, ps, k = _candidate_arrays(f, left, right)
-    ps[k:] -= 4.0 * math.ulp(ps[-1])
-    best = _window_average(f, left, right)
-    delta = 1e-9 * (right - left + 1.0)
-    if right - left > delta:
-        best = _max_chord(ts, ps, k, k, best)
-    else:
-        # a pair with u <= right - delta or v >= left + delta is at least
-        # delta long
-        nu = int(ts[:k].searchsorted(right - delta, side="right"))
-        jv = k + int(ts[k:].searchsorted(left + delta, side="left"))
-        if nu:
-            best = _max_chord(ts, ps, nu, k, best)
-        if jv < len(ts):
-            best = _max_chord(ts, ps, k, jv, best)
-    return min(best, f.sup_abs())
+    shape = np.shape(lefts)
+    lefts = np.asarray(lefts, dtype=float).reshape(-1)
+    rights = np.asarray(rights, dtype=float).reshape(-1)
+    if f.is_zero:
+        return np.zeros(shape)
+    b, w, prefix = f._abs_arrays
+    i = b.searchsorted(lefts, side="right") - 1  # b_i <= left < b_(i+1)
+    j = b.searchsorted(rights, side="left") - 1  # b_j < right <= b_(j+1)
+    charge = 4.0 * math.ulp(prefix[-1])
+    avg = window_integrals(w, prefix, window_split(b, lefts, rights)) / (rights - lefts)
+    best = _max_chords(b, prefix, i + 1, j + 1, avg, charge)
+    # an end on a breakpoint is itself a breakpoint candidate, so only
+    # windows with an end inside a cell have chords of their own
+    off = np.flatnonzero((b[np.maximum(i, 0)] != lefts) | (b[np.minimum(j + 1, len(b) - 1)] != rights))
+    _, r_lo, _, l_lo = _side_chords(f, lefts[off], rights[off], i[off], j[off], charge)
+    best[off] = np.maximum.reduce([best[off], r_lo, l_lo])
+    return np.minimum(best, f.sup_abs()).reshape(shape)
+
+
+class _Split:
+    """Mf of f cell by cell as max(C, R, L) (module docstring).  Extended
+    cell i is cell i of f for 0 <= i < m, the half-line left of the support
+    for i = -1 and the one right of it for i = m; C is 0 on both."""
+
+    def __init__(self, f: StepFunction):
+        b, w, prefix = f._abs_arrays
+        own = np.arange(1, len(w) + 1)
+        self.f = f
+        self.charge = 4.0 * math.ulp(prefix[-1])
+        # per extended cell i, at index i + 1: |f|, C charged, and C, whose
+        # search starts from the charged value, a lower bound of it
+        self.c = np.concatenate(([0.0], w, [0.0]))
+        c_lo = _cell_floor(f, b[:-1], b[1:])
+        self.c_lo = np.concatenate(([0.0], c_lo, [0.0]))
+        self.c_hi = np.concatenate(([0.0], _max_chords(b, prefix, own, own, np.maximum(w, c_lo)), [0.0]))
+
+    def at(self, xs: np.ndarray, cells: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Mf, and R and L with every chord's mass charged, at the points xs
+        of the extended cells ``cells`` (cell ends included)."""
+        c = self.c[cells + 1]
+        r_hi, r_lo, l_hi, l_lo = _side_chords(self.f, xs, xs, cells, cells, self.charge)
+        mf = np.minimum(np.maximum.reduce([self.c_hi[cells + 1], r_hi, l_hi]), self.f.sup_abs())
+        return mf, np.maximum(r_lo, c), np.maximum(l_lo, c)
 
 
 _MAX_ENVELOPE_CELLS = 200_000
@@ -327,70 +438,75 @@ def maximal_envelope(
 ) -> EnvelopePair:
     """Certified step-function bracket of Mf on ``hull``.
 
-    Per cell the upper value is max(Mf(left), Mf(right)), exact because Mf
-    restricted to a cell free of breakpoints is a finite maximum of
-    functions of the form c + K/(v - x), each monotone there; the lower
-    value comes from :func:`_cell_floor`.  The lower envelope is a valid
-    global lower bound (it vanishes off the hull, and Mf >= 0); the upper
-    envelope bounds Mf on the hull only.  ``upper_floor`` is max-ed into
-    every upper cell; iterated application uses it to absorb tail mass of
-    truncated inputs.
+    The grid starts at the hull ends and the breakpoints of f inside it, so
+    every grid cell lies in one cell of f, or in a half-line off the
+    support, and Mf there is that cell's split max(C, R, L) (module
+    docstring).  A sub-cell [a, b] gets the upper value max(Mf(a), Mf(b)),
+    exact because R rises and L falls, and the lower value
+    max(C, R(a), L(b)) with every chord's mass charged, the best average
+    over the intervals containing it.  C comes once per cell of f, R and L
+    once per grid point; no cell runs a search of its own.  Cells are
+    bisected level by level until (upper - lower) <= tol * upper or the
+    depth cap; ``depth_capped`` on the result counts the cells accepted at
+    the cap with the gap still open.  The lower envelope is a valid global
+    lower bound (it vanishes off the hull, and Mf >= 0); the upper envelope
+    bounds Mf on the hull only.  ``upper_floor`` is max-ed into every upper
+    cell; iterated application uses it to absorb tail mass of truncated
+    inputs.
     """
     refine = refine or RefinePolicy()
     if f.is_zero and upper_floor == 0.0:
         z = StepFunction.zero()
         return EnvelopePair(z, z)
     hull = hull or default_hull(f)
-    raw = sorted(
-        {hull.left, hull.right}
-        | {b for b in f.breakpoints if hull.left < b < hull.right}
-    )
-    # merge near-duplicate grid points; sliver cells carry no information
-    # and their averages are numerically meaningless
-    min_gap = 1e-12 * max(1.0, hull.length)
-    pts = [raw[0]]
-    for p in raw[1:]:
-        if p - pts[-1] > min_gap:
-            pts.append(p)
-    if pts[-1] != hull.right:
-        pts[-1] = hull.right
-    mf_cache: dict[float, float] = {}
+    b = f._abs_arrays[0]
+    split = _Split(f)
+    pts = np.concatenate(([hull.left], b[(b > hull.left) & (b < hull.right)], [hull.right]))
+    left, right = pts[:-1], pts[1:]
+    cells = b.searchsorted(left, side="right") - 1
+    # a breakpoint on the grid ends two cells of f: R and L come from each,
+    # Mf from the cell on its right, so both cells see one value
+    mf, r_lo, l_lo = split.at(np.concatenate((left, right)), np.tile(cells, 2))
+    k = len(left)
+    mf = np.append(mf[:k], mf[-1])
+    mf_l, mf_r, r_lo, l_lo = mf[:-1], mf[1:], r_lo[:k], l_lo[k:]
 
-    def mf(p: float) -> float:
-        got = mf_cache.get(p)
-        if got is None:
-            got = maximal(f, p)
-            mf_cache[p] = got
-        return got
+    def halves(a: np.ndarray, z: np.ndarray) -> np.ndarray:
+        # the children (left, mid) and (mid, right) of each divided cell, in order
+        return np.stack((a, z), axis=1).reshape(-1)
 
-    out_cells: list[tuple[float, float, float, float]] = []
-    stack = [(l, r, 0) for l, r in zip(pts[:-1], pts[1:])]
-    stack.reverse()
-    while stack:
-        left, right, depth = stack.pop()
-        hi_ends = max(mf(left), mf(right))
-        hi = max(hi_ends, upper_floor)
-        lo = _cell_floor(f, left, right)
-        gap_ok = hi - lo <= refine.tol * hi or hi <= 0.0
-        floor_bound = upper_floor >= hi_ends
-        if gap_ok or floor_bound or depth >= refine.max_depth:
-            out_cells.append((left, right, lo, hi))
-            continue
+    done: list[tuple[np.ndarray, ...]] = []
+    kept = capped = 0
+    for depth in range(max(refine.max_depth, 0) + 1):
+        hi_ends = np.maximum(mf_l, mf_r)
+        hi = np.maximum(hi_ends, upper_floor)
+        lo = np.minimum(np.maximum(split.c_lo[cells + 1], np.maximum(r_lo, l_lo)), f.sup_abs())
+        open_ = ~((hi - lo <= refine.tol * hi) | (hi <= 0.0) | (upper_floor >= hi_ends))
         mid = 0.5 * (left + right)
-        if not (left < mid < right):
-            out_cells.append((left, right, lo, hi))
-            continue
-        if len(out_cells) + len(stack) > _MAX_ENVELOPE_CELLS:
+        divide = open_ & (left < mid) & (mid < right)
+        if depth >= refine.max_depth:
+            capped = int(np.count_nonzero(open_))
+            divide[:] = False
+        done.append((left[~divide], right[~divide], lo[~divide], hi[~divide]))
+        kept += len(done[-1][0])
+        if not divide.any():
+            break
+        if kept + 2 * np.count_nonzero(divide) > _MAX_ENVELOPE_CELLS:
             raise RuntimeError(
                 "envelope refinement exceeded the cell budget; loosen tol or max_depth"
             )
-        stack.append((mid, right, depth + 1))
-        stack.append((left, mid, depth + 1))
-    out_cells.sort()
-    bps = [c[0] for c in out_cells] + [out_cells[-1][1]]
-    lower = StepFunction(bps, [c[2] for c in out_cells])
-    upper = StepFunction(bps, [c[3] for c in out_cells])
-    return EnvelopePair(lower, upper)
+        xm, cells = mid[divide], cells[divide]
+        mf_m, r_m, l_m = split.at(xm, cells)
+        left, right = halves(left[divide], xm), halves(xm, right[divide])
+        mf_l, mf_r = halves(mf_l[divide], mf_m), halves(mf_m, mf_r[divide])
+        r_lo, l_lo = halves(r_lo[divide], r_m), halves(l_m, l_lo[divide])
+        cells = np.repeat(cells, 2)
+    lefts, rights, lows, highs = (np.concatenate(col) for col in zip(*done))
+    order = np.argsort(lefts)
+    bps = np.append(lefts[order], rights[order[-1]])
+    return EnvelopePair(
+        StepFunction(bps, lows[order]), StepFunction(bps, highs[order]), depth_capped=capped
+    )
 
 
 def iterated_maximal(

@@ -264,18 +264,26 @@ class EnvelopePair:
     ``lower <= upper`` holds pointwise (checked on the common breakpoint
     refinement; the two sides are stored canonically, so their breakpoint
     sequences may differ after merging of equal adjacent cells).
+    ``depth_capped`` counts the cells a refinement accepted only because it
+    reached its depth cap with the gap still above tolerance; it is not
+    serialized.
     """
 
     lower: StepFunction
     upper: StepFunction
+    depth_capped: int = 0
 
     def __post_init__(self) -> None:
-        pts = sorted(set(self.lower.breakpoints) | set(self.upper.breakpoints))
-        for a, b in zip(pts, pts[1:]):
-            mid = 0.5 * (a + b)
-            lo, hi = self.lower(mid), self.upper(mid)
-            if lo > hi + 1e-9 * max(1.0, abs(hi)):
-                raise ValueError(f"envelope order violated on ({a}, {b}): {lo} > {hi}")
+        pts = np.union1d(self.lower.breakpoints, self.upper.breakpoints)
+        mids = 0.5 * (pts[:-1] + pts[1:])
+        lo, hi = _values_at(self.lower, mids), _values_at(self.upper, mids)
+        bad = np.flatnonzero(lo > hi + 1e-9 * np.maximum(1.0, np.abs(hi)))
+        if bad.size:
+            k = bad[0]
+            raise ValueError(
+                f"envelope order violated on ({float(pts[k])}, {float(pts[k + 1])}): "
+                f"{float(lo[k])} > {float(hi[k])}"
+            )
 
     def to_json_obj(self) -> dict:
         return {"lower": self.lower.to_json_obj(), "upper": self.upper.to_json_obj()}
@@ -372,6 +380,12 @@ def default_hull(*fs: StepFunction) -> Interval:
 
 # ---------------------------------------------------------------------------
 # vectorized helpers shared by the operator modules
+
+
+def _values_at(f: StepFunction, xs: np.ndarray) -> np.ndarray:
+    """f at every point of xs (vectorized ``f(x)``: the right cell's value
+    at a breakpoint, 0 off the support)."""
+    return np.concatenate(([0.0], f.values, [0.0]))[np.searchsorted(f.breakpoints, xs, side="right")]
 
 
 def prefix_at(b: np.ndarray, w: np.ndarray, prefix: np.ndarray, x: np.ndarray) -> np.ndarray:

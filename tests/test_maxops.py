@@ -10,7 +10,7 @@ from morreylab.maxops import (
     RefinePolicy,
     _candidate_arrays,
     _cell_floor,
-    _window_average,
+    _Split,
     brute_force_maximal,
     commutator,
     commutator_envelope,
@@ -21,7 +21,7 @@ from morreylab.maxops import (
     maximal_commutator,
     maximal_envelope,
 )
-from morreylab.stepfn import Interval, StepFunction, average, combine
+from morreylab.stepfn import Interval, StepFunction, average, combine, default_hull
 
 CHI01 = StepFunction.indicator(0.0, 1.0)
 
@@ -53,9 +53,20 @@ def pair_scan_maximal(f, x):
     return min(max(pair_scan(f, x, x), abs(f(x))), f.sup_abs())
 
 
+def window_average(f, left, right):
+    """Average of |f| over (left, right) via per-cell overlaps, free of the
+    large-prefix cancellation of narrow windows."""
+    b, w, _ = f._abs_arrays
+    overlap = np.minimum(b[1:], right) - np.maximum(b[:-1], left)
+    mask = overlap > 0.0
+    if not mask.any():
+        return 0.0
+    return float(np.sum(w[mask] * overlap[mask])) / (right - left)
+
+
 def pair_scan_cell_floor(f, left, right):
     best = pair_scan(f, left, right, 1e-9 * (right - left + 1.0))
-    return min(max(best, _window_average(f, left, right)), f.sup_abs())
+    return min(max(best, window_average(f, left, right)), f.sup_abs())
 
 
 def exact_maximal(f, x):
@@ -203,6 +214,128 @@ class TestCellFloor:
         for width in (1e-9, 1e-6):
             for left in rng.uniform(0.1, 0.9, 200):
                 assert _cell_floor(f, float(left), float(left) + width) <= 2.0
+
+
+def split_maximal(f, xs, cells=None):
+    """Mf at xs from the per-cell split, each point in the cell of f (or
+    half-line off the support) that holds it unless ``cells`` is given."""
+    xs = np.asarray(xs, dtype=float)
+    if cells is None:
+        cells = f._abs_arrays[0].searchsorted(xs, side="right") - 1
+    return _Split(f).at(xs, np.asarray(cells))[0]
+
+
+class TestSplit:
+    def assert_matches(self, f, xs, cells=None):
+        got = split_maximal(f, xs, cells)
+        want = np.array([maximal(f, float(x)) for x in xs])
+        assert np.all(np.abs(got - want) <= 1e-13 * want), np.max(np.abs(got - want) / want)
+
+    def test_random_points(self):
+        rng = np.random.default_rng(30)
+        for i in range(40):
+            f = random_step(rng, max_cells=200 if i % 8 == 0 else 15)
+            self.assert_matches(f, rng.uniform(-2.0, 2.0, 25))
+
+    def test_breakpoints_from_both_cells(self):
+        # a breakpoint ends the cell on its left and starts the one on its right
+        rng = np.random.default_rng(31)
+        for _ in range(30):
+            f = random_step(rng)
+            b = np.asarray(f.breakpoints)
+            ks = np.arange(len(b))
+            self.assert_matches(f, b, ks)
+            self.assert_matches(f, b, ks - 1)
+
+    def test_off_the_support(self):
+        rng = np.random.default_rng(32)
+        for _ in range(30):
+            f = random_step(rng)
+            b0, bm = f.breakpoints[0], f.breakpoints[-1]
+            self.assert_matches(f, b0 - 10.0 ** rng.uniform(-6.0, 2.0, 8))
+            self.assert_matches(f, bm + 10.0 ** rng.uniform(-6.0, 2.0, 8))
+
+    def test_hull_clipped_cell_ends(self):
+        # a hull inside the support cuts its end cells; their clipped ends
+        # are grid points of the envelope
+        rng = np.random.default_rng(33)
+        for _ in range(30):
+            f = random_step(rng, max_cells=8)
+            b = f.breakpoints
+            if len(b) < 3:
+                continue
+            t = rng.uniform(0.05, 0.95, 2)
+            hull = Interval(b[0] + t[0] * (b[1] - b[0]), b[-2] + t[1] * (b[-1] - b[-2]))
+            self.assert_matches(f, [hull.left, hull.right])
+            env = maximal_envelope(f, RefinePolicy(tol=0.05, max_depth=12), hull)
+            for x in (hull.left, 0.5 * (hull.left + hull.right)):
+                assert env.upper(x) >= maximal(f, x) * (1.0 - 1e-13)
+
+    def test_zero_and_single_cell(self):
+        xs = np.linspace(-3.0, 4.0, 71)
+        assert np.all(split_maximal(StepFunction.zero(), xs) == 0.0)
+        self.assert_matches(CHI01, xs)
+        f = StepFunction.indicator(-0.25, 2.0, 3.5)
+        self.assert_matches(f, xs)
+        inside = xs[(xs >= -0.25) & (xs <= 2.0)]
+        assert np.all(split_maximal(f, inside) == 3.5)
+
+
+class TestEnvelopeFloors:
+    def test_lower_cells_below_maximal(self):
+        rng = np.random.default_rng(34)
+        for _ in range(25):
+            f = random_step(rng, max_cells=10)
+            env = maximal_envelope(f, RefinePolicy(tol=0.05, max_depth=12))
+            for left, right, lo in env.lower.cells():
+                for x in np.linspace(left, right, 5):
+                    assert lo <= maximal(f, float(x)) * (1.0 + 1e-12)
+
+    def test_far_mass(self):
+        # P is near 100 on the plateau, where Mf = 2: a floor read through
+        # large prefix sums without the charge could come out above 2
+        f = StepFunction((-1000.0, -999.0, 0.0, 1.0), (100.0, 0.0, 2.0))
+        env = maximal_envelope(f, RefinePolicy(tol=1e-4, max_depth=30), Interval(-1.0, 2.0))
+        for left, right, lo in env.lower.cells():
+            if left < 1.0 and right > 0.0:
+                assert lo <= 2.0
+        assert env.upper(0.5) >= 2.0
+
+    def test_tiny_cell_inside_the_hull(self):
+        # a 1e-14-wide cell: every grid cell must still lie in one cell of f
+        b = (0.0, 0.5, 0.5 + 1e-14, 1.0)
+        f = StepFunction(b, (1.0, 50.0, 2.0))
+        env = maximal_envelope(f, RefinePolicy(tol=1e-3, max_depth=30), Interval(-0.5, 1.5))
+        for d in (-1e-3, -1e-13, -1e-15, 2e-15, 5e-15, 1e-14 + 1e-15, 1e-14 + 1e-13, 1e-14 + 1e-3):
+            x = 0.5 + d
+            mfx = maximal(f, x)
+            assert env.lower(x) <= mfx * (1.0 + 1e-12)
+            assert env.upper(x) >= mfx * (1.0 - 1e-12)
+
+    def test_translate(self):
+        rng = np.random.default_rng(35)
+        for _ in range(10):
+            f = random_step(rng, max_cells=8)
+            g = f.translate(0.5)
+            hull = default_hull(g)
+            env = maximal_envelope(g, RefinePolicy(tol=0.05, max_depth=12), hull)
+            for x in rng.uniform(hull.left, hull.right, 20):
+                mfx = maximal(f, float(x) - 0.5)
+                assert env.lower(float(x)) <= mfx * (1.0 + 1e-9)
+                assert env.upper(float(x)) >= mfx * (1.0 - 1e-9)
+
+    def test_depth_cap_count(self):
+        # Mf = 1/(1 - x) left of (0, 1) and 1/x right of it: on a hull out
+        # to -9 and 10, depth 2 leaves (-2.25, 0) and (1, 3.25) open
+        policy = RefinePolicy(tol=0.5, max_depth=2)
+        env = maximal_envelope(CHI01, policy, Interval(-9.0, 10.0))
+        assert env.depth_capped == 2
+        for x in (-1.0, 2.0):
+            assert env.lower(x) == pytest.approx(1.0 / 3.25, rel=1e-14)
+            assert env.upper(x) == 1.0
+        assert maximal_envelope(CHI01, policy).depth_capped == 0
+        assert maximal_envelope(CHI01, RefinePolicy(tol=0.5), Interval(-9.0, 10.0)).depth_capped == 0
+        assert set(env.to_json_obj()) == {"lower", "upper"}
 
 
 class TestFractionalMaximal:

@@ -286,6 +286,13 @@ class TestEnvelopePair:
         with pytest.raises(ValueError):
             EnvelopePair(hi, lo)
 
+    def test_order_names_first_bad_cell_within_slack(self):
+        lo = StepFunction((0.0, 1.0, 2.0, 3.0), (1.0 + 5e-10, 3.0, 5.0))
+        hi = StepFunction((0.0, 2.0, 3.0), (1.0, 4.0))
+        EnvelopePair(StepFunction.indicator(0.0, 1.0, 1.0 + 5e-10), CHI01)
+        with pytest.raises(ValueError, match=r"^envelope order violated on \(1\.0, 2\.0\): 3\.0 > 1\.0$"):
+            EnvelopePair(lo, hi)
+
     def test_json_round_trip(self):
         pair = EnvelopePair(CHI01, CHI01.scale(2.0))
         again = EnvelopePair.from_json_obj(pair.to_json_obj())
