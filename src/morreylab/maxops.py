@@ -84,8 +84,6 @@ from .stepfn import (
     default_hull,
     integrate,
     prefix_at,
-    window_integrals,
-    window_split,
 )
 
 __all__ = [
@@ -302,57 +300,83 @@ def brute_force_maximal(
 _BLOCK = 16_384
 
 
+def _charge(prefix: np.ndarray) -> float:
+    """What the envelope floors take off every chord's mass: four ulps of
+    max P, the rounding of the prefix sums and of the few cell sums between
+    the chord's ends."""
+    return 4.0 * math.ulp(prefix[-1])
+
+
 def _max_chords(
     ts: np.ndarray, ps: np.ndarray, nu: np.ndarray, jv: np.ndarray, lam: np.ndarray, charge: float = 0.0
 ) -> np.ndarray:
-    """:func:`_max_chord` for many rows over the shared ``ts``/``ps``: row r
-    takes left candidates i < nu[r], right candidates j >= jv[r] and starts
-    at lam[r].  ``charge`` is taken off every chord's mass.  Rows run in
-    blocks of at most _BLOCK entries, and a row drops out once its slope
-    stops rising."""
+    """:func:`_max_chord` row by row over the shared ``ts``/``ps``: row r
+    takes left candidates i < nu[r] and right candidates j >= jv[r], with
+    0 < nu[r] <= jv[r] < len(ts), and starts at lam[r]; ``charge`` is taken
+    off every chord's mass.  Rows run in blocks of at most _BLOCK entries
+    until no row of the block rises.
+
+    :func:`maximal` keeps the scalar form.  Searched as one row of a row
+    form like this one, a point cost about three times as much, in 2-D
+    temporaries and index arrays, and ``maxfn --op M`` on 1000-cell inputs
+    fell from about 290 to 210 tasks/s on a 2-core host.
+    """
     lam = np.array(lam, dtype=float)
     cols = np.arange(len(ts))
     step = max(1, _BLOCK // len(ts))
-    live = np.flatnonzero((nu > 0) & (jv < len(ts)))
-    while live.size:
-        rising = []
-        for s in range(0, live.size, step):
-            r = live[s : s + step]
-            e = lam[r, None] * ts - ps
-            i = np.where(cols < nu[r, None], e, -np.inf).argmax(axis=1)
-            j = np.where(cols >= jv[r, None], e, np.inf).argmin(axis=1)
-            length = ts[j] - ts[i]
-            with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for s in range(0, len(lam), step):
+            rows, left, right = lam[s : s + step], nu[s : s + step, None], jv[s : s + step, None]
+            while True:
+                e = rows[:, None] * ts - ps
+                i = np.where(cols < left, e, -np.inf).argmax(axis=1)
+                j = np.where(cols >= right, e, np.inf).argmin(axis=1)
+                length = ts[j] - ts[i]
                 slope = (ps[j] - ps[i] - charge) / length
-            up = (length > 0.0) & (slope > lam[r])
-            lam[r[up]] = slope[up]
-            rising.append(r[up])
-        live = np.concatenate(rising)
+                up = (length > 0.0) & (slope > rows)
+                if not up.any():
+                    break
+                rows[up] = slope[up]
     return lam
 
 
-def _side_chords(
-    f: StepFunction, lefts: np.ndarray, rights: np.ndarray, i: np.ndarray, j: np.ndarray, charge: float
-) -> tuple[np.ndarray, ...]:
-    """Best averages of |f| from each left to a breakpoint v > right (R)
-    and from a breakpoint u < left to right (L), for left in the closed
-    extended cell i and right in j (module docstring).  Each is
-    c + K / (v - x), with c the value on x's cell and K measured from the
-    breakpoint next to x on that side.  Returns R and L, each also with
-    ``charge`` taken off every chord's mass; -inf where no such breakpoint
-    exists.  Points run in blocks of at most _BLOCK entries."""
+def _cell_floor(f: StepFunction, cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """C, the steepest chord of P spanning the whole cell, for the extended
+    cells ``cells`` of f (module docstring); it is the least value of Mf on
+    the cell.  Returns two arrays with extended cell i at index i + 1: C
+    with every chord's mass charged (:func:`_charge`), a certified floor,
+    and C as computed, for the upper side, whose search starts from the
+    charged value.  Entries of cells off the support, and of cells not
+    asked for, are 0.
+    """
     b, w, prefix = f._abs_arrays
-    c = np.concatenate(([0.0], w, [0.0]))
-    n, k = len(b), len(lefts)
-    xs = np.concatenate((lefts, rights))
-    cs = np.concatenate((c[i + 1], c[j + 1]))
-    q = np.minimum(np.maximum(np.concatenate((i + 1, j)), 0), n - 1)
+    own = np.unique(cells[(cells >= 0) & (cells < len(w))]) + 1
+    lo, hi = np.zeros(len(w) + 2), np.zeros(len(w) + 2)
+    # the cell's own value starts the search: a pair of breakpoints, exact
+    lo[own] = _max_chords(b, prefix, own, own, w[own - 1], _charge(prefix))
+    hi[own] = _max_chords(b, prefix, own, own, np.maximum(w[own - 1], lo[own]))
+    return lo, hi
+
+
+def _side_chords(f: StepFunction, xs: np.ndarray, cells: np.ndarray) -> tuple[np.ndarray, ...]:
+    """R and L (module docstring) at each point x of xs in the closed
+    extended cell ``cells`` of f: R(x) = c + max(0, max_v K_v / (v - x))
+    over the breakpoints v > x at or right of the cell, L its mirror, with c
+    the cell's value and K measured from the cell's end on that side.
+    Returns R and R charged, L and L charged, each chord's mass charged by
+    :func:`_charge`.  Points run in blocks of at most _BLOCK entries."""
+    b, w, prefix = f._abs_arrays
+    c = np.concatenate(([0.0], w, [0.0]))[cells + 1]
+    n, k = len(b), len(xs)
+    xs2, cs = np.tile(xs, 2), np.tile(c, 2)
+    # R from the cell's right end, over v in [j0, n); L from its left end,
+    # over u in [0, j1); a cell end at x itself is no chord
+    ends = np.minimum(np.maximum(np.concatenate((cells + 1, cells)), 0), n - 1)
+    j0 = np.concatenate((cells + 1 + (b[np.minimum(cells + 1, n - 1)] == xs), np.zeros(k, int)))
+    j1 = np.concatenate((np.full(k, n), cells + 1 - (b[np.maximum(cells, 0)] == xs)))
     # the charge lowers a chord's mass: K on the right, -K on the left
-    j0 = np.concatenate((j + 1 + (b[np.minimum(j + 1, n - 1)] == rights), np.zeros_like(i)))
-    j1 = np.concatenate((np.full_like(i, n), i + 1 - (b[np.maximum(i, 0)] == lefts)))
-    charges = np.repeat([charge, -charge], k)
-    hi = np.full(2 * k, -np.inf)
-    lo = hi.copy()
+    charges = np.repeat([_charge(prefix), -_charge(prefix)], k)
+    hi, lo = np.zeros(2 * k), np.zeros(2 * k)
     live = np.flatnonzero(j0 < j1)
     step = max(1, _BLOCK // n)
     for s in range(0, live.size, step):
@@ -360,71 +384,12 @@ def _side_chords(
         a, z = j0[r].min(), j1[r].max()
         cols = np.arange(a, z)
         inside = (cols >= j0[r, None]) & (cols < j1[r, None])
-        den = np.where(inside, b[a:z] - xs[r, None], 1.0)
-        excess = prefix[a:z] - prefix[q[r], None] - cs[r, None] * (b[a:z] - b[q[r], None])
-        hi[r] = np.where(inside, excess / den, -np.inf).max(axis=1)
-        lo[r] = np.where(inside, (excess - charges[r, None]) / den, -np.inf).max(axis=1)
+        den = np.where(inside, b[a:z] - xs2[r, None], 1.0)
+        excess = prefix[a:z] - prefix[ends[r], None] - cs[r, None] * (b[a:z] - b[ends[r], None])
+        hi[r] = np.where(inside, excess / den, 0.0).max(axis=1)
+        lo[r] = np.where(inside, (excess - charges[r, None]) / den, 0.0).max(axis=1)
     hi, lo = cs + hi, cs + lo
     return hi[:k], lo[:k], hi[k:], lo[k:]
-
-
-def _cell_floor(f: StepFunction, lefts, rights) -> np.ndarray:
-    """Certified lower bounds for min of Mf over each window [left, right]
-    (arrays of one shape, left < right).
-
-    Every interval containing a whole window contains each of its points,
-    so the best average over such intervals bounds Mf from below uniformly
-    on the window.  The candidate-endpoint lemma puts its ends at u in
-    {breakpoints <= left} or left, v in {breakpoints >= right} or right:
-    the window itself, averaged by its covered lengths; the breakpoint
-    pairs, searched by :func:`_max_chords`; and the chords from left or to
-    right, by :func:`_side_chords`.  Every chord's mass is charged four ulps
-    of max P, the rounding of the prefix sums and of the few cell sums
-    between its ends; the sup |f| clamp bounds what remains.
-    """
-    shape = np.shape(lefts)
-    lefts = np.asarray(lefts, dtype=float).reshape(-1)
-    rights = np.asarray(rights, dtype=float).reshape(-1)
-    if f.is_zero:
-        return np.zeros(shape)
-    b, w, prefix = f._abs_arrays
-    i = b.searchsorted(lefts, side="right") - 1  # b_i <= left < b_(i+1)
-    j = b.searchsorted(rights, side="left") - 1  # b_j < right <= b_(j+1)
-    charge = 4.0 * math.ulp(prefix[-1])
-    avg = window_integrals(w, prefix, window_split(b, lefts, rights)) / (rights - lefts)
-    best = _max_chords(b, prefix, i + 1, j + 1, avg, charge)
-    # an end on a breakpoint is itself a breakpoint candidate, so only
-    # windows with an end inside a cell have chords of their own
-    off = np.flatnonzero((b[np.maximum(i, 0)] != lefts) | (b[np.minimum(j + 1, len(b) - 1)] != rights))
-    _, r_lo, _, l_lo = _side_chords(f, lefts[off], rights[off], i[off], j[off], charge)
-    best[off] = np.maximum.reduce([best[off], r_lo, l_lo])
-    return np.minimum(best, f.sup_abs()).reshape(shape)
-
-
-class _Split:
-    """Mf of f cell by cell as max(C, R, L) (module docstring).  Extended
-    cell i is cell i of f for 0 <= i < m, the half-line left of the support
-    for i = -1 and the one right of it for i = m; C is 0 on both."""
-
-    def __init__(self, f: StepFunction):
-        b, w, prefix = f._abs_arrays
-        own = np.arange(1, len(w) + 1)
-        self.f = f
-        self.charge = 4.0 * math.ulp(prefix[-1])
-        # per extended cell i, at index i + 1: |f|, C charged, and C, whose
-        # search starts from the charged value, a lower bound of it
-        self.c = np.concatenate(([0.0], w, [0.0]))
-        c_lo = _cell_floor(f, b[:-1], b[1:])
-        self.c_lo = np.concatenate(([0.0], c_lo, [0.0]))
-        self.c_hi = np.concatenate(([0.0], _max_chords(b, prefix, own, own, np.maximum(w, c_lo)), [0.0]))
-
-    def at(self, xs: np.ndarray, cells: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Mf, and R and L with every chord's mass charged, at the points xs
-        of the extended cells ``cells`` (cell ends included)."""
-        c = self.c[cells + 1]
-        r_hi, r_lo, l_hi, l_lo = _side_chords(self.f, xs, xs, cells, cells, self.charge)
-        mf = np.minimum(np.maximum.reduce([self.c_hi[cells + 1], r_hi, l_hi]), self.f.sup_abs())
-        return mf, np.maximum(r_lo, c), np.maximum(l_lo, c)
 
 
 _MAX_ENVELOPE_CELLS = 200_000
@@ -444,8 +409,9 @@ def maximal_envelope(
     docstring).  A sub-cell [a, b] gets the upper value max(Mf(a), Mf(b)),
     exact because R rises and L falls, and the lower value
     max(C, R(a), L(b)) with every chord's mass charged, the best average
-    over the intervals containing it.  C comes once per cell of f, R and L
-    once per grid point; no cell runs a search of its own.  Cells are
+    over the intervals containing it.  C comes once per cell of f that
+    meets the hull, R and L once per grid point; no cell runs a search of
+    its own.  Cells are
     bisected level by level until (upper - lower) <= tol * upper or the
     depth cap; ``depth_capped`` on the result counts the cells accepted at
     the cap with the gap still open.  The lower envelope is a valid global
@@ -460,13 +426,21 @@ def maximal_envelope(
         return EnvelopePair(z, z)
     hull = hull or default_hull(f)
     b = f._abs_arrays[0]
-    split = _Split(f)
+    sup = f.sup_abs()
     pts = np.concatenate(([hull.left], b[(b > hull.left) & (b < hull.right)], [hull.right]))
     left, right = pts[:-1], pts[1:]
+    # refinement never leaves these cells, so C is needed on them alone
     cells = b.searchsorted(left, side="right") - 1
+    c_lo, c_hi = _cell_floor(f, cells)
+
+    def split(xs: np.ndarray, at: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        # Mf, and R and L charged, at points xs of the extended cells ``at``
+        r_hi, r_lo, l_hi, l_lo = _side_chords(f, xs, at)
+        return np.minimum(np.maximum.reduce([c_hi[at + 1], r_hi, l_hi]), sup), r_lo, l_lo
+
     # a breakpoint on the grid ends two cells of f: R and L come from each,
     # Mf from the cell on its right, so both cells see one value
-    mf, r_lo, l_lo = split.at(np.concatenate((left, right)), np.tile(cells, 2))
+    mf, r_lo, l_lo = split(np.concatenate((left, right)), np.tile(cells, 2))
     k = len(left)
     mf = np.append(mf[:k], mf[-1])
     mf_l, mf_r, r_lo, l_lo = mf[:-1], mf[1:], r_lo[:k], l_lo[k:]
@@ -480,7 +454,7 @@ def maximal_envelope(
     for depth in range(max(refine.max_depth, 0) + 1):
         hi_ends = np.maximum(mf_l, mf_r)
         hi = np.maximum(hi_ends, upper_floor)
-        lo = np.minimum(np.maximum(split.c_lo[cells + 1], np.maximum(r_lo, l_lo)), f.sup_abs())
+        lo = np.minimum(np.maximum.reduce([c_lo[cells + 1], r_lo, l_lo]), sup)
         open_ = ~((hi - lo <= refine.tol * hi) | (hi <= 0.0) | (upper_floor >= hi_ends))
         mid = 0.5 * (left + right)
         divide = open_ & (left < mid) & (mid < right)
@@ -496,7 +470,7 @@ def maximal_envelope(
                 "envelope refinement exceeded the cell budget; loosen tol or max_depth"
             )
         xm, cells = mid[divide], cells[divide]
-        mf_m, r_m, l_m = split.at(xm, cells)
+        mf_m, r_m, l_m = split(xm, cells)
         left, right = halves(left[divide], xm), halves(xm, right[divide])
         mf_l, mf_r = halves(mf_l[divide], mf_m), halves(mf_m, mf_r[divide])
         r_lo, l_lo = halves(r_lo[divide], r_m), halves(l_m, l_lo[divide])

@@ -10,7 +10,7 @@ from morreylab.maxops import (
     RefinePolicy,
     _candidate_arrays,
     _cell_floor,
-    _Split,
+    _side_chords,
     brute_force_maximal,
     commutator,
     commutator_envelope,
@@ -178,15 +178,45 @@ class TestMaximal:
             assert abs(exact - dense) <= 1e-6 * max(1.0, exact)
 
 
+def extended_cells(f, xs):
+    """The extended cell of f holding each point: -1 left of the support,
+    m right of it, and the cell on its right at a breakpoint."""
+    return f._abs_arrays[0].searchsorted(np.asarray(xs, dtype=float), side="right") - 1
+
+
+def split_maximal(f, xs, cells=None):
+    """Mf at xs from the per-cell split max(C, R, L), each point in the
+    extended cell that holds it unless ``cells`` is given."""
+    xs = np.asarray(xs, dtype=float)
+    cells = extended_cells(f, xs) if cells is None else np.asarray(cells)
+    _, c = _cell_floor(f, cells)
+    r, _, l, _ = _side_chords(f, xs, cells)
+    return np.minimum(np.maximum.reduce([c[cells + 1], r, l]), f.sup_abs())
+
+
+def split_floor(f, left, right):
+    """The envelope's floor max(C, R(left), L(right)) of a window inside one
+    extended cell of f, every chord's mass charged."""
+    cell = extended_cells(f, [left])
+    c, _ = _cell_floor(f, cell)
+    _, r, _, _ = _side_chords(f, np.array([left]), cell)
+    _, _, _, l = _side_chords(f, np.array([right]), cell)
+    return min(max(c[cell[0] + 1], r[0], l[0]), f.sup_abs())
+
+
 class TestCellFloor:
     def test_against_pair_scan_and_maximal(self):
         rng = np.random.default_rng(25)
         for i in range(400):
             f = random_step(rng, max_cells=300 if i % 8 == 0 else 20)
             left = float(rng.uniform(-3.0, 3.0))
-            width = float(10.0 ** rng.uniform(-9.0, 0.0))
+            # the envelope's windows lie in one cell of f
+            b = f.breakpoints
+            cell = int(extended_cells(f, [left])[0])
+            end = b[cell + 1] if cell + 1 < len(b) else math.inf
+            width = min(float(10.0 ** rng.uniform(-9.0, 0.0)), end - left)
             right = left + width
-            got = _cell_floor(f, left, right)
+            got = split_floor(f, left, right)
             oracle = pair_scan_cell_floor(f, left, right)
             assert got <= oracle * (1.0 + 1e-12)
             if width >= 1e-6:
@@ -202,7 +232,7 @@ class TestCellFloor:
         rng = np.random.default_rng(26)
         for left in rng.uniform(0.1, 0.9, 100):
             for width in (1e-12, 1e-11, 1e-10):
-                got = _cell_floor(f, float(left), float(left) + width)
+                got = split_floor(f, float(left), float(left) + width)
                 assert 2.0 <= got <= 2.0 * (1.0 + 1e-12)
 
     def test_prefix_rounding_never_lifts_floor_above_mf(self):
@@ -213,16 +243,27 @@ class TestCellFloor:
         rng = np.random.default_rng(27)
         for width in (1e-9, 1e-6):
             for left in rng.uniform(0.1, 0.9, 200):
-                assert _cell_floor(f, float(left), float(left) + width) <= 2.0
+                assert split_floor(f, float(left), float(left) + width) <= 2.0
 
+    def test_charge_covers_the_rounding_of_k(self):
+        # K over a tiny cell next to x is a difference of prefix sums near
+        # 102, so it carries an ulp of 102; uncharged, the floor read up to
+        # 0.5 % above the exact Mf on these windows
+        rng = np.random.default_rng(28)
+        for eps in 10.0 ** rng.uniform(-13.0, -11.0, 20):
+            f = StepFunction((-1000.0, -999.0, 0.0, 1.0, 1.0 + eps), (100.0, 0.0, 2.0, 3.0))
+            for d in 10.0 ** rng.uniform(-14.0, -10.0, 20):
+                left, right = 1.0 - d, 1.0 - d / 2.0
+                got = Fraction(split_floor(f, left, right))
+                assert got <= min(exact_maximal(f, left), exact_maximal(f, right))
 
-def split_maximal(f, xs, cells=None):
-    """Mf at xs from the per-cell split, each point in the cell of f (or
-    half-line off the support) that holds it unless ``cells`` is given."""
-    xs = np.asarray(xs, dtype=float)
-    if cells is None:
-        cells = f._abs_arrays[0].searchsorted(xs, side="right") - 1
-    return _Split(f).at(xs, np.asarray(cells))[0]
+    def test_only_the_cells_asked_for(self):
+        # C is searched on the given cells of f alone, and is 0 off the support
+        f = StepFunction((0.0, 1.0, 2.0, 3.0), (1.0, 4.0, 2.0))
+        lo, hi = _cell_floor(f, np.array([-1, 1, 3]))
+        assert lo[[0, 1, 3, 4]].tolist() == [0.0] * 4
+        assert hi[[0, 1, 3, 4]].tolist() == [0.0] * 4
+        assert lo[2] <= hi[2] == 4.0
 
 
 class TestSplit:
@@ -272,8 +313,9 @@ class TestSplit:
                 assert env.upper(x) >= maximal(f, x) * (1.0 - 1e-13)
 
     def test_zero_and_single_cell(self):
+        # the zero function has no cells to split: its envelope is zero
+        # before any split (TestEnvelopes.test_zero)
         xs = np.linspace(-3.0, 4.0, 71)
-        assert np.all(split_maximal(StepFunction.zero(), xs) == 0.0)
         self.assert_matches(CHI01, xs)
         f = StepFunction.indicator(-0.25, 2.0, 3.5)
         self.assert_matches(f, xs)
