@@ -634,7 +634,7 @@ def suite_holder(seed: int = 7, n_pairs: int = 200) -> dict:
         f = random_step_function(rng, 10, signed=False)
         a = float(rng.uniform(-0.5, 0.5))
         q = Interval(a, a + float(rng.uniform(0.2, 1.5)))
-        lux = luxemburg_average(f, q, LLOG, 1e-9)
+        lux = luxemburg_average(f, q, LLOG)
         if lux > 0.0:
             worst_resid = max(worst_resid, abs(gauge_average(f, q, LLOG, lux) - 1.0))
             func = llog_functional(f, q)

@@ -497,6 +497,7 @@ def iterated_maximal(
     mediant inequality, which is folded in as ``upper_floor``.  The lower
     side applies the certified envelope machinery to the lower envelope of
     Mf, a genuine global minorant, and is capped pointwise by the upper side.
+    ``depth_capped`` sums the counts of the three envelopes, both levels.
     """
     refine = refine or RefinePolicy()
     if f.is_zero:
@@ -505,7 +506,7 @@ def iterated_maximal(
     inner_hull = hull or default_hull(f)
     outer_hull = inner_hull.expanded(inner_hull.length)
     env1 = maximal_envelope(f, refine, outer_hull)
-    lower2 = maximal_envelope(env1.lower, refine, inner_hull).lower
+    env2_lo = maximal_envelope(env1.lower, refine, inner_hull)
     supp = f.support_hull()
     assert supp is not None
     mass = integrate(f.abs(), supp)
@@ -513,10 +514,12 @@ def iterated_maximal(
         mass / (outer_hull.right - supp.right),
         mass / (supp.left - outer_hull.left),
     )
-    upper2 = maximal_envelope(env1.upper, refine, inner_hull, upper_floor=tail).upper
+    env2_hi = maximal_envelope(env1.upper, refine, inner_hull, upper_floor=tail)
+    upper2 = env2_hi.upper
     # the two sides are rounded separately and can cross by an ulp where
     # they close on a plateau; lowering a lower bound keeps it certified
-    return EnvelopePair(combine(lower2, upper2, min), upper2)
+    capped = env1.depth_capped + env2_lo.depth_capped + env2_hi.depth_capped
+    return EnvelopePair(combine(env2_lo.lower, upper2, min), upper2, depth_capped=capped)
 
 
 def commutator_envelope(
@@ -530,7 +533,7 @@ def commutator_envelope(
     On each cell of b's partition the symbol value beta is constant, so
     C_b(f) coincides there with the maximal function of the fixed step
     function |beta - b(.)| |f(.)|; the pieces are bracketed independently
-    and concatenated.
+    and concatenated, and ``depth_capped`` sums their counts.
     """
     refine = refine or RefinePolicy()
     if f.is_zero:
@@ -543,10 +546,12 @@ def commutator_envelope(
     lo_bp: list[float] = []
     lo_vals: list[float] = []
     hi_vals: list[float] = []
+    capped = 0
     for left, right in zip(pts[:-1], pts[1:]):
         beta = b(left)
         g = combine(b, f, lambda bv, fv: abs(beta - bv) * abs(fv))
         piece = maximal_envelope(g, refine, Interval(left, right))
+        capped += piece.depth_capped
         grid = sorted({left, right} | {p for p in piece.lower.breakpoints if left < p < right}
                       | {p for p in piece.upper.breakpoints if left < p < right})
         for a, c in zip(grid[:-1], grid[1:]):
@@ -559,7 +564,7 @@ def commutator_envelope(
     if not lo_vals:
         z = StepFunction.zero()
         return EnvelopePair(z, z)
-    return EnvelopePair(StepFunction(lo_bp, lo_vals), StepFunction(lo_bp, hi_vals))
+    return EnvelopePair(StepFunction(lo_bp, lo_vals), StepFunction(lo_bp, hi_vals), depth_capped=capped)
 
 
 # ---------------------------------------------------------------------------

@@ -2,11 +2,11 @@
 
 The two gauges in play are the Zygmund gauge t*(1+log+ t) and the
 exponential gauge e^t - 1 (normalized so it vanishes at 0).  The gauge
-integral of a step function is a finite closed-form sum, so the llog
-Luxemburg average is solved exactly and only the exp gauge bisects (to
-``tol``); the weak average's inner supremum over t is a finite exact
-maximum over the jump levels of the distribution function, so it has a
-closed form.
+integral of a step function is a finite closed-form sum, so both
+Luxemburg averages are roots of explicit functions, each reached by a
+monotone Newton iteration that needs no bracket and no tolerance; the
+weak average's inner supremum over t is a finite exact maximum over the
+jump levels of the distribution function, so it has a closed form.
 
 The llog root.  On a window Q let S = int_Q |f| and, for a > 0,
 U(a) = sum of l_v v and W(a) = sum of l_v v log v over the values v > a
@@ -20,7 +20,21 @@ below it again.  Started from max(segment floor, mean_Q |f|), both at
 most the root as gauge(t) >= t, the iterates rise monotonically, and the
 solve stops when they stop rising; no bracket or guard is needed.
 
-Two solvers use this, chosen by call shape.  ``luxemburg_average`` solves
+The exp root.  With cells of length l_i and value v_i on Q, put s = 1/alpha
+and G(s) = sum l_i expm1(v_i s) / |Q| - 1, which is convex and increasing;
+the Luxemburg average is 1/s at the root of G.  Start from
+
+    s0 = min(|Q| / int_Q |f|,  min_i log1p(|Q| / l_i) / v_i).
+
+Each term alone forces G >= 0: at the first, sum l_i expm1(v_i s) >=
+s int_Q |f| = |Q|; at the i-th of the second, cell i alone contributes
+|Q|.  So s0 is at or above the root, and every exponent v_i s0 is at most
+log1p(|Q| / l_i), so nothing overflows.  A Newton step from above a root
+of a convex increasing function lands above it again, so the iterates
+fall monotonically; the solve stops when they stop falling and returns
+1/s.
+
+Two llog solvers exist, chosen by call shape.  ``luxemburg_average`` solves
 one window in scalar arithmetic over its cells.  ``_llog_rows`` solves a
 whole interval family at once over the level sweep
 (``stepfn.level_measures``), the same sweep folding in the llog
@@ -51,10 +65,6 @@ __all__ = [
     "holder_check",
     "orlicz_maximal",
 ]
-
-_ABS_TOL = 1e-12
-_MAX_BISECT = 200
-
 
 def log_plus(t: float) -> float:
     """max(log t, 0); natural logarithm throughout."""
@@ -109,37 +119,18 @@ def gauge_average(f: StepFunction, window: Interval, gauge: OrliczGauge, alpha: 
     return float(np.sum(lens * gauge.apply(vals / alpha))) / window.length
 
 
-def _luxemburg_bisection(
-    lens: np.ndarray, vals: np.ndarray, area: float, gauge: OrliczGauge, tol: float
-) -> float:
-    """Reference bisection for inf{alpha : avg gauge(|f|/alpha) <= 1}.
-
-    Bracket: the mean of |f| from below (gauge(t) >= t), and the essential
-    sup from above for the llog gauge (gauge <= 1 on [0, 1]) or sup/ln 2
-    for the exp gauge.
-    """
-
-    def g(alpha: float) -> float:
-        return float(np.sum(lens * gauge.apply(vals / alpha))) / area
-
-    mean = float(np.sum(lens * vals)) / area
-    sup = float(np.max(vals))
-    lo = max(mean, 1e-300)
-    hi = sup if gauge.kind == "llog" else sup / math.log(2.0)
-    if hi <= lo:
-        hi = lo
-    if g(hi) > 1.0:  # only at the degenerate boundary; widen defensively
-        while g(hi) > 1.0:
-            hi *= 2.0
-    for _ in range(_MAX_BISECT):
-        if hi - lo <= max(tol * hi, _ABS_TOL):
-            return 0.5 * (lo + hi)
-        mid = 0.5 * (lo + hi)
-        if g(mid) > 1.0:
-            lo = mid
-        else:
-            hi = mid
-    raise RuntimeError("luxemburg bisection failed to converge")
+def _luxemburg_exp_exact(lens: np.ndarray, vals: np.ndarray, area: float) -> float:
+    """Exp-gauge Luxemburg root of one window: Newton in s = 1/alpha,
+    falling monotonically onto the root from an overflow-free start
+    (module docstring)."""
+    lv = lens * vals
+    s = min(area / float(np.sum(lv)), float(np.min(np.log1p(area / lens) / vals)))
+    while True:
+        em = np.expm1(vals * s)
+        new = s - (float(np.sum(lens * em)) - area) / float(np.sum(lv * (em + 1.0)))
+        if not new < s:
+            return 1.0 / s
+        s = new
 
 
 def _luxemburg_llog_exact(lens: np.ndarray, vals: np.ndarray, area: float) -> float:
@@ -200,22 +191,20 @@ def _llog_rows(f: StepFunction, lefts: np.ndarray, rights: np.ndarray) -> tuple[
     return lux, func
 
 
-def luxemburg_average(
-    f: StepFunction, window: Interval, gauge: OrliczGauge = LLOG, tol: float = 1e-9
-) -> float:
+def luxemburg_average(f: StepFunction, window: Interval, gauge: OrliczGauge = LLOG) -> float:
     """inf{alpha > 0 : gauge_average(f, I, gauge, alpha) <= 1}, the root of
-    the decreasing gauge-average constraint: exact for the llog gauge
-    (module docstring), bisected to ``tol`` on [mean, sup/ln 2] for the exp
-    gauge.  Returns 0 when f vanishes a.e. on the window."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    the decreasing gauge-average constraint, solved by a monotone Newton
+    iteration with no bracket for either gauge: rising onto the llog root
+    from below, falling onto the exp root in s = 1/alpha from a start
+    where no exponent can overflow (module docstring).  Returns 0 when f
+    vanishes a.e. on the window."""
     lens, vals = _clipped_cells(f, window)
     if len(lens) == 0:
         return 0.0
     area = window.length
     if gauge.kind == "llog":
         return _luxemburg_llog_exact(lens, vals, area)
-    return _luxemburg_bisection(lens, vals, area, gauge, tol)
+    return _luxemburg_exp_exact(lens, vals, area)
 
 
 def _weak_level_data(f: StepFunction, window: Interval) -> tuple[np.ndarray, np.ndarray]:
@@ -262,9 +251,7 @@ def llog_functional(f: StepFunction, window: Interval) -> float:
     return float(np.sum(lens * terms)) / window.length
 
 
-def holder_check(
-    f: StepFunction, h: StepFunction, window: Interval, tol: float = 1e-10
-) -> tuple[float, float]:
+def holder_check(f: StepFunction, h: StepFunction, window: Interval) -> tuple[float, float]:
     """Two sides of the generalized Holder inequality on the window:
     mean |f h| against the product of the llog and exp Luxemburg averages.
 
@@ -277,7 +264,7 @@ def holder_check(
     """
     prod = combine(f, h, lambda a, b: a * b)
     lhs = average(prod.abs(), window)
-    rhs = luxemburg_average(f, window, LLOG, tol) * luxemburg_average(h, window, EXP, tol)
+    rhs = luxemburg_average(f, window, LLOG) * luxemburg_average(h, window, EXP)
     return lhs, rhs
 
 

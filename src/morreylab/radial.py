@@ -8,11 +8,39 @@ Two nesting levels suffice for everything here, so the representation
 carries polynomial coefficients plus log and log^2 coefficients and
 refuses a third level.
 
-The functionals take the supremum over x > 0 of x^(lam - n) * P(x); each
-piece contributes its endpoints plus the interior sign changes of the
-derivative factor (lam - n) P(x) + x P'(x), located by dense sampling and
-bisection; past the last breakpoint the polynomial part is constant and
-the critical points solve a quadratic in log x, appended analytically.
+The functionals take the supremum over x > 0 of h(x) = x^shift * P(x),
+shift = lam - n < 0, over every piece's ends and critical points.
+
+The Rolle ladder.  On a finite piece put u = log x, t = e^u and D = d/du.
+With P = sum c_k t^k + log1 u + log2 u^2, dh/du = e^(shift u) g(u) where
+
+    g = shift P + DP = sum_{k>=1} d_k e^(ku) + b2 u^2 + b1 u + b0,
+    d_k = (shift + k) c_k,  b2 = shift log2,  b1 = shift log1 + 2 log2,
+    b0 = shift c_0 + log1,
+
+so the piece's supremum sits at an end or a sign change of g.  D^2 g =
+e(t) = sum k^2 d_k t^k + 2 b2 is a polynomial in t, whose derivatives end
+in a constant.  Each rung f of the ladder is solved the same way.
+Between consecutive roots of f', f is monotone and has at most one root,
+which exists iff f changes sign between the two ends.  If
+the cell is also split at the roots of f'', the convexity is fixed too, so
+Newton started from the end with the larger |f'| (where f and f'' share a
+sign) falls monotonically onto the root without overshooting; it stops
+when it stops advancing.  Climbing e's derivatives from the constant down
+to e (in t), then Dg (derivative e, second derivative t e'(t)) and g
+(derivative Dg, second derivative e) in u, finds every sign change of g:
+no critical point can hide between samples, because nothing is sampled.
+A piece starting at 0 is searched from right * 1e-12; for the inner
+integral and its antiderivatives the first piece is C x^n, so h = C x^lam
+only rises there.  Past the last breakpoint the polynomial part is
+constant and the critical points solve a quadratic in log x.
+
+The candidate set is complete, so ``value`` is the supremum up to the
+rounding of h at a root found to a few ulps (the maximum is flat to first
+order there) and of g's sign within rounding of zero, where h moves by a
+rounding amount.  ``upper_bound = value * (1 + 1e-9)`` is that rounding
+margin, not a tolerance on a search: it leaves room for P to lose up to
+about seven digits to cancellation between its terms.
 """
 
 from __future__ import annotations
@@ -20,8 +48,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-
-import numpy as np
 
 from .maxops import RadialProfile
 from .norms import NormEstimate
@@ -36,8 +62,13 @@ __all__ = [
     "hardy_reduction_check",
 ]
 
-_SAMPLES_PER_PIECE = 33
-_BISECT_STEPS = 80
+
+def _poly(coeffs, t: float) -> float:
+    """sum coeffs[k] t^k, by Horner's rule."""
+    acc = 0.0
+    for c in reversed(coeffs):
+        acc = acc * t + c
+    return acc
 
 
 @dataclass(frozen=True)
@@ -49,24 +80,11 @@ class PolyLogPiece:
     log2: float = 0.0
 
     def __call__(self, t: float) -> float:
-        acc = 0.0
-        for k in reversed(range(len(self.coeffs))):
-            acc = acc * t + self.coeffs[k]
+        acc = _poly(self.coeffs, t)
         if self.log1 or self.log2:
             lt = math.log(t)
             acc += self.log1 * lt + self.log2 * lt * lt
         return acc
-
-    def derivative_factor(self, t: float, shift: float) -> float:
-        """shift * P(t) + t * P'(t), the sign factor of d/dt [t^shift P]."""
-        tp = 0.0
-        for k in reversed(range(1, len(self.coeffs))):
-            tp = tp * t + k * self.coeffs[k]
-        tp *= t
-        tp += self.log1
-        if self.log2:
-            tp += 2.0 * self.log2 * math.log(t)
-        return shift * self(t) + tp
 
 
 @dataclass(frozen=True)
@@ -166,6 +184,62 @@ def inner_integral(p: RadialProfile) -> PiecewiseLogPoly:
     return PiecewiseLogPoly(tuple(pieces))
 
 
+def _sign_roots(f, df, pts: list[float]) -> list[float]:
+    """Roots of f at its sign changes between consecutive sorted points
+    ``pts``, on each of whose cells f is monotone and f'' keeps one sign.
+    Newton starts from the end with the larger |f'|, where f and f'' share
+    a sign, so it never overshoots, and stops when it stops advancing."""
+    out = []
+    vals = [f(x) for x in pts]
+    for a, b, fa, fb in zip(pts, pts[1:], vals, vals[1:]):
+        if fa < 0.0 < fb or fb < 0.0 < fa:
+            da, db = df(a), df(b)
+            z, fz, dz, step = (a, fa, da, 1.0) if abs(da) >= abs(db) else (b, fb, db, -1.0)
+            while True:
+                new = z - fz / dz
+                if not (step * (new - z) > 0.0 and a <= new <= b):
+                    break
+                z, fz, dz = new, f(new), df(new)
+            out.append(z)
+    return out
+
+
+def _cells(a: float, b: float, *inner: list[float]) -> list[float]:
+    """a, b and the inner points strictly between them, sorted."""
+    return sorted({a, b, *(x for xs in inner for x in xs if a < x < b)})
+
+
+def _piece_critical(piece: PolyLogPiece, shift: float, lo: float) -> list[float]:
+    """Every sign change of g = shift*P + x*P' on [lo, piece.right], the
+    critical points of x^shift * P(x), by the Rolle ladder in u = log x
+    (module docstring)."""
+    c = list(piece.coeffs) or [0.0]
+    d = [(shift + k) * c[k] for k in range(len(c))]
+    b2, b1, b0 = shift * piece.log2, shift * piece.log1 + 2.0 * piece.log2, shift * c[0] + piece.log1
+    g0 = [b0] + d[1:]  # g = g0(t) + (b2 u + b1) u
+    g1 = [b1] + [k * d[k] for k in range(1, len(d))]  # Dg = g1(t) + 2 b2 u
+    chain = [[2.0 * b2] + [k * k * d[k] for k in range(1, len(d))]]  # D^2 g = e(t)
+    while len(chain[-1]) > 1:
+        chain.append([k * chain[-1][k] for k in range(1, len(chain[-1]))])
+    # down e's derivatives in t; roots[0] and roots[1] hold the roots of
+    # chain[i + 1] and chain[i + 2], none for the constant top one
+    ta, tb = lo, piece.right
+    roots: list[list[float]] = [[], []]
+    for i in range(len(chain) - 2, -1, -1):
+        lower, upper = chain[i], chain[i + 1]
+        roots.insert(0, _sign_roots(lambda t: _poly(lower, t), lambda t: _poly(upper, t),
+                                    _cells(ta, tb, roots[0], roots[1])))
+    ua, ub = math.log(ta), math.log(tb)
+    e0, e1 = ([math.log(t) for t in r] for r in roots[:2])
+
+    def dg(u: float) -> float:
+        return _poly(g1, math.exp(u)) + 2.0 * b2 * u
+
+    r1 = _sign_roots(dg, lambda u: _poly(chain[0], math.exp(u)), _cells(ua, ub, e0, e1))
+    r0 = _sign_roots(lambda u: _poly(g0, math.exp(u)) + (b2 * u + b1) * u, dg, _cells(ua, ub, r1, e0))
+    return [min(max(math.exp(u), ta), tb) for u in r0]
+
+
 def _sup_weighted(P: PiecewiseLogPoly, lam: float, n: int) -> tuple[float, float]:
     """(sup, argmax) of x^(lam - n) * P(x) over x > 0."""
     shift = lam - n
@@ -184,21 +258,8 @@ def _sup_weighted(P: PiecewiseLogPoly, lam: float, n: int) -> tuple[float, float
             lo = piece.left if piece.left > 0 else piece.right * 1e-12
             if lo >= piece.right:
                 continue
-            xs = np.linspace(lo, piece.right, _SAMPLES_PER_PIECE)
-            ds = [piece.derivative_factor(float(x), shift) for x in xs]
-            for x in (lo, piece.right):
-                consider(float(x), piece)
-            for a, b, da, db in zip(xs, xs[1:], ds, ds[1:]):
-                consider(float(a), piece)
-                if da * db < 0.0:
-                    leftx, rightx = float(a), float(b)
-                    for _ in range(_BISECT_STEPS):
-                        mid = 0.5 * (leftx + rightx)
-                        if piece.derivative_factor(mid, shift) * da > 0.0:
-                            leftx = mid
-                        else:
-                            rightx = mid
-                    consider(0.5 * (leftx + rightx), piece)
+            for x in (lo, piece.right, *_piece_critical(piece, shift, lo)):
+                consider(x, piece)
         else:
             # constant-plus-logs tail: critical points solve a quadratic in
             # log x:  shift*(a0 + c1 u + c2 u^2) + c1 + 2 c2 u = 0
@@ -207,6 +268,11 @@ def _sup_weighted(P: PiecewiseLogPoly, lam: float, n: int) -> tuple[float, float
             qa = shift * c2
             qb = shift * c1 + 2.0 * c2
             qc = shift * a0 + c1
+            # scaled by a power of two (exactly) to unit size, so that
+            # qb^2 - 4 qa qc cannot underflow or overflow for tiny or huge
+            # profiles
+            e = -math.frexp(max(abs(qa), abs(qb), abs(qc)))[1]
+            qa, qb, qc = math.ldexp(qa, e), math.ldexp(qb, e), math.ldexp(qc, e)
             roots: list[float] = []
             if qa == 0.0:
                 if qb != 0.0:

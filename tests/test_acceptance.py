@@ -85,7 +85,7 @@ def test_criterion_02_indicator_closed_forms():
 def test_criterion_03_luxemburg_calibration_and_sandwich():
     for size in (0.25, 1.0, 3.0):
         q = Interval(0.0, size)
-        got = luxemburg_average(StepFunction.indicator(0.0, size), q, LLOG, 1e-10)
+        got = luxemburg_average(StepFunction.indicator(0.0, size), q, LLOG)
         assert got == pytest.approx(1.0, abs=1e-8)
     rng = np.random.default_rng(103)
     worst_resid = 0.0
@@ -94,7 +94,7 @@ def test_criterion_03_luxemburg_calibration_and_sandwich():
         for _ in range(20):
             a = float(rng.uniform(-0.5, 0.8))
             q = Interval(a, a + float(rng.uniform(0.05, 1.6)))
-            lux = luxemburg_average(f, q, LLOG, 1e-9)
+            lux = luxemburg_average(f, q, LLOG)
             func = llog_functional(f, q)
             if lux == 0.0:
                 assert func == 0.0

@@ -379,6 +379,28 @@ class TestEnvelopeFloors:
         assert maximal_envelope(CHI01, RefinePolicy(tol=0.5), Interval(-9.0, 10.0)).depth_capped == 0
         assert set(env.to_json_obj()) == {"lower", "upper"}
 
+    def test_depth_cap_count_passed_on(self):
+        policy = RefinePolicy(tol=0.5, max_depth=2)
+        hull = Interval(-9.0, 10.0)
+        # the first level, on the doubled hull (-28, 29), leaves (-7, 0) and
+        # (1, 8) open; the lower second level leaves two more, and the upper
+        # one closes on its tail floor
+        env = iterated_maximal(CHI01, policy, hull)
+        assert env.depth_capped == 4
+        assert env.depth_capped == (
+            maximal_envelope(CHI01, policy, hull.expanded(hull.length)).depth_capped + 2
+        )
+        # b = chi_(0,1) vanishes |beta - b| f on (0, 1); on (-9, 0) and (1, 10)
+        # the piece is Mf of chi_(0,1), with (-2.25, 0) and (1, 3.25) open
+        comm = commutator_envelope(CHI01, CHI01, policy, hull)
+        assert comm.depth_capped == 2
+        assert comm.depth_capped == sum(
+            maximal_envelope(CHI01, policy, Interval(a, b)).depth_capped for a, b in ((-9.0, 0.0), (1.0, 10.0))
+        )
+        assert iterated_maximal(CHI01, RefinePolicy(tol=0.5), hull).depth_capped == 0
+        assert commutator_envelope(CHI01, CHI01, RefinePolicy(tol=0.5), hull).depth_capped == 0
+        assert set(env.to_json_obj()) == set(comm.to_json_obj()) == {"lower", "upper"}
+
 
 class TestFractionalMaximal:
     def test_alpha_zero_is_maximal(self):

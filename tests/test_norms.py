@@ -395,7 +395,7 @@ class TestZygmundMorrey:
             f = random_step(rng, max_cells=6)
             est = zygmund_morrey_norm(f, 0.5, FamilySpec(depth=5))
             q = est.argmax_interval
-            again = q.length**0.5 * luxemburg_average(f, q, LLOG, 1e-9)
+            again = q.length**0.5 * luxemburg_average(f, q, LLOG)
             assert again == pytest.approx(est.value, rel=1e-9)
 
     def test_domain(self):

@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from morreylab.families import FamilySpec, resolve_family
 from morreylab.orlicz import (
     EXP,
     LLOG,
     OrliczGauge,
+    _clipped_cells,
     gauge_average,
     holder_check,
     llog_functional,
@@ -29,6 +32,47 @@ def random_step(rng, max_cells=12):
         bp = np.sort(rng.uniform(-2.0, 2.0, n + 1))
     vals = np.exp(rng.uniform(np.log(2.0**-8), np.log(2.0**8), n))
     return StepFunction(bp, vals)
+
+
+def luxemburg_bisection(lens, vals, area, gauge, tol):
+    """Reference bisection for inf{alpha : avg gauge(|f|/alpha) <= 1}.
+
+    Bracket: the mean of |f| from below (gauge(t) >= t), and the essential
+    sup from above for the llog gauge (gauge <= 1 on [0, 1]) or sup/ln 2
+    for the exp gauge; halved until the gap is within tol relative or
+    1e-12 absolute.
+    """
+
+    def g(alpha):
+        with np.errstate(over="ignore"):
+            return float(np.sum(lens * gauge.apply(vals / alpha))) / area
+
+    lo = max(float(np.sum(lens * vals)) / area, 1e-300)
+    hi = max(float(np.max(vals)) / (1.0 if gauge.kind == "llog" else math.log(2.0)), lo)
+    while g(hi) > 1.0:  # only at the degenerate boundary; widen defensively
+        hi *= 2.0
+    for _ in range(200):
+        if hi - lo <= max(tol * hi, 1e-12):
+            return 0.5 * (lo + hi)
+        mid = 0.5 * (lo + hi)
+        if g(mid) > 1.0:
+            lo = mid
+        else:
+            hi = mid
+    raise RuntimeError("luxemburg bisection failed to converge")
+
+
+@st.composite
+def step_and_window(draw, max_cells=8):
+    """A positive step function of up to ``max_cells`` cells and a window
+    meeting its support."""
+    n = draw(st.integers(1, max_cells))
+    widths = draw(st.lists(st.floats(0.01, 2.0), min_size=n, max_size=n))
+    vals = draw(st.lists(st.floats(2.0**-8, 2.0**8), min_size=n, max_size=n))
+    bp = draw(st.floats(-2.0, 2.0)) + np.concatenate(([0.0], np.cumsum(widths)))
+    left = draw(st.floats(float(bp[0]) - 1.0, float(bp[-1]) - 0.01))
+    right = draw(st.floats(max(left, float(bp[0])) + 0.01, max(left, float(bp[0])) + 4.0))
+    return StepFunction(bp, vals), Interval(left, right)
 
 
 class TestGauge:
@@ -65,7 +109,7 @@ class TestGaugeAverage:
 
 class TestLuxemburg:
     def test_chi_is_one(self):
-        assert luxemburg_average(CHI01, Q01, LLOG, 1e-10) == pytest.approx(1.0, abs=1e-8)
+        assert luxemburg_average(CHI01, Q01, LLOG) == pytest.approx(1.0, abs=1e-8)
 
     def test_zero(self):
         assert luxemburg_average(StepFunction.zero(), Q01, LLOG) == 0.0
@@ -74,12 +118,12 @@ class TestLuxemburg:
     def test_two_chi_root(self):
         # (2/a)(1 + log(2/a)) = 1 has the root a = 2 (independent bisection
         # oracle agreed to 1e-9)
-        got = luxemburg_average(CHI01.scale(2.0), Q01, LLOG, 1e-10)
+        got = luxemburg_average(CHI01.scale(2.0), Q01, LLOG)
         assert got == pytest.approx(2.0, abs=1e-9)
 
     def test_exp_chi(self):
-        got = luxemburg_average(CHI01, Q01, EXP, 1e-10)
-        assert got == pytest.approx(1.0 / math.log(2.0), rel=1e-8)
+        got = luxemburg_average(CHI01, Q01, EXP)
+        assert got == pytest.approx(1.0 / math.log(2.0), rel=1e-15)
 
     def test_fixed_point_and_homogeneity(self):
         rng = np.random.default_rng(21)
@@ -87,22 +131,20 @@ class TestLuxemburg:
             f = random_step(rng)
             hull = f.support_hull()
             q = Interval(hull.left - 0.3, hull.right + 0.2)
-            tol = 1e-9
-            lux = luxemburg_average(f, q, LLOG, tol)
+            lux = luxemburg_average(f, q, LLOG)
             assert gauge_average(f, q, LLOG, lux) == pytest.approx(1.0, abs=1e-7)
             c = float(np.exp(rng.uniform(-2, 2)))
-            assert luxemburg_average(f.scale(c), q, LLOG, tol) == pytest.approx(
-                c * lux, rel=1e-7
-            )
-            assert average(f.abs(), q) <= lux + tol
+            assert luxemburg_average(f.scale(c), q, LLOG) == pytest.approx(c * lux, rel=1e-7)
+            assert average(f.abs(), q) <= lux * (1 + 1e-12)
 
     def test_domain_error(self):
-        with pytest.raises(ValueError):
-            luxemburg_average(CHI01, Q01, LLOG, 0.0)
+        # both roots are exact, so there is no tolerance to pass
+        with pytest.raises(TypeError):
+            luxemburg_average(CHI01, Q01, LLOG, tol=1e-9)
+        with pytest.raises(TypeError):
+            holder_check(CHI01, CHI01, Q01, tol=1e-9)
 
     def test_exact_solver_matches_bisection(self):
-        from morreylab.orlicz import _clipped_cells, _luxemburg_bisection
-
         rng = np.random.default_rng(27)
         for _ in range(40):
             f = random_step(rng)
@@ -112,13 +154,12 @@ class TestLuxemburg:
             lens, vals = _clipped_cells(f, q)
             if len(lens) == 0:
                 continue
-            fast = luxemburg_average(f, q, LLOG)
-            slow = _luxemburg_bisection(lens, vals, q.length, LLOG, 1e-12)
-            assert fast == pytest.approx(slow, rel=1e-9, abs=1e-12)
+            for gauge in (LLOG, EXP):
+                fast = luxemburg_average(f, q, gauge)
+                slow = luxemburg_bisection(lens, vals, q.length, gauge, 1e-12)
+                assert fast == pytest.approx(slow, rel=1e-9, abs=1e-12)
 
     def test_exact_solver_extreme_and_tied_inputs(self):
-        from morreylab.orlicz import _clipped_cells, _luxemburg_bisection
-
         rng = np.random.default_rng(28)
         cases = []
         # huge dynamic range
@@ -138,8 +179,17 @@ class TestLuxemburg:
                 if len(lens) == 0:
                     continue
                 fast = luxemburg_average(f, q, LLOG)
-                slow = _luxemburg_bisection(lens, vals, q.length, LLOG, 1e-13)
+                slow = luxemburg_bisection(lens, vals, q.length, LLOG, 1e-13)
                 assert fast == pytest.approx(slow, rel=1e-8, abs=1e-14)
+
+    @settings(deadline=None)
+    @given(step_and_window(), st.floats(2.0**-6, 2.0**6))
+    def test_exp_root_fixed_point_and_homogeneity(self, fq, c):
+        f, q = fq
+        alpha = luxemburg_average(f, q, EXP)
+        assert alpha > 0.0
+        assert abs(gauge_average(f, q, EXP, alpha) - 1.0) <= 1e-12
+        assert luxemburg_average(f.scale(c), q, EXP) == pytest.approx(c * alpha, rel=1e-12)
 
     def test_weak_closed_form_against_grid_oracle(self):
         # independent oracle: bisection on alpha with S evaluated on a
@@ -197,7 +247,7 @@ class TestWeakAverage:
             hull = f.support_hull()
             q = Interval(hull.left - 0.1, hull.right + 0.4)
             weak = weak_llog_average(f, q)
-            strong = luxemburg_average(f, q, LLOG, 1e-9)
+            strong = luxemburg_average(f, q, LLOG)
             assert weak <= strong * (1 + 1e-6)
 
     def test_monotone_in_alpha(self):
@@ -239,7 +289,7 @@ class TestLlogFunctional:
             bwidth = float(rng.uniform(0.05, 2.0))
             q = Interval(a, a + bwidth)
             func = llog_functional(f, q)
-            lux = luxemburg_average(f, q, LLOG, 1e-10)
+            lux = luxemburg_average(f, q, LLOG)
             if lux == 0.0:
                 assert func == 0.0
                 continue
@@ -251,7 +301,7 @@ class TestHolder:
     def test_chi_pair(self):
         lhs, rhs = holder_check(CHI01, CHI01, Q01)
         assert lhs == 1.0
-        assert rhs == pytest.approx(1.0 / math.log(2.0), rel=1e-7)
+        assert rhs == pytest.approx(1.0 / math.log(2.0), rel=1e-15)
         assert lhs <= rhs
 
     def test_zero(self):

@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from morreylab.maxops import RadialProfile
 from morreylab.radial import (
     PiecewiseLogPoly,
     PolyLogPiece,
+    _sup_weighted,
     hardy_reduction_check,
     inner_integral,
     zm_radial_functional,
@@ -156,12 +159,13 @@ class TestRadialFunctionals:
     def test_chi_M_closed_form(self):
         # G(x) = 1 + log x + log^2 x / 2 past 1; the critical point solves
         # log^2 x - 2 log x - 2 = 0, log x = 1 + sqrt(3), giving
-        # 2 (2 + sqrt 3) e^(-(1+sqrt 3)/2); quadrature oracle agreed to 1e-7
-        p = RadialProfile(CHI01, 1, nonincreasing=True)
-        est = zm_radial_functional_M(p, 0.5)
+        # 2 (2 + sqrt 3) e^(-(1+sqrt 3)/2); quadrature oracle agreed to 1e-7.
+        # Scaled far from 1, the tail's quadratic must not underflow or overflow.
         s3 = math.sqrt(3.0)
         want = 2.0 * (2.0 + s3) * math.exp(-(1.0 + s3) / 2.0)
-        assert est.value == pytest.approx(want, abs=1e-9)
+        for c in (1.0, 1e-200, 1e200):
+            p = RadialProfile(CHI01.scale(c), 1, nonincreasing=True)
+            assert zm_radial_functional_M(p, 0.5).value == pytest.approx(c * want, rel=1e-12)
 
     def test_zero(self):
         z = RadialProfile(StepFunction.zero(), 1, nonincreasing=True)
@@ -207,6 +211,49 @@ class TestRadialFunctionals:
             dense = max(x ** (lam - n) * F(float(x)) for x in xs)
             assert est.value >= dense - 1e-9 * dense
             assert est.value <= dense * (1.0 + 1e-4)
+
+    def test_close_critical_pair_between_samples(self):
+        # on [1, 2], g = shift P + x P' = -(x - 1.98)(x - 1.998)(x - 3), so
+        # x^shift P peaks at 1.98, dips until 1.998 and rises to 2 without
+        # regaining its peak; a 33-point scan sees g > 0 at 1.96875 and 2
+        # and returned h(2) = 37.52571375732, 3.5e-9 below the peak
+        shift = 1.5 - 3
+        g = -np.polynomial.polynomial.polyfromroots([1.98, 1.998, 3.0])
+        mid = PolyLogPiece(1.0, 2.0, tuple(float(gk) / (shift + k) for k, gk in enumerate(g)))
+        P = PiecewiseLogPoly(
+            (PolyLogPiece(0.0, 1.0, (0.0,)), mid, PolyLogPiece(2.0, math.inf, (mid(2.0),)))
+        )
+        peak = 1.98**shift * mid(1.98)
+        value, arg = _sup_weighted(P, 1.5, 3)
+        assert value >= peak * (1.0 - 1e-15)
+        assert abs(arg - 1.98) <= 1e-12
+
+
+@st.composite
+def decreasing_profiles(draw):
+    """A nonincreasing radial profile in dimension 1-3 and lam/n in (0, 1)."""
+    k = draw(st.integers(1, 6))
+    radii = sorted(set(draw(st.lists(st.floats(0.05, 3.0), min_size=k, max_size=k))))
+    vals = sorted(draw(st.lists(st.floats(0.1, 8.0), min_size=len(radii), max_size=len(radii))), reverse=True)
+    n = draw(st.integers(1, 3))
+    lam = n * draw(st.floats(0.05, 0.95))
+    return RadialProfile(StepFunction([0.0, *radii], vals), n, nonincreasing=True), lam
+
+
+class TestRadialProperties:
+    @settings(deadline=None, max_examples=60)
+    @given(decreasing_profiles(), st.floats(1e-3, 1e3), st.floats(1e-250, 1e250))
+    def test_dominates_and_scales(self, p_lam, x, c):
+        p, lam = p_lam
+        n = p.dimension
+        F = inner_integral(p).integrate_div_t()
+        scaled = RadialProfile(p.profile.scale(c), n, nonincreasing=True)
+        for functional, P in ((zm_radial_functional, F), (zm_radial_functional_M, F.integrate_div_t())):
+            est = functional(p, lam)
+            h = x ** (lam - n) * P(x)
+            assert h <= est.value * (1.0 + 1e-12)
+            assert h <= est.upper_bound
+            assert functional(scaled, lam).value == pytest.approx(c * est.value, rel=1e-12)
 
 
 class TestHardyReduction:
