@@ -44,7 +44,7 @@ from .norms import (
 from .orlicz import (LLOG, gauge_average, holder_check, llog_functional, log_plus, luxemburg_average,
                      orlicz_maximal, weak_llog_average)
 from .radial import hardy_reduction_check, zm_radial_functional
-from .stepfn import Interval, StepFunction, combine, default_hull, distribution, pos_neg_parts
+from .stepfn import Interval, StepFunction, _values_at, combine, default_hull, distribution, pos_neg_parts
 
 __all__ = [
     "CounterexampleSpec",
@@ -307,27 +307,19 @@ def _abs_commutator_lower(
     window = default_hull(f, b)
     env_bf = maximal_envelope(bf, refine, window)
     env_f = maximal_envelope(f, refine, window)
-    pts = sorted(
-        set(env_bf.lower.breakpoints)
-        | set(env_bf.upper.breakpoints)
-        | set(env_f.lower.breakpoints)
-        | set(env_f.upper.breakpoints)
-        | {p for p in b.breakpoints if window.left < p < window.right}
-    )
-    vals = []
-    for l, r in zip(pts, pts[1:]):
-        mid = 0.5 * (l + r)
-        beta = b(mid)
-        lo_a, hi_a = env_bf.lower(mid), env_bf.upper(mid)
-        lo_b, hi_b = env_f.lower(mid), env_f.upper(mid)
-        if beta >= 0:
-            cell_lo = lo_a - beta * hi_b
-            cell_hi = hi_a - beta * lo_b
-        else:
-            cell_lo = lo_a - beta * lo_b
-            cell_hi = hi_a - beta * hi_b
-        vals.append(max(cell_lo, -cell_hi, 0.0))
-    return StepFunction(pts, vals)
+    bps = np.asarray(b.breakpoints)
+    pts = np.unique(np.concatenate(
+        [g.breakpoints for env in (env_bf, env_f) for g in (env.lower, env.upper)]
+        + [bps[(bps > window.left) & (bps < window.right)]]
+    ))
+    mid = 0.5 * (pts[:-1] + pts[1:])
+    beta = _values_at(b, mid)
+    lo_a, hi_a = _values_at(env_bf.lower, mid), _values_at(env_bf.upper, mid)
+    lo_b, hi_b = _values_at(env_f.lower, mid), _values_at(env_f.upper, mid)
+    up = beta >= 0
+    cell_lo = lo_a - beta * np.where(up, hi_b, lo_b)
+    cell_hi = hi_a - beta * np.where(up, lo_b, hi_b)
+    return StepFunction(pts, np.maximum(np.maximum(cell_lo, -cell_hi), 0.0))
 
 
 def _witness_lower(

@@ -35,7 +35,10 @@ The same scan for the fractional variant |Q|^(a-1) * int_Q |f| gives the
 derivative sign (a-1)(A + c*d) + c(L + d), which is nondecreasing in d
 (a, c >= 0), so any interior critical point is a minimum along the scan
 direction and endpoint enumeration is again exact.  Its objective does not
-separate into one term per endpoint, so it still scans every pair.
+separate into one term per endpoint, so the pairs go to the shared pair
+kernel (``stepfn._pair_max``), which scans them in bounded blocks of rows
+and stops once no row left can beat the best by the bound
+|Q|^(a-1) int_Q |f| <= (sup |f|)^(1-a) (int_u^inf |f|)^a.
 
 The per-cell split
 ------------------
@@ -77,6 +80,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .stepfn import (
+    _BLOCK,
+    _pair_max,
+    _values_at,
     EnvelopePair,
     Interval,
     StepFunction,
@@ -209,12 +215,7 @@ def fractional_maximal(f: StepFunction, alpha: float, x: float) -> float:
     if f.is_zero:
         return 0.0
     ts, ps, k = _candidate_arrays(f, x, x)
-    us, pus, vs, pvs = ts[:k], ps[:k], ts[k:], ps[k:]
-    lengths = vs[None, :] - us[:, None]
-    masses = pvs[None, :] - pus[:, None]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        vals = np.where(lengths > 0, lengths ** (alpha - 1.0) * masses, -np.inf)
-    return max(float(vals.max()), 0.0)
+    return _pair_max(ts[:k], ps[:k], ts[k:], ps[k:], alpha - 1.0, 1.0, f.sup_abs())[0]
 
 
 def maximal_commutator(b: StepFunction, f: StepFunction, x: float) -> float:
@@ -295,9 +296,6 @@ def brute_force_maximal(
 
 # ---------------------------------------------------------------------------
 # envelopes
-
-# float64 entries in any one temporary of the row-blocked passes below
-_BLOCK = 16_384
 
 
 def _charge(prefix: np.ndarray) -> float:
@@ -543,28 +541,25 @@ def commutator_envelope(
     pts = sorted(
         {hull.left, hull.right} | {p for p in b.breakpoints if hull.left < p < hull.right}
     )
-    lo_bp: list[float] = []
-    lo_vals: list[float] = []
-    hi_vals: list[float] = []
+    lo_bp, lo_vals, hi_vals = [pts[:1]], [], []
     capped = 0
     for left, right in zip(pts[:-1], pts[1:]):
         beta = b(left)
         g = combine(b, f, lambda bv, fv: abs(beta - bv) * abs(fv))
         piece = maximal_envelope(g, refine, Interval(left, right))
         capped += piece.depth_capped
-        grid = sorted({left, right} | {p for p in piece.lower.breakpoints if left < p < right}
-                      | {p for p in piece.upper.breakpoints if left < p < right})
-        for a, c in zip(grid[:-1], grid[1:]):
-            mid = 0.5 * (a + c)
-            if not lo_bp:
-                lo_bp.append(a)
-            lo_bp.append(c)
-            lo_vals.append(piece.lower(mid))
-            hi_vals.append(piece.upper(mid))
-    if not lo_vals:
-        z = StepFunction.zero()
-        return EnvelopePair(z, z)
-    return EnvelopePair(StepFunction(lo_bp, lo_vals), StepFunction(lo_bp, hi_vals), depth_capped=capped)
+        grid = np.union1d(piece.lower.breakpoints, piece.upper.breakpoints)
+        grid = np.concatenate(([left], grid[(grid > left) & (grid < right)], [right]))
+        mids = 0.5 * (grid[:-1] + grid[1:])
+        lo_bp.append(grid[1:])
+        lo_vals.append(_values_at(piece.lower, mids))
+        hi_vals.append(_values_at(piece.upper, mids))
+    lo_bp = np.concatenate(lo_bp)
+    return EnvelopePair(
+        StepFunction(lo_bp, np.concatenate(lo_vals)),
+        StepFunction(lo_bp, np.concatenate(hi_vals)),
+        depth_capped=capped,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -15,8 +15,12 @@ Exact norms
 For the Morrey objective |Q|^((lam-1)/p) * (int_Q |f|^p)^(1/p) the
 one-endpoint scan has derivative sign (lam-1)(A + c d) + c (L + d), which
 is nondecreasing in the penetration depth, so the supremum over all
-intervals is attained at breakpoint pairs of f; the pairs are scanned one
-left endpoint at a time, vectorized over the right ones, in O(m) memory.
+intervals is attained at breakpoint pairs of f.  The pair kernel
+(``stepfn._pair_max``) scans them in blocks of rows of boundedly many
+pairs each, ascending in the left end, and stops at the first block whose
+rows cannot win by an exact row bound: a pair of mass M is at least
+M / max|f|^p long, so no pair from l exceeds
+max|f|^(1-lam) (int_l^inf |f|^p)^(lam/p), which does not increase with l.
 
 The weak L(1+log+ L) average over Q is max_k v_k |E_k cap Q| / |Q| with
 E_k = {|f| >= v_k} over the distinct values v_k of |f|
@@ -53,7 +57,8 @@ import numpy as np
 
 from .families import FamilySpec, ResolvedFamily, resolve_family
 from .orlicz import _llog_rows
-from .stepfn import EnvelopePair, Interval, StepFunction, level_measures, window_integrals, window_split
+from .stepfn import (EnvelopePair, Interval, StepFunction, _first_max, _pair_max, level_measures, window_integrals,
+                     window_split)
 
 __all__ = [
     "NormEstimate",
@@ -152,42 +157,6 @@ def _certified_upper_scale_invariant(
 # Morrey norm (exact)
 
 
-def _first_max(lengths: np.ndarray, masses: np.ndarray, e: float, p: float) -> tuple[float, int]:
-    """First maximum of lengths**e * masses**(1/p) over the positive masses
-    and its index (0.0 and -1 if there is none).
-
-    numpy's array power can round an ulp away from the scalar one, so the
-    arrays only preselect the near-maximal entries, and those are compared
-    in scalar arithmetic: the result is the scalar per-interval maximum.
-    """
-    pos = masses > 0.0
-    approx = np.zeros(len(masses))
-    approx[pos] = lengths[pos] ** e * masses[pos] ** (1.0 / p)
-    best, arg = 0.0, -1
-    top = approx.max(initial=0.0)
-    if top > 0.0:
-        for k in np.flatnonzero(approx >= top * (1.0 - 1e-12)):
-            v = float(lengths[k] ** e * masses[k] ** (1.0 / p))
-            if v > best:
-                best, arg = v, int(k)
-    return best, arg
-
-
-def _pair_scan(
-    lefts: np.ndarray, plefts: np.ndarray, rights: np.ndarray, prights: np.ndarray, e: float, p: float
-) -> tuple[float, Interval | None]:
-    """First maximum of (r - l)**e * (P(r) - P(l))**(1/p) over the pairs of
-    a left candidate l and a right candidate r > l (both sorted, P given at
-    each), with the attaining interval; one left candidate at a time,
-    vectorized over the right ones, in O(m) memory."""
-    best, pair = 0.0, None
-    for i, j0 in enumerate(rights.searchsorted(lefts, side="right")):
-        v, j = _first_max(rights[j0:] - lefts[i], prights[j0:] - plefts[i], e, p)
-        if v > best:
-            best, pair = v, Interval(lefts[i], rights[j0 + j])
-    return best, pair
-
-
 def morrey_norm(
     f: StepFunction,
     p: float,
@@ -207,7 +176,7 @@ def morrey_norm(
     w = np.abs(np.asarray(f.values)) ** p
     prefix = np.concatenate(([0.0], np.cumsum(w * np.diff(b))))
     e = (lam - 1.0) / p
-    exact, pair = _pair_scan(b[:-1], prefix[:-1], b[1:], prefix[1:], e, p)
+    exact, pair = _pair_max(b[:-1], prefix[:-1], b[1:], prefix[1:], e, p, float(w.max()))
     if family is None:
         return NormEstimate(exact, exact, pair, None)
     fam = resolve_family(family, f)
@@ -269,7 +238,7 @@ def _superlevel_max(
         prefix = np.concatenate(([0.0], np.cumsum(inside * dx)))
         edge = np.diff(inside, prepend=0.0, append=0.0)
         starts, ends = np.flatnonzero(edge > 0), np.flatnonzero(edge < 0)
-        v, q = _pair_scan(b[starts], prefix[starts], b[ends], prefix[ends], lam - 1.0, 1.0)
+        v, q = _pair_max(b[starts], prefix[starts], b[ends], prefix[ends], lam - 1.0, 1.0, 1.0)
         if coef[k] * v > best:
             best, arg = float(coef[k] * v), q
     return best, arg

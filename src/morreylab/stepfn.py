@@ -381,6 +381,75 @@ def default_hull(*fs: StepFunction) -> Interval:
 # ---------------------------------------------------------------------------
 # vectorized helpers shared by the operator modules
 
+# float64 entries in any one temporary of the row-blocked passes
+_BLOCK = 16_384
+
+
+def _first_max(lengths: np.ndarray, masses: np.ndarray, e: float, p: float) -> tuple[float, int]:
+    """First maximum of lengths**e * masses**(1/p) over the positive masses
+    and its index (0.0 and -1 if there is none).
+
+    numpy's array power can round an ulp away from the scalar one, so the
+    arrays only preselect the near-maximal entries, and those are compared
+    in scalar arithmetic: the result is the scalar per-interval maximum.
+    """
+    pos = masses > 0.0
+    approx = np.zeros(len(masses))
+    approx[pos] = lengths[pos] ** e * masses[pos] ** (1.0 / p)
+    best, arg = 0.0, -1
+    top = approx.max(initial=0.0)
+    if top > 0.0:
+        for k in np.flatnonzero(approx >= top * (1.0 - 1e-12)):
+            v = float(lengths[k] ** e * masses[k] ** (1.0 / p))
+            if v > best:
+                best, arg = v, int(k)
+    return best, arg
+
+
+def _pair_max(
+    lefts: np.ndarray,
+    plefts: np.ndarray,
+    rights: np.ndarray,
+    prights: np.ndarray,
+    e: float,
+    p: float,
+    top: float,
+) -> tuple[float, Interval | None]:
+    """First maximum, in row-major order, of (r - l)**e * (P(r) - P(l))**(1/p)
+    over the pairs of a left end l and a right end r > l (both ascending, P
+    given at each, nondecreasing), with the attaining interval; ``top`` bounds
+    the weight of every cell, so P(r) - P(l) <= top (r - l).
+
+    Rows run in blocks of at most _BLOCK entries.  A block spans the
+    columns from the first right end past its first left end; pairs with
+    r <= l get mass 0.  :func:`_first_max` runs over the flattened block,
+    which replaces the best only if strictly greater, so the result is the
+    scalar per-pair maximum, the first in row-major order.
+
+    Row bound: for e <= 0 <= e + 1/p, a pair of mass M has r - l >= M / top,
+    so (r - l)**e M**(1/p) <= top**(-e) M**(e + 1/p)
+    <= top**(-e) (P_end - P(l))**(e + 1/p), with P_end the last P(r).  The
+    bound does not increase with l, so the scan stops at the first block
+    whose first row cannot beat the best; the factor 1 + 1e-12 absorbs the
+    rounding where the bound is attained.
+    """
+    best, pair = 0.0, None
+    pend, s = prights[-1], 0
+    while s < len(lefts):
+        j0 = int(rights.searchsorted(lefts[s], side="right"))
+        cols = len(rights) - j0
+        if cols == 0 or top ** -e * max(pend - plefts[s], 0.0) ** (e + 1.0 / p) * (1.0 + 1e-12) <= best:
+            break
+        t = s + max(1, _BLOCK // cols)
+        lengths = rights[None, j0:] - lefts[s:t, None]
+        masses = np.where(lengths > 0.0, prights[None, j0:] - plefts[s:t, None], 0.0)
+        v, k = _first_max(lengths.ravel(), masses.ravel(), e, p)
+        if v > best:
+            i, j = divmod(k, cols)
+            best, pair = v, Interval(lefts[s + i], rights[j0 + j])
+        s = t
+    return best, pair
+
 
 def _values_at(f: StepFunction, xs: np.ndarray) -> np.ndarray:
     """f at every point of xs (vectorized ``f(x)``: the right cell's value

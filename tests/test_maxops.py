@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -21,7 +22,8 @@ from morreylab.maxops import (
     maximal_commutator,
     maximal_envelope,
 )
-from morreylab.stepfn import Interval, StepFunction, average, combine, default_hull
+from morreylab import stepfn
+from morreylab.stepfn import Interval, StepFunction, average, combine, default_hull, prefix_at
 
 CHI01 = StepFunction.indicator(0.0, 1.0)
 
@@ -451,6 +453,69 @@ class TestFractionalMaximal:
             # is attained, so it must reproduce the exact value
             assert exact >= best - 1e-12
             assert exact <= best * (1.0 + 1e-9) + 1e-12
+
+    @pytest.mark.parametrize("block", [1, 5, stepfn._BLOCK])
+    def test_matches_scalar_pair_loop(self, monkeypatch, block):
+        # blocks of one row, of a few rows cut mid-row, and the default
+        monkeypatch.setattr(stepfn, "_BLOCK", block)
+        rng = np.random.default_rng(16)
+        cases = [(f, x) for f in ROW_BOUND_ATTAINED for x in (-0.5, 0.5, 1.0, 1.5, 2.5)]
+        cases += [(random_step(rng, max_cells=59), float(rng.uniform(-3, 3))) for _ in range(300)]
+        for n, (f, x) in enumerate(cases):
+            alpha = (0.1, 0.5, 0.9)[n % 3]
+            exact = fractional_maximal(f, alpha, x)
+            assert exact == scalar_fractional(f, alpha, x)
+            assert exact == pytest.approx(pair_matrix_fractional(f, alpha, x), rel=1e-15)
+
+    def test_ten_thousand_cells_in_bounded_memory(self):
+        # the pair matrices took 132 MB of temporaries at 4000 cells
+        rng = np.random.default_rng(17)
+        m = 10_000
+        bp = np.sort(rng.uniform(-2.0, 2.0, m + 1))
+        f = StepFunction(bp, np.exp(rng.uniform(np.log(2.0**-4), np.log(2.0**4), m)))
+        assert f.num_cells == m
+        tracemalloc.start()
+        try:
+            exact = fractional_maximal(f, 0.5, 0.3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 50e6
+        b, w, prefix = f._abs_arrays
+        us, vs = rng.uniform(-2.5, 0.3, 1000), rng.uniform(0.3, 2.5, 1000)
+        masses = prefix_at(b, w, prefix, vs) - prefix_at(b, w, prefix, us)
+        assert np.all((vs - us) ** -0.5 * masses <= exact * (1 + 1e-12))
+
+
+# inputs where a row of the pair kernel attains its row bound
+ROW_BOUND_ATTAINED = [
+    StepFunction.indicator(0.0, 1.0, 3.0),
+    StepFunction((0.0, 1.0, 2.0), (1.0, 5.0)),
+]
+
+
+def scalar_fractional(f, alpha, x):
+    """sup |Q|^(alpha-1) int_Q |f| over the candidate pairs, one pair at a
+    time in scalar arithmetic, keeping the first maximum."""
+    ts, ps, k = _candidate_arrays(f, x, x)
+    best = 0.0
+    for i in range(k):
+        for j in range(k, len(ts)):
+            length, mass = float(ts[j] - ts[i]), float(ps[j] - ps[i])
+            if length > 0.0 and mass > 0.0:
+                best = max(best, length ** (alpha - 1.0) * mass)
+    return best
+
+
+def pair_matrix_fractional(f, alpha, x):
+    """The dense O(m^2) pair-matrix maximum the pair kernel replaced, in
+    numpy's array power; kept as its oracle."""
+    ts, ps, k = _candidate_arrays(f, x, x)
+    lengths = ts[None, k:] - ts[:k, None]
+    masses = ps[None, k:] - ps[:k, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        vals = np.where(lengths > 0, lengths ** (alpha - 1.0) * masses, -np.inf)
+    return max(float(vals.max()), 0.0)
 
 
 class TestMaximalCommutator:

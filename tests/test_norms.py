@@ -21,6 +21,7 @@ from morreylab.norms import (
     zygmund_morrey_norm,
 )
 from morreylab.orlicz import LLOG, _llog_rows, llog_functional, luxemburg_average, weak_llog_average
+from morreylab import stepfn
 from morreylab.stepfn import EnvelopePair, Interval, StepFunction, default_hull
 
 CHI01 = StepFunction.indicator(0.0, 1.0)
@@ -482,6 +483,41 @@ class TestWeakZygmundExact:
         for left in rng.uniform(-2.5, 2.0, 200):
             q = Interval(left, left + float(np.exp(rng.uniform(np.log(1e-4), np.log(4.5)))))
             assert weak_objective(f, 0.5, q) <= est.upper_bound * (1 + 1e-12)
+
+
+class TestPairKernelBlocks:
+    """The pair kernel over blocks of one row, of a few rows cut mid-row,
+    and the default size give the same value and pair, the pair oracle's;
+    in ATTAINED a row's maximum equals its row bound."""
+
+    ATTAINED = [StepFunction.indicator(0.0, 1.0, 3.0), StepFunction((0.0, 1.0, 2.0), (1.0, 5.0))]
+
+    def inputs(self, seed):
+        rng = np.random.default_rng(seed)
+        return self.ATTAINED + [random_step(rng, max_cells=30) for _ in range(8)]
+
+    @pytest.mark.parametrize("block", [1, 5])
+    def test_morrey(self, monkeypatch, block):
+        for f in self.inputs(85):
+            for p in (1.0, 2.0):
+                for lam in (0.25, 0.5, 1.0):
+                    want = morrey_norm(f, p, lam)
+                    with monkeypatch.context() as m:
+                        m.setattr(stepfn, "_BLOCK", block)
+                        est = morrey_norm(f, p, lam)
+                    assert est.value == want.value == morrey_pair_oracle(f, p, lam)
+                    assert est.argmax_interval == want.argmax_interval
+
+    @pytest.mark.parametrize("block", [1, 5])
+    def test_weak(self, monkeypatch, block):
+        for f in self.inputs(86):
+            for lam in (0.25, 0.5, 0.75):
+                want = weak_zygmund_morrey_norm(f, lam)
+                with monkeypatch.context() as m:
+                    m.setattr(stepfn, "_BLOCK", block)
+                    est = weak_zygmund_morrey_norm(f, lam)
+                assert est.value == want.value == pytest.approx(weak_pair_oracle(f, lam), rel=1e-12)
+                assert est.argmax_interval == want.argmax_interval
 
 
 def psi_on_grid(lam, s):

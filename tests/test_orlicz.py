@@ -39,8 +39,7 @@ def luxemburg_bisection(lens, vals, area, gauge, tol):
 
     Bracket: the mean of |f| from below (gauge(t) >= t), and the essential
     sup from above for the llog gauge (gauge <= 1 on [0, 1]) or sup/ln 2
-    for the exp gauge; halved until the gap is within tol relative or
-    1e-12 absolute.
+    for the exp gauge; halved until the gap is within tol relative.
     """
 
     def g(alpha):
@@ -52,7 +51,7 @@ def luxemburg_bisection(lens, vals, area, gauge, tol):
     while g(hi) > 1.0:  # only at the degenerate boundary; widen defensively
         hi *= 2.0
     for _ in range(200):
-        if hi - lo <= max(tol * hi, 1e-12):
+        if hi - lo <= tol * hi:
             return 0.5 * (lo + hi)
         mid = 0.5 * (lo + hi)
         if g(mid) > 1.0:
@@ -156,8 +155,8 @@ class TestLuxemburg:
                 continue
             for gauge in (LLOG, EXP):
                 fast = luxemburg_average(f, q, gauge)
-                slow = luxemburg_bisection(lens, vals, q.length, gauge, 1e-12)
-                assert fast == pytest.approx(slow, rel=1e-9, abs=1e-12)
+                slow = luxemburg_bisection(lens, vals, q.length, gauge, 1e-14)
+                assert fast == pytest.approx(slow, rel=1e-12)
 
     def test_exact_solver_extreme_and_tied_inputs(self):
         rng = np.random.default_rng(28)
