@@ -263,34 +263,32 @@ class ConstantReport:
         }
 
 
-def _zygmund_integral(f: StepFunction, t: float) -> float:
-    """int |f|/t * (1 + log+(|f|/t)), exact cellwise."""
+def _zygmund_integral(f: StepFunction, t):
+    """int |f|/t * (1 + log+(|f|/t)), exact cellwise, at a level t or at
+    every level of an array t at once."""
     b, w, _ = f._abs_arrays
     lens = np.diff(b)
     mask = w > 0
-    scaled = w[mask] / t
-    return float(np.sum(lens[mask] * scaled * (1.0 + np.maximum(np.log(scaled), 0.0))))
-
-
-def _thinned_levels(step: StepFunction, cap: int = 16) -> list[float]:
-    levels = sorted({v for v in step.values if v > 0.0})
-    if len(levels) > cap:
-        idx = np.linspace(0, len(levels) - 1, cap).astype(int)
-        levels = [levels[i] for i in idx]
-    return levels
+    scaled = w[mask] / np.asarray(t, dtype=float)[..., None]
+    return np.sum(lens[mask] * scaled * (1.0 + np.maximum(np.log(scaled), 0.0)), axis=-1)
 
 
 def _best_level_ratio(lower: StepFunction, f: StepFunction, scale: float) -> tuple[float, float]:
-    """Max over superlevel jumps t of |{lower > t}| / (scale * rhs(t))."""
-    best, best_t = 0.0, 0.0
-    for t in _thinned_levels(lower):
-        meas = distribution(lower, t)
-        if meas <= 0.0:
-            continue
-        rhs = scale * _zygmund_integral(f, t)
-        if rhs > 0.0 and meas / rhs > best:
-            best, best_t = meas / rhs, t
-    return best, best_t
+    """Max over the distinct positive levels t of lower of
+    |{lower > t}| / (scale * rhs(t)), the first in ascending level order,
+    and its level; every |{lower > t}| comes from one sort and a reversed
+    cumulative sum."""
+    b, w, _ = lower._abs_arrays
+    levels, inv = np.unique(w, return_inverse=True)
+    at_least = np.cumsum(np.bincount(inv, weights=np.diff(b))[::-1])[::-1]  # |{lower >= level}|
+    meas = np.append(at_least[1:], 0.0)[levels > 0.0]
+    levels = levels[levels > 0.0]
+    rhs = scale * _zygmund_integral(f, levels)
+    ratio = np.divide(meas, rhs, out=np.zeros_like(meas), where=rhs > 0.0)
+    if not np.any(ratio > 0.0):
+        return 0.0, 0.0
+    k = int(np.argmax(ratio))
+    return float(ratio[k]), float(levels[k])
 
 
 def _abs_commutator_lower(
