@@ -29,8 +29,9 @@ is max_k v_k ||1_{E_k}||_{M_{1,lam}}: one p = 1 Morrey norm per superlevel
 set, scanned by the same pair kernel over the component ends of E_k
 (lengthening Q into E_k or shortening it out of the complement raises
 |Q|^(lam-1) |E_k cap Q|).  As ||1_E||_{M_{1,lam}} <= |E|^lam, levels are
-scanned in decreasing order of v_k |E_k|^lam until that cannot win.  Over
-an explicit family, |E_k cap Q| is the running sum of the level sweep's
+scanned in decreasing order of v_k |E_k|^lam until that cannot win, and
+each level's pair scan stops by its row bound as soon as no remaining row
+can beat the best of the levels before it.  Over an explicit family, |E_k cap Q| is the running sum of the level sweep's
 measures from the top level down.
 
 Certified upper bounds
@@ -238,8 +239,11 @@ def _superlevel_max(
         prefix = np.concatenate(([0.0], np.cumsum(inside * dx)))
         edge = np.diff(inside, prepend=0.0, append=0.0)
         starts, ends = np.flatnonzero(edge > 0), np.flatnonzero(edge < 0)
-        v, q = _pair_max(b[starts], prefix[starts], b[ends], prefix[ends], lam - 1.0, 1.0, 1.0)
-        if coef[k] * v > best:
+        # pairs at or below the floor cannot win; it sits 1e-12 below
+        # best / coef so that no pair with coef * v > best is left out
+        floor = best / coef[k] * (1.0 - 1e-12)
+        v, q = _pair_max(b[starts], prefix[starts], b[ends], prefix[ends], lam - 1.0, 1.0, 1.0, floor)
+        if q is not None and coef[k] * v > best:
             best, arg = float(coef[k] * v), q
     return best, arg
 

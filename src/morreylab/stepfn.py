@@ -386,16 +386,15 @@ _BLOCK = 16_384
 
 
 def _first_max(lengths: np.ndarray, masses: np.ndarray, e: float, p: float) -> tuple[float, int]:
-    """First maximum of lengths**e * masses**(1/p) over the positive masses
-    and its index (0.0 and -1 if there is none).
+    """First maximum of lengths**e * masses**(1/p) over positive lengths and
+    nonnegative masses, among the positive masses, and its index (0.0 and -1
+    if there is none).
 
     numpy's array power can round an ulp away from the scalar one, so the
     arrays only preselect the near-maximal entries, and those are compared
     in scalar arithmetic: the result is the scalar per-interval maximum.
     """
-    pos = masses > 0.0
-    approx = np.zeros(len(masses))
-    approx[pos] = lengths[pos] ** e * masses[pos] ** (1.0 / p)
+    approx = lengths**e * masses ** (1.0 / p)
     best, arg = 0.0, -1
     top = approx.max(initial=0.0)
     if top > 0.0:
@@ -414,17 +413,19 @@ def _pair_max(
     e: float,
     p: float,
     top: float,
+    floor: float = 0.0,
 ) -> tuple[float, Interval | None]:
     """First maximum, in row-major order, of (r - l)**e * (P(r) - P(l))**(1/p)
     over the pairs of a left end l and a right end r > l (both ascending, P
-    given at each, nondecreasing), with the attaining interval; ``top`` bounds
+    given at each, nondecreasing) whose value exceeds ``floor``, with the
+    attaining interval, or (floor, None) if there is none; ``top`` bounds
     the weight of every cell, so P(r) - P(l) <= top (r - l).
 
     Rows run in blocks of at most _BLOCK entries.  A block spans the
     columns from the first right end past its first left end; pairs with
-    r <= l get mass 0.  :func:`_first_max` runs over the flattened block,
-    which replaces the best only if strictly greater, so the result is the
-    scalar per-pair maximum, the first in row-major order.
+    r <= l get mass 0 (and length 1).  :func:`_first_max` runs over the
+    flattened block, which replaces the best only if strictly greater, so
+    the result is the scalar per-pair maximum, the first in row-major order.
 
     Row bound: for e <= 0 <= e + 1/p, a pair of mass M has r - l >= M / top,
     so (r - l)**e M**(1/p) <= top**(-e) M**(e + 1/p)
@@ -433,17 +434,18 @@ def _pair_max(
     whose first row cannot beat the best; the factor 1 + 1e-12 absorbs the
     rounding where the bound is attained.
     """
-    best, pair = 0.0, None
+    best, pair = floor, None
     pend, s = prights[-1], 0
     while s < len(lefts):
         j0 = int(rights.searchsorted(lefts[s], side="right"))
         cols = len(rights) - j0
-        if cols == 0 or top ** -e * max(pend - plefts[s], 0.0) ** (e + 1.0 / p) * (1.0 + 1e-12) <= best:
+        if cols == 0 or top**-e * max(pend - plefts[s], 0.0) ** (e + 1.0 / p) * (1.0 + 1e-12) <= best:
             break
         t = s + max(1, _BLOCK // cols)
         lengths = rights[None, j0:] - lefts[s:t, None]
-        masses = np.where(lengths > 0.0, prights[None, j0:] - plefts[s:t, None], 0.0)
-        v, k = _first_max(lengths.ravel(), masses.ravel(), e, p)
+        ahead = lengths > 0.0
+        masses = np.where(ahead, prights[None, j0:] - plefts[s:t, None], 0.0)
+        v, k = _first_max(np.where(ahead, lengths, 1.0).ravel(), masses.ravel(), e, p)
         if v > best:
             i, j = divmod(k, cols)
             best, pair = v, Interval(lefts[s + i], rights[j0 + j])

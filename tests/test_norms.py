@@ -494,7 +494,9 @@ class TestPairKernelBlocks:
 
     def inputs(self, seed):
         rng = np.random.default_rng(seed)
-        return self.ATTAINED + [random_step(rng, max_cells=30) for _ in range(8)]
+        # at lam = 1/2 each of its two levels gives the weak norm 2
+        tie = [StepFunction((0.0, 1.0, 4.0), (2.0, 1.0))]
+        return self.ATTAINED + tie + [random_step(rng, max_cells=30) for _ in range(8)]
 
     @pytest.mark.parametrize("block", [1, 5])
     def test_morrey(self, monkeypatch, block):
