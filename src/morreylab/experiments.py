@@ -264,8 +264,7 @@ class ConstantReport:
 
 
 def _zygmund_integral(f: StepFunction, t):
-    """int |f|/t * (1 + log+(|f|/t)), exact cellwise, at a level t or at
-    every level of an array t at once."""
+    """int |f|/t * (1 + log+(|f|/t)), exact cellwise, at t or at each level of an array t."""
     b, w, _ = f._abs_arrays
     lens = np.diff(b)
     mask = w > 0
@@ -274,10 +273,9 @@ def _zygmund_integral(f: StepFunction, t):
 
 
 def _best_level_ratio(lower: StepFunction, f: StepFunction, scale: float) -> tuple[float, float]:
-    """Max over the distinct positive levels t of lower of
-    |{lower > t}| / (scale * rhs(t)), the first in ascending level order,
-    and its level; every |{lower > t}| comes from one sort and a reversed
-    cumulative sum."""
+    """First max over the positive levels t of lower, ascending, of
+    |{lower > t}| / (scale * rhs(t)), and its level; every |{lower > t}|
+    comes from one sort and a reversed cumulative sum."""
     b, w, _ = lower._abs_arrays
     levels, inv = np.unique(w, return_inverse=True)
     at_least = np.cumsum(np.bincount(inv, weights=np.diff(b))[::-1])[::-1]  # |{lower >= level}|
@@ -305,11 +303,9 @@ def _abs_commutator_lower(
     window = default_hull(f, b)
     env_bf = maximal_envelope(bf, refine, window)
     env_f = maximal_envelope(f, refine, window)
-    bps = np.asarray(b.breakpoints)
-    pts = np.unique(np.concatenate(
-        [g.breakpoints for env in (env_bf, env_f) for g in (env.lower, env.upper)]
-        + [bps[(bps > window.left) & (bps < window.right)]]
-    ))
+    inner = [p for p in b.breakpoints if window.left < p < window.right]
+    envelopes = (env_bf.lower, env_bf.upper, env_f.lower, env_f.upper)
+    pts = np.unique(np.concatenate([inner] + [g.breakpoints for g in envelopes]))
     mid = 0.5 * (pts[:-1] + pts[1:])
     beta = _values_at(b, mid)
     lo_a, hi_a = _values_at(env_bf.lower, mid), _values_at(env_bf.upper, mid)
@@ -362,12 +358,9 @@ def weak_type_constant(op_id: str, corpus_spec: dict, params: dict | None = None
     best, witness = 0.0, {}
     for i, f in enumerate(fs):
         lower, scale = _witness_lower(op_id, f, symbols[i] if symbols else None, refine)
-        if scale <= 0.0:
-            continue
-        ratio, level = _best_level_ratio(lower, f, scale)
+        ratio, level = _best_level_ratio(lower, f, scale)  # 0 when scale is 0
         if ratio > best:
-            best = ratio
-            witness = {"index": i, "level": level}
+            best, witness = ratio, {"index": i, "level": level}
     descriptor = {"functions": corpus_spec}
     if op_id in ("Cb", "MbCommutator"):
         descriptor["symbols"] = params["symbols"]

@@ -35,10 +35,8 @@ The same scan for the fractional variant |Q|^(a-1) * int_Q |f| gives the
 derivative sign (a-1)(A + c*d) + c(L + d), which is nondecreasing in d
 (a, c >= 0), so any interior critical point is a minimum along the scan
 direction and endpoint enumeration is again exact.  Its objective does not
-separate into one term per endpoint, so the pairs go to the shared pair
-kernel (``stepfn._pair_max``), which scans them in bounded blocks of rows
-and stops once no row left can beat the best by the bound
-|Q|^(a-1) int_Q |f| <= (sup |f|)^(1-a) (int_u^inf |f|)^a.
+separate into one term per endpoint, so the pairs go to the pair kernel
+``stepfn._pair_max``, in blocks of rows, pruned by an exact row bound.
 
 The per-cell split
 ------------------
@@ -541,8 +539,7 @@ def commutator_envelope(
     pts = sorted(
         {hull.left, hull.right} | {p for p in b.breakpoints if hull.left < p < hull.right}
     )
-    lo_bp, lo_vals, hi_vals = [pts[:1]], [], []
-    capped = 0
+    lo_bp, lo_vals, hi_vals, capped = [pts[:1]], [], [], 0
     for left, right in zip(pts[:-1], pts[1:]):
         beta = b(left)
         g = combine(b, f, lambda bv, fv: abs(beta - bv) * abs(fv))
@@ -554,12 +551,8 @@ def commutator_envelope(
         lo_bp.append(grid[1:])
         lo_vals.append(_values_at(piece.lower, mids))
         hi_vals.append(_values_at(piece.upper, mids))
-    lo_bp = np.concatenate(lo_bp)
-    return EnvelopePair(
-        StepFunction(lo_bp, np.concatenate(lo_vals)),
-        StepFunction(lo_bp, np.concatenate(hi_vals)),
-        depth_capped=capped,
-    )
+    lo, hi = (StepFunction(np.concatenate(lo_bp), np.concatenate(v)) for v in (lo_vals, hi_vals))
+    return EnvelopePair(lo, hi, depth_capped=capped)
 
 
 # ---------------------------------------------------------------------------

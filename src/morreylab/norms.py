@@ -16,11 +16,8 @@ For the Morrey objective |Q|^((lam-1)/p) * (int_Q |f|^p)^(1/p) the
 one-endpoint scan has derivative sign (lam-1)(A + c d) + c (L + d), which
 is nondecreasing in the penetration depth, so the supremum over all
 intervals is attained at breakpoint pairs of f.  The pair kernel
-(``stepfn._pair_max``) scans them in blocks of rows of boundedly many
-pairs each, ascending in the left end, and stops at the first block whose
-rows cannot win by an exact row bound: a pair of mass M is at least
-M / max|f|^p long, so no pair from l exceeds
-max|f|^(1-lam) (int_l^inf |f|^p)^(lam/p), which does not increase with l.
+``stepfn._pair_max`` scans them in blocks of rows, ascending in the left
+end, until an exact row bound shows that no later row can win.
 
 The weak L(1+log+ L) average over Q is max_k v_k |E_k cap Q| / |Q| with
 E_k = {|f| >= v_k} over the distinct values v_k of |f|
@@ -29,10 +26,10 @@ is max_k v_k ||1_{E_k}||_{M_{1,lam}}: one p = 1 Morrey norm per superlevel
 set, scanned by the same pair kernel over the component ends of E_k
 (lengthening Q into E_k or shortening it out of the complement raises
 |Q|^(lam-1) |E_k cap Q|).  As ||1_E||_{M_{1,lam}} <= |E|^lam, levels are
-scanned in decreasing order of v_k |E_k|^lam until that cannot win, and
-each level's pair scan stops by its row bound as soon as no remaining row
-can beat the best of the levels before it.  Over an explicit family, |E_k cap Q| is the running sum of the level sweep's
-measures from the top level down.
+scanned in decreasing order of v_k |E_k|^lam until that cannot win, each
+pair scan starting from the best of the levels before.  Over an explicit
+family, |E_k cap Q| is the running sum of the level sweep's measures from
+the top level down.
 
 Certified upper bounds
 ----------------------
@@ -239,11 +236,10 @@ def _superlevel_max(
         prefix = np.concatenate(([0.0], np.cumsum(inside * dx)))
         edge = np.diff(inside, prepend=0.0, append=0.0)
         starts, ends = np.flatnonzero(edge > 0), np.flatnonzero(edge < 0)
-        # pairs at or below the floor cannot win; it sits 1e-12 below
-        # best / coef so that no pair with coef * v > best is left out
+        # the floor sits 1e-12 below best / coef: no pair with coef * v > best is left out
         floor = best / coef[k] * (1.0 - 1e-12)
         v, q = _pair_max(b[starts], prefix[starts], b[ends], prefix[ends], lam - 1.0, 1.0, 1.0, floor)
-        if q is not None and coef[k] * v > best:
+        if coef[k] * v > best:
             best, arg = float(coef[k] * v), q
     return best, arg
 

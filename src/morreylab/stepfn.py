@@ -386,9 +386,8 @@ _BLOCK = 16_384
 
 
 def _first_max(lengths: np.ndarray, masses: np.ndarray, e: float, p: float) -> tuple[float, int]:
-    """First maximum of lengths**e * masses**(1/p) over positive lengths and
-    nonnegative masses, among the positive masses, and its index (0.0 and -1
-    if there is none).
+    """First maximum of lengths**e * masses**(1/p), lengths > 0 and masses >= 0,
+    among the positive masses, and its index (0.0 and -1 if there is none).
 
     numpy's array power can round an ulp away from the scalar one, so the
     arrays only preselect the near-maximal entries, and those are compared
@@ -406,40 +405,30 @@ def _first_max(lengths: np.ndarray, masses: np.ndarray, e: float, p: float) -> t
 
 
 def _pair_max(
-    lefts: np.ndarray,
-    plefts: np.ndarray,
-    rights: np.ndarray,
-    prights: np.ndarray,
-    e: float,
-    p: float,
-    top: float,
+    lefts: np.ndarray, plefts: np.ndarray, rights: np.ndarray, prights: np.ndarray, e: float, p: float, top: float,
     floor: float = 0.0,
 ) -> tuple[float, Interval | None]:
-    """First maximum, in row-major order, of (r - l)**e * (P(r) - P(l))**(1/p)
-    over the pairs of a left end l and a right end r > l (both ascending, P
-    given at each, nondecreasing) whose value exceeds ``floor``, with the
-    attaining interval, or (floor, None) if there is none; ``top`` bounds
-    the weight of every cell, so P(r) - P(l) <= top (r - l).
+    """First maximum, in row-major order, of (r - l)**e (P(r) - P(l))**(1/p)
+    above ``floor`` over the pairs of ascending left ends l and right ends
+    r > l, P nondecreasing, with its interval, or (floor, None); ``top``
+    bounds every cell's weight, so P(r) - P(l) <= top (r - l).
 
-    Rows run in blocks of at most _BLOCK entries.  A block spans the
-    columns from the first right end past its first left end; pairs with
-    r <= l get mass 0 (and length 1).  :func:`_first_max` runs over the
-    flattened block, which replaces the best only if strictly greater, so
-    the result is the scalar per-pair maximum, the first in row-major order.
+    A block of rows holds at most _BLOCK entries, over the columns from the
+    first right end past its first left end; pairs with r <= l get mass 0
+    (and length 1).  :func:`_first_max` runs over the flattened block, which
+    wins only if strictly greater: the scalar per-pair maximum.
 
-    Row bound: for e <= 0 <= e + 1/p, a pair of mass M has r - l >= M / top,
-    so (r - l)**e M**(1/p) <= top**(-e) M**(e + 1/p)
-    <= top**(-e) (P_end - P(l))**(e + 1/p), with P_end the last P(r).  The
-    bound does not increase with l, so the scan stops at the first block
-    whose first row cannot beat the best; the factor 1 + 1e-12 absorbs the
-    rounding where the bound is attained.
+    Row bound: as r - l >= M / top for a pair of mass M, and e <= 0 <= e + 1/p,
+    (r - l)**e M**(1/p) <= top**(-e) M**(e + 1/p) <= top**(-e) (P_end - P(l))**(e + 1/p)
+    with P_end the last P(r).  It does not increase with l, so the scan stops at
+    the first block whose first row cannot win; the factor 1 + 1e-12 absorbs
+    the rounding where the bound is attained.
     """
-    best, pair = floor, None
-    pend, s = prights[-1], 0
+    best, pair, s = floor, None, 0
     while s < len(lefts):
         j0 = int(rights.searchsorted(lefts[s], side="right"))
         cols = len(rights) - j0
-        if cols == 0 or top**-e * max(pend - plefts[s], 0.0) ** (e + 1.0 / p) * (1.0 + 1e-12) <= best:
+        if cols == 0 or top**-e * max(prights[-1] - plefts[s], 0.0) ** (e + 1.0 / p) * (1.0 + 1e-12) <= best:
             break
         t = s + max(1, _BLOCK // cols)
         lengths = rights[None, j0:] - lefts[s:t, None]
