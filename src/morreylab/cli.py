@@ -14,9 +14,9 @@ import sys
 from pathlib import Path
 
 from . import experiments
-from .maxops import RadialProfile, RefinePolicy, iterated_maximal, maximal, maximal_commutator
+from .maxops import RefinePolicy, iterated_maximal, maximal, maximal_commutator
 from .maxops import commutator as bracket_commutator
-from .maxops import fractional_maximal, hardy
+from .maxops import fractional_maximal
 from .norms import (
     FamilySpec,
     bmo_p_seminorm,
@@ -26,7 +26,7 @@ from .norms import (
     weak_zygmund_morrey_norm,
     zygmund_morrey_norm,
 )
-from .radial import hardy_reduction_check, zm_radial_functional, zm_radial_functional_M
+from .radial import RadialProfile, hardy, hardy_reduction_check, zm_radial_functional, zm_radial_functional_M
 from .stepfn import Interval, StepFunction
 
 
@@ -135,6 +135,9 @@ def cmd_maxfn(args) -> int:
 
 def cmd_norm(args) -> int:
     fam = _family_from_args(args)
+    family_kinds = ("zygmund", "bmo", "bmo-p", "characterization")
+    if fam is not None and args.kind not in family_kinds:
+        raise UsageError(f"--family, --depth and --cap apply only to --kind {', '.join(family_kinds)}")
     if args.kind in ("zm-radial", "zm-radial-m"):
         p = _load_profile(args.input)
         if args.kind == "zm-radial":
@@ -144,11 +147,11 @@ def cmd_norm(args) -> int:
     else:
         f = _load_step(args.input)
         if args.kind == "morrey":
-            est = morrey_norm(f, args.p, args.lam, fam)
+            est = morrey_norm(f, args.p, args.lam)
         elif args.kind == "zygmund":
             est = zygmund_morrey_norm(f, args.lam, fam)
         elif args.kind == "weak-zygmund":
-            est = weak_zygmund_morrey_norm(f, args.lam, fam)
+            est = weak_zygmund_morrey_norm(f, args.lam)
         elif args.kind == "bmo":
             est = bmo_seminorm(f, fam)
         elif args.kind == "bmo-p":

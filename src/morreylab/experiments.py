@@ -21,11 +21,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .maxops import (
-    RadialProfile,
     RefinePolicy,
     commutator,
     commutator_envelope,
-    hardy,
     iterated_maximal,
     maximal,
     maximal_commutator,
@@ -43,8 +41,9 @@ from .norms import (
 )
 from .orlicz import (LLOG, gauge_average, holder_check, llog_functional, log_plus, luxemburg_average,
                      orlicz_maximal, weak_llog_average)
-from .radial import hardy_reduction_check, zm_radial_functional
-from .stepfn import Interval, StepFunction, _values_at, combine, default_hull, distribution, pos_neg_parts
+from .radial import RadialProfile, hardy, hardy_reduction_check, zm_radial_functional
+from .stepfn import (Interval, StepFunction, _values_at, combine, default_hull, distribution, pos_neg_parts,
+                     superlevels)
 
 __all__ = [
     "CounterexampleSpec",
@@ -277,8 +276,7 @@ def _best_level_ratio(lower: StepFunction, f: StepFunction, scale: float) -> tup
     |{lower > t}| / (scale * rhs(t)), and its level; every |{lower > t}|
     comes from one sort and a reversed cumulative sum."""
     b, w, _ = lower._abs_arrays
-    levels, inv = np.unique(w, return_inverse=True)
-    at_least = np.cumsum(np.bincount(inv, weights=np.diff(b))[::-1])[::-1]  # |{lower >= level}|
+    levels, at_least = superlevels(np.diff(b), w)
     meas = np.append(at_least[1:], 0.0)[levels > 0.0]
     levels = levels[levels > 0.0]
     rhs = scale * _zygmund_integral(f, levels)
@@ -289,10 +287,9 @@ def _best_level_ratio(lower: StepFunction, f: StepFunction, scale: float) -> tup
     return float(ratio[k]), float(levels[k])
 
 
-def _abs_commutator_lower(
-    b: StepFunction, f: StepFunction, refine: RefinePolicy
-) -> StepFunction:
-    """Certified lower envelope of |[M, b] f| on a default window.
+def _abs_commutator_lower(b: StepFunction, f: StepFunction) -> StepFunction:
+    """Certified lower envelope of |[M, b] f| on a default window, refined
+    by ``LOOSE``.
 
     On each cell of b's partition the symbol is the constant beta, so
     [M, b]f = M(bf) - beta * Mf there and interval arithmetic on the two
@@ -301,8 +298,8 @@ def _abs_commutator_lower(
     """
     bf = combine(b, f, lambda x, y: x * y)
     window = default_hull(f, b)
-    env_bf = maximal_envelope(bf, refine, window)
-    env_f = maximal_envelope(f, refine, window)
+    env_bf = maximal_envelope(bf, LOOSE, window)
+    env_f = maximal_envelope(f, LOOSE, window)
     inner = [p for p in b.breakpoints if window.left < p < window.right]
     envelopes = (env_bf.lower, env_bf.upper, env_f.lower, env_f.upper)
     pts = np.unique(np.concatenate([inner] + [g.breakpoints for g in envelopes]))
@@ -316,27 +313,26 @@ def _abs_commutator_lower(
     return StepFunction(pts, np.maximum(np.maximum(cell_lo, -cell_hi), 0.0))
 
 
-def _witness_lower(
-    op_id: str, f: StepFunction, b: StepFunction | None, refine: RefinePolicy
-) -> tuple[StepFunction, float]:
-    """Certified lower envelope of the operator ``op_id`` applied to f
-    (with symbol b for the commutators) and the scale of the inequality's
-    right side: 1, or c0 (1 + log+ c0) for [M, b], which is 0 when b
-    vanishes."""
+def _witness_lower(op_id: str, f: StepFunction, b: StepFunction | None) -> tuple[StepFunction, float]:
+    """Certified lower envelope, refined by ``LOOSE``, of the operator
+    ``op_id`` applied to f (with symbol b for the commutators) and the
+    scale of the inequality's right side: 1, or c0 (1 + log+ c0) for
+    [M, b], which is 0 when b vanishes."""
     if op_id == "M2":
-        return iterated_maximal(f, refine).lower, 1.0
+        return iterated_maximal(f, LOOSE).lower, 1.0
     if op_id == "Cb":
-        return commutator_envelope(b, f, refine).lower, 1.0
+        return commutator_envelope(b, f, LOOSE).lower, 1.0
     if op_id == "MbCommutator":
         plus, minus = pos_neg_parts(b)
         c0 = bmo_seminorm(plus).upper_bound + minus.sup_abs()
-        return _abs_commutator_lower(b, f, refine), c0 * (1.0 + log_plus(c0))
+        return _abs_commutator_lower(b, f), c0 * (1.0 + log_plus(c0))
     raise ValueError(f"unknown operator id {op_id!r}")
 
 
-def weak_type_constant(op_id: str, corpus_spec: dict, params: dict | None = None) -> ConstantReport:
+def weak_type_constant(op_id: str, corpus_spec: dict, symbols: dict | None = None) -> ConstantReport:
     """Best observed constant of the weak-type inequality for ``op_id`` in
-    {"M2", "Cb", "MbCommutator"} over a seeded corpus.
+    {"M2", "Cb", "MbCommutator"} over a seeded corpus, with the commutators'
+    symbols drawn from the corpus ``symbols`` of the same size.
 
     Superlevel measures come from certified lower envelopes, so the
     reported constant is a certified lower bound on the true best constant.
@@ -344,33 +340,31 @@ def weak_type_constant(op_id: str, corpus_spec: dict, params: dict | None = None
     c0 = ||b^+||_* + ||b^-||_inf, using the BMO upper bound so the scaling
     never understates the right side.
     """
-    params = params or {}
-    refine = params.get("refine", LOOSE)
     fs = corpus(**corpus_spec)
     if not fs:
         raise ValueError("empty corpus")
-    symbols: list[StepFunction] = []
+    bs: list[StepFunction] = []
     if op_id in ("Cb", "MbCommutator"):
-        sym_spec = params["symbols"]
-        symbols = corpus(**sym_spec)
-        if len(symbols) != len(fs):
+        bs = corpus(**symbols)
+        if len(bs) != len(fs):
             raise ValueError("symbol corpus must match the function corpus")
     best, witness = 0.0, {}
     for i, f in enumerate(fs):
-        lower, scale = _witness_lower(op_id, f, symbols[i] if symbols else None, refine)
+        lower, scale = _witness_lower(op_id, f, bs[i] if bs else None)
         ratio, level = _best_level_ratio(lower, f, scale)  # 0 when scale is 0
         if ratio > best:
             best, witness = ratio, {"index": i, "level": level}
     descriptor = {"functions": corpus_spec}
     if op_id in ("Cb", "MbCommutator"):
-        descriptor["symbols"] = params["symbols"]
+        descriptor["symbols"] = symbols
     return ConstantReport(f"weak_type_{op_id}", descriptor, best, witness)
 
 
-def weak_morrey_M2_constant(corpus_spec: dict, lam: float, refine: RefinePolicy = LOOSE) -> ConstantReport:
+def weak_morrey_M2_constant(corpus_spec: dict, lam: float) -> ConstantReport:
     """Best observed ratio of the weak log-average Morrey norm of the
-    iterated maximal function against the log-average Morrey norm of the
-    input, over a seeded corpus; reported and regression-locked."""
+    iterated maximal function (its ``LOOSE`` lower envelope) against the
+    log-average Morrey norm of the input, over a seeded corpus; reported and
+    regression-locked."""
     if not 0.0 < lam < 1.0:
         raise ValueError("lambda must lie in (0, 1)")
     fs = corpus(**corpus_spec)
@@ -378,7 +372,7 @@ def weak_morrey_M2_constant(corpus_spec: dict, lam: float, refine: RefinePolicy 
         raise ValueError("empty corpus")
     best, witness = 0.0, {}
     for i, f in enumerate(fs):
-        lower = iterated_maximal(f, refine).lower
+        lower = iterated_maximal(f, LOOSE).lower
         if lower.is_zero:
             continue
         num = weak_zygmund_morrey_norm(lower, lam).value
@@ -411,14 +405,13 @@ def pointwise_domination_suite(
     b: StepFunction,
     f: StepFunction,
     points: list[float],
-    refine: RefinePolicy = LOOSE,
     with_c16: bool = True,
 ) -> DominationResult:
     """Checks the exact pointwise dominations of the commutator by the
     maximal commutator at each point: |[M,b]f| <= C_b f + 2 b^- Mf always,
     strengthened to |[M,b]f| <= C_b f when b is nonnegative.  Also records
-    the best observed constant of C_b f <= c ||b||_* M^2 f using the upper
-    envelope on the right (a valid sufficient witness)."""
+    the best observed constant of C_b f <= c ||b||_* M^2 f using the
+    ``LOOSE`` upper envelope on the right (a valid sufficient witness)."""
     _, minus = pos_neg_parts(b)
     nonneg = minus.is_zero
     violations: list[dict] = []
@@ -438,7 +431,7 @@ def pointwise_domination_suite(
     if with_c16:
         bmo = bmo_seminorm(b).value
         if bmo > 0.0 and not f.is_zero:
-            env2 = iterated_maximal(f, refine)
+            env2 = iterated_maximal(f, LOOSE)
             hull = env2.upper.support_hull()
             for x in points:
                 if hull is None or not hull.contains(x):
@@ -478,12 +471,12 @@ def standard_constant_reports() -> dict[str, ConstantReport]:
     reports["weak_type_Cb"] = weak_type_constant(
         "Cb",
         _corpus_descriptor(17, 8, 8, False),
-        {"symbols": _corpus_descriptor(13, 8, 6, True)},
+        _corpus_descriptor(13, 8, 6, True),
     )
     reports["weak_type_MbCommutator"] = weak_type_constant(
         "MbCommutator",
         _corpus_descriptor(23, 8, 8, False),
-        {"symbols": _corpus_descriptor(19, 8, 6, True)},
+        _corpus_descriptor(19, 8, 6, True),
     )
     reports["weak_morrey_M2"] = weak_morrey_M2_constant(
         _corpus_descriptor(29, 6, 8, False), 0.5
@@ -657,7 +650,7 @@ def suite_weaktype(seed: int = 7) -> dict:
     f = fs[i]
     base_ratio = reevaluate_constant(rep)
     g = f.dilate(4.0)
-    lower_g, scale_g = _witness_lower("M2", g, None, LOOSE)
+    lower_g, scale_g = _witness_lower("M2", g, None)
     ratio_g = distribution(lower_g, t) / (scale_g * _zygmund_integral(g, t))
     checks.append(
         _check(
@@ -668,14 +661,14 @@ def suite_weaktype(seed: int = 7) -> dict:
         )
     )
     rep_cb = weak_type_constant(
-        "Cb", _corpus_descriptor(17, 5, 6, False), {"symbols": _corpus_descriptor(13, 5, 5, True)}
+        "Cb", _corpus_descriptor(17, 5, 6, False), _corpus_descriptor(13, 5, 5, True)
     )
     constants["weak_type_Cb"] = rep_cb.constant
     checks.append(_check("cb_constant_finite", 0.0 <= rep_cb.constant < math.inf, constant=rep_cb.constant))
     rep_mb = weak_type_constant(
         "MbCommutator",
         _corpus_descriptor(23, 5, 6, False),
-        {"symbols": _corpus_descriptor(19, 5, 5, True)},
+        _corpus_descriptor(19, 5, 5, True),
     )
     constants["weak_type_MbCommutator"] = rep_mb.constant
     checks.append(_check("mb_constant_finite", 0.0 <= rep_mb.constant < math.inf, constant=rep_mb.constant))
@@ -825,6 +818,6 @@ def reevaluate_constant(report: ConstantReport) -> float:
         b = None
         if op != "M2":
             b = corpus(**report.corpus["symbols"])[i]
-        lower, scale = _witness_lower(op, f, b, LOOSE)
+        lower, scale = _witness_lower(op, f, b)
         return distribution(lower, t) / (scale * _zygmund_integral(f, t))
     raise ValueError(f"no witness reevaluation for {kind!r}")

@@ -72,7 +72,6 @@ from __future__ import annotations
 
 import bisect
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,7 +91,6 @@ from .stepfn import (
 
 __all__ = [
     "RefinePolicy",
-    "RadialProfile",
     "maximal",
     "fractional_maximal",
     "maximal_commutator",
@@ -101,7 +99,6 @@ __all__ = [
     "maximal_envelope",
     "iterated_maximal",
     "commutator_envelope",
-    "hardy",
 ]
 
 
@@ -115,44 +112,6 @@ class RefinePolicy:
 
     tol: float = 1e-3
     max_depth: int = 24
-
-
-@dataclass(frozen=True)
-class RadialProfile:
-    """Radial step profile f(x) = profile(|x|) in dimension ``dimension``."""
-
-    profile: StepFunction
-    dimension: int = 1
-    nonincreasing: bool = False
-
-    def __post_init__(self) -> None:
-        if self.dimension < 1 or self.dimension != int(self.dimension):
-            raise ValueError("dimension must be a positive integer")
-        if not self.profile.is_zero and self.profile.breakpoints[0] < 0:
-            raise ValueError("profile breakpoints must be >= 0")
-        if self.nonincreasing and not self.profile.is_zero:
-            vals = self.profile.values
-            if any(a < b for a, b in zip(vals, vals[1:])):
-                raise ValueError("profile marked nonincreasing has increasing values")
-            if any(v < 0 for v in vals):
-                raise ValueError("nonincreasing profiles must be nonnegative")
-            if self.profile.breakpoints[0] != 0.0:
-                raise ValueError("nonincreasing profiles must start at radius 0")
-
-    def to_json_obj(self) -> dict:
-        return {
-            "dimension": self.dimension,
-            "profile": self.profile.to_json_obj(),
-            "nonincreasing": self.nonincreasing,
-        }
-
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "RadialProfile":
-        return cls(
-            StepFunction.from_json_obj(obj["profile"]),
-            int(obj.get("dimension", 1)),
-            bool(obj.get("nonincreasing", False)),
-        )
 
 
 def _candidate_arrays(f: StepFunction, left: float, right: float):
@@ -553,38 +512,3 @@ def commutator_envelope(
         hi_vals.append(_values_at(piece.upper, mids))
     lo, hi = (StepFunction(np.concatenate(lo_bp), np.concatenate(v)) for v in (lo_vals, hi_vals))
     return EnvelopePair(lo, hi, depth_capped=capped)
-
-
-# ---------------------------------------------------------------------------
-# Hardy operator on radial profiles
-
-
-class HardyOriginWarning(UserWarning):
-    """Raised when the Hardy operator is evaluated at the removable point 0."""
-
-
-def hardy(p: RadialProfile, x: float) -> float:
-    """Exact n-dimensional Hardy operator H f(x), the solid average of |f|
-    over the ball of radius |x|.
-
-    For a radial step profile the value is (n / r^n) * int_0^r |phi| s^(n-1) ds,
-    a finite sum of monomial antiderivatives.  x = 0 is a removable limit;
-    the first-cell value is returned under a warning to keep pipelines total.
-    """
-    n = p.dimension
-    r = abs(float(x))
-    if r == 0.0:
-        warnings.warn(
-            "Hardy operator at x = 0 returns the limit value |phi(0+)|",
-            HardyOriginWarning,
-            stacklevel=2,
-        )
-        if p.profile.is_zero:
-            return 0.0
-        return abs(p.profile(p.profile.breakpoints[0])) if p.profile.breakpoints[0] == 0.0 else 0.0
-    total = 0.0
-    for l, rr, v in p.profile.cells():
-        lo, hi = max(l, 0.0), min(rr, r)
-        if hi > lo:
-            total += abs(v) * (hi**n - lo**n)
-    return total / r**n

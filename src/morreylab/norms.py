@@ -2,10 +2,9 @@
 
 Every norm returns a :class:`NormEstimate`: ``value`` is attained at
 ``argmax_interval`` and ``upper_bound`` holds for every interval.  The
-Morrey and weak Zygmund-Morrey norms are exact: without a family,
-``value == upper_bound``; an explicit family makes ``value`` the family
-maximum and leaves ``upper_bound`` exact.  The other norms read a
-family's endpoint arrays whole: per distinct value v of f, the level sweep
+Morrey and weak Zygmund-Morrey norms are exact, ``value == upper_bound``,
+and take no family.  The other norms read a family's endpoint arrays
+whole: per distinct value v of f, the level sweep
 (``stepfn.level_measures``) gives |{f = v} cap Q| on every member Q, and
 the Luxemburg root, the llog functional and the p-oscillation are folds
 over it (``orlicz._llog_rows``, ``_oscillation_rows``).
@@ -27,9 +26,7 @@ set, scanned by the same pair kernel over the component ends of E_k
 (lengthening Q into E_k or shortening it out of the complement raises
 |Q|^(lam-1) |E_k cap Q|).  As ||1_E||_{M_{1,lam}} <= |E|^lam, levels are
 scanned in decreasing order of v_k |E_k|^lam until that cannot win, each
-pair scan starting from the best of the levels before.  Over an explicit
-family, |E_k cap Q| is the running sum of the level sweep's measures from
-the top level down.
+pair scan starting from the best of the levels before.
 
 Certified upper bounds
 ----------------------
@@ -55,7 +52,7 @@ import numpy as np
 
 from .families import FamilySpec, ResolvedFamily, resolve_family
 from .orlicz import _llog_rows
-from .stepfn import (EnvelopePair, Interval, StepFunction, _first_max, _pair_max, level_measures, window_integrals,
+from .stepfn import (EnvelopePair, Interval, StepFunction, _pair_max, level_measures, superlevels, window_integrals,
                      window_split)
 
 __all__ = [
@@ -155,33 +152,21 @@ def _certified_upper_scale_invariant(
 # Morrey norm (exact)
 
 
-def morrey_norm(
-    f: StepFunction,
-    p: float,
-    lam: float,
-    family: FamilySpec | None = None,
-) -> NormEstimate:
+def morrey_norm(f: StepFunction, p: float, lam: float) -> NormEstimate:
     """Morrey norm sup_Q |Q|^((lam-1)/p) (int_Q |f|^p)^(1/p), n = 1, exact
-    by the breakpoint-pair scan (module docstring); a family only changes
-    ``value``, which is tight whenever it contains the breakpoint pairs."""
+    by the breakpoint-pair scan (module docstring)."""
     if p < 1 or not math.isfinite(p):
         raise ValueError("p must satisfy 1 <= p < inf")
     if not 0.0 <= lam <= 1.0:
         raise ValueError("lambda must lie in [0, 1]")
     if f.is_zero:
-        return NormEstimate(0.0, 0.0, None, family)
+        return NormEstimate(0.0, 0.0, None, None)
     b = np.asarray(f.breakpoints)
     w = np.abs(np.asarray(f.values)) ** p
     prefix = np.concatenate(([0.0], np.cumsum(w * np.diff(b))))
     e = (lam - 1.0) / p
     exact, pair = _pair_max(b[:-1], prefix[:-1], b[1:], prefix[1:], e, p, float(w.max()))
-    if family is None:
-        return NormEstimate(exact, exact, pair, None)
-    fam = resolve_family(family, f)
-    masses = window_integrals(w, prefix, window_split(b, fam.lefts, fam.rights))
-    value, k = _first_max(fam.rights - fam.lefts, masses, e, p)
-    arg = Interval(fam.lefts[k], fam.rights[k]) if k >= 0 else None
-    return NormEstimate(value, max(value, exact), arg, fam.spec)
+    return NormEstimate(exact, exact, pair, None)
 
 
 # ---------------------------------------------------------------------------
@@ -205,26 +190,15 @@ def zygmund_morrey_norm(
     return NormEstimate(value, upper, arg, fam.spec)
 
 
-def _superlevel_max(
-    g: StepFunction, lam: float, strict: bool = False, fam: ResolvedFamily | None = None
-) -> tuple[float, Interval | None]:
+def _superlevel_max(g: StepFunction, lam: float, strict: bool = False) -> tuple[float, Interval | None]:
     """max over the distinct levels t of |g| of t * ||1_E||_{M_{1,lam}} with
     E = {|g| >= t}, or {|g| > t} when ``strict``, and the attaining interval;
-    each Morrey norm is the pair scan over E's component ends, or the
-    maximum over ``fam`` when one is given (module docstring)."""
+    each Morrey norm is the pair scan over E's component ends (module
+    docstring)."""
     best, arg = 0.0, None
-    if fam is not None:
-        lengths, above = fam.rights - fam.lefts, np.zeros(len(fam))  # |{|g| > t} cap Q|
-        for t, meas in level_measures(g, fam.lefts, fam.rights):
-            v, i = _first_max(lengths, above if strict else above + meas, lam - 1.0, 1.0)
-            if t * v > best:
-                best, arg = float(t * v), Interval(fam.lefts[i], fam.rights[i])
-            above += meas
-        return best, arg
     b, w, _ = g._abs_arrays
     dx = np.diff(b)
-    levels, inv = np.unique(w, return_inverse=True)
-    meas = np.cumsum(np.bincount(inv, weights=dx)[::-1])[::-1]  # |{|g| >= level}|
+    levels, meas = superlevels(dx, w)
     coef, cut = levels, np.arange(len(levels))
     if strict:  # {|g| > levels[k]} = {|g| >= levels[k + 1]}
         coef, cut = levels[:-1], cut[1:]
@@ -244,24 +218,15 @@ def _superlevel_max(
     return best, arg
 
 
-def weak_zygmund_morrey_norm(
-    f: StepFunction,
-    lam: float,
-    family: FamilySpec | None = None,
-) -> NormEstimate:
+def weak_zygmund_morrey_norm(f: StepFunction, lam: float) -> NormEstimate:
     """sup_Q |Q|^lam * (weak L(1+log+ L) average of f over Q), n = 1, exact
-    by the superlevel reduction (module docstring); a family only changes
-    ``value``."""
+    by the superlevel reduction (module docstring)."""
     if not 0.0 < lam < 1.0:
         raise ValueError("lambda must lie in (0, 1)")
     if f.is_zero:
-        return NormEstimate(0.0, 0.0, None, family)
+        return NormEstimate(0.0, 0.0, None, None)
     exact, pair = _superlevel_max(f, lam)
-    if family is None:
-        return NormEstimate(exact, exact, pair, None)
-    fam = resolve_family(family, f)
-    value, arg = _superlevel_max(f, lam, fam=fam)
-    return NormEstimate(value, max(value, exact), arg, fam.spec)
+    return NormEstimate(exact, exact, pair, None)
 
 
 def characterization_functional(

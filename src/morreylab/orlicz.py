@@ -51,7 +51,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .families import ResolvedFamily, resolve_family
-from .stepfn import Interval, StepFunction, average, combine, level_measures, window_integrals, window_split
+from .stepfn import (Interval, StepFunction, average, combine, level_measures, superlevels, window_integrals,
+                     window_split)
 
 __all__ = [
     "OrliczGauge",
@@ -207,20 +208,6 @@ def luxemburg_average(f: StepFunction, window: Interval, gauge: OrliczGauge = LL
     return _luxemburg_exp_exact(lens, vals, area)
 
 
-def _weak_level_data(f: StepFunction, window: Interval) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct values v_k of |f| on the window with left-limit measures
-    mu_k = |{|f| >= v_k} cap I|, the levels realizing the weak average's
-    inner supremum."""
-    lens, vals = _clipped_cells(f, window)
-    if len(lens) == 0:
-        return np.empty(0), np.empty(0)
-    uniq, inv = np.unique(vals, return_inverse=True)
-    sums = np.bincount(inv, weights=lens)
-    levels = uniq[::-1]
-    mus = np.cumsum(sums[::-1])
-    return levels, mus
-
-
 def weak_llog_average(f: StepFunction, window: Interval) -> float:
     """Weak L(1+log+ L) average: inf{alpha : S(alpha) <= 1} where S is the
     supremum over t of the superlevel fraction against (1/t)(1+log+(1/t)).
@@ -234,9 +221,10 @@ def weak_llog_average(f: StepFunction, window: Interval) -> float:
     is nonincreasing in alpha, so the infimum is the largest of those
     roots:  max_k v_k |{|f| >= v_k} cap I| / |I|, exact to rounding.
     """
-    levels, mus = _weak_level_data(f, window)
-    if len(levels) == 0:
+    lens, vals = _clipped_cells(f, window)
+    if len(lens) == 0:
         return 0.0
+    levels, mus = superlevels(lens, vals)
     return float(np.max(levels * mus)) / window.length
 
 

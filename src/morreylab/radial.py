@@ -6,7 +6,8 @@ and integrating again stays inside the class of piecewise
 polynomial-plus-logarithm functions (one more division adds log^2 terms).
 Two nesting levels suffice for everything here, so the representation
 carries polynomial coefficients plus log and log^2 coefficients and
-refuses a third level.
+refuses a third level.  The n-dimensional Hardy operator, the solid
+average of |phi| over the ball of radius |x|, is n I(|x|) / |x|^n.
 
 The functionals take the supremum over x > 0 of h(x) = x^shift * P(x),
 shift = lam - n < 0, over every piece's ends and critical points.
@@ -49,18 +50,57 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from .maxops import RadialProfile
 from .norms import NormEstimate
-from .stepfn import Interval
+from .stepfn import Interval, StepFunction
 
 __all__ = [
+    "RadialProfile",
     "PolyLogPiece",
     "PiecewiseLogPoly",
     "inner_integral",
+    "hardy",
     "zm_radial_functional",
     "zm_radial_functional_M",
     "hardy_reduction_check",
 ]
+
+
+@dataclass(frozen=True)
+class RadialProfile:
+    """Radial step profile f(x) = profile(|x|) in dimension ``dimension``."""
+
+    profile: StepFunction
+    dimension: int = 1
+    nonincreasing: bool = False
+
+    def __post_init__(self) -> None:
+        if self.dimension < 1 or self.dimension != int(self.dimension):
+            raise ValueError("dimension must be a positive integer")
+        if not self.profile.is_zero and self.profile.breakpoints[0] < 0:
+            raise ValueError("profile breakpoints must be >= 0")
+        if self.nonincreasing and not self.profile.is_zero:
+            vals = self.profile.values
+            if any(a < b for a, b in zip(vals, vals[1:])):
+                raise ValueError("profile marked nonincreasing has increasing values")
+            if any(v < 0 for v in vals):
+                raise ValueError("nonincreasing profiles must be nonnegative")
+            if self.profile.breakpoints[0] != 0.0:
+                raise ValueError("nonincreasing profiles must start at radius 0")
+
+    def to_json_obj(self) -> dict:
+        return {
+            "dimension": self.dimension,
+            "profile": self.profile.to_json_obj(),
+            "nonincreasing": self.nonincreasing,
+        }
+
+    @classmethod
+    def from_json_obj(cls, obj: dict) -> "RadialProfile":
+        return cls(
+            StepFunction.from_json_obj(obj["profile"]),
+            int(obj.get("dimension", 1)),
+            bool(obj.get("nonincreasing", False)),
+        )
 
 
 def _poly(coeffs, t: float) -> float:
@@ -184,6 +224,29 @@ def inner_integral(p: RadialProfile) -> PiecewiseLogPoly:
     return PiecewiseLogPoly(tuple(pieces))
 
 
+class HardyOriginWarning(UserWarning):
+    """Raised when the Hardy operator is evaluated at the removable point 0."""
+
+
+def hardy(p: RadialProfile, x: float) -> float:
+    """Exact n-dimensional Hardy operator H f(x) = n I(|x|) / |x|^n, the
+    solid average of |f| over the ball of radius |x|, with I the inner
+    integral.  x = 0 is a removable limit; the first-cell value is returned
+    under a warning to keep pipelines total.
+    """
+    r = abs(float(x))
+    if r == 0.0:
+        warnings.warn(
+            "Hardy operator at x = 0 returns the limit value |phi(0+)|",
+            HardyOriginWarning,
+            stacklevel=2,
+        )
+        if p.profile.is_zero:
+            return 0.0
+        return abs(p.profile(p.profile.breakpoints[0])) if p.profile.breakpoints[0] == 0.0 else 0.0
+    return p.dimension * inner_integral(p)(r) / r**p.dimension
+
+
 def _sign_roots(f, df, pts: list[float]) -> list[float]:
     """Roots of f at its sign changes between consecutive sorted points
     ``pts``, on each of whose cells f is monotone and f'' keeps one sign.
@@ -291,36 +354,35 @@ def _sup_weighted(P: PiecewiseLogPoly, lam: float, n: int) -> tuple[float, float
     return best, arg
 
 
+def _radial_sup(p: RadialProfile, lam: float, levels: int) -> NormEstimate:
+    """sup_{x>0} x^(lam - n) * P(x), with P the inner integral divided by t
+    and integrated ``levels`` times; the candidate search is exhaustive, so
+    ``upper_bound`` pads ``value`` by rounding only (module docstring)."""
+    if p.profile.is_zero:
+        return NormEstimate(0.0, 0.0, None, None)
+    P = inner_integral(p)
+    for _ in range(levels):
+        P = P.integrate_div_t()
+    value, arg = _sup_weighted(P, lam, p.dimension)
+    return NormEstimate(value, value * (1.0 + 1e-9), Interval(0.0, arg) if arg > 0 else None, None)
+
+
 def zm_radial_functional(p: RadialProfile, lam: float) -> NormEstimate:
     """sup_{x>0} x^(lam - n) * int_0^x (1/t) int_0^t |phi(r)| r^(n-1) dr dt,
     the radial closed form of the Morrey log-average norm."""
-    n = p.dimension
-    if not 0.0 < lam < n:
+    if not 0.0 < lam < p.dimension:
         raise ValueError("lambda must lie in (0, n)")
-    if p.profile.is_zero:
-        return NormEstimate(0.0, 0.0, None, None)
-    F = inner_integral(p).integrate_div_t()
-    value, arg = _sup_weighted(F, lam, n)
-    upper = value * (1.0 + 1e-9)  # candidate search is exhaustive; pad rounding
-    argmax = Interval(0.0, arg) if arg > 0 else None
-    return NormEstimate(value, upper, argmax, None)
+    return _radial_sup(p, lam, 1)
 
 
 def zm_radial_functional_M(p: RadialProfile, lam: float) -> NormEstimate:
     """Triple-nested variant characterizing the norm after one application
     of the maximal operator; requires a nonincreasing profile."""
-    n = p.dimension
-    if not 0.0 < lam < n:
+    if not 0.0 < lam < p.dimension:
         raise ValueError("lambda must lie in (0, n)")
     if not p.nonincreasing:
         raise ValueError("the triple-nested functional requires a nonincreasing profile")
-    if p.profile.is_zero:
-        return NormEstimate(0.0, 0.0, None, None)
-    G = inner_integral(p).integrate_div_t().integrate_div_t()
-    value, arg = _sup_weighted(G, lam, n)
-    upper = value * (1.0 + 1e-9)
-    argmax = Interval(0.0, arg) if arg > 0 else None
-    return NormEstimate(value, upper, argmax, None)
+    return _radial_sup(p, lam, 2)
 
 
 def hardy_reduction_check(p: RadialProfile, lam: float) -> tuple[float, float, float]:

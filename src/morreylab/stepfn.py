@@ -442,6 +442,14 @@ def _pair_max(
     return best, pair
 
 
+def superlevels(lengths: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values v of cells with these lengths and values, in
+    ascending order, and for each the measure |{f >= v}| of the cells at or
+    above it, summed from the top value down."""
+    levels, inv = np.unique(values, return_inverse=True)
+    return levels, np.cumsum(np.bincount(inv, weights=lengths)[::-1])[::-1]
+
+
 def _values_at(f: StepFunction, xs: np.ndarray) -> np.ndarray:
     """f at every point of xs (vectorized ``f(x)``: the right cell's value
     at a breakpoint, 0 off the support)."""

@@ -19,7 +19,6 @@ from morreylab.experiments import (
     suite_counterexample,
 )
 from morreylab.maxops import (
-    RadialProfile,
     RefinePolicy,
     brute_force_maximal,
     maximal,
@@ -34,7 +33,7 @@ from morreylab.orlicz import (
     luxemburg_average,
     weak_llog_average,
 )
-from morreylab.radial import hardy_reduction_check, zm_radial_functional
+from morreylab.radial import RadialProfile, hardy_reduction_check, zm_radial_functional
 from morreylab.stepfn import Interval, StepFunction
 
 EXPECTED = json.loads((Path(__file__).parent / "expected_constants.json").read_text())

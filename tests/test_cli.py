@@ -139,6 +139,21 @@ class TestNorm:
         assert obj["family"] is None
         assert obj["value"] == obj["upper_bound"] > 0.0
 
+    @pytest.mark.parametrize(
+        "kind, flag",
+        [("morrey", ["--family", "auto"]), ("weak-zygmund", ["--depth", "4"]), ("zm-radial", ["--cap", "100"])],
+    )
+    def test_family_flags_rejected_on_exact_kinds(self, chi01_file, profile_file, kind, flag, capsys):
+        path = profile_file if kind == "zm-radial" else chi01_file
+        assert main(["norm", "--input", path, "--kind", kind, *flag]) == 2
+        err = capsys.readouterr().err
+        assert "zygmund, bmo, bmo-p, characterization" in err
+
+    def test_family_flags_accepted_on_family_kinds(self, chi01_file, capsys):
+        assert main(["norm", "--input", chi01_file, "--kind", "zygmund", "--family", "dyadic"]) == 0
+        obj = json.loads(capsys.readouterr().out)
+        assert obj["family"]["mode"] == "dyadic"
+
 
 class TestParser:
     @pytest.mark.parametrize(

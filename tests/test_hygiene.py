@@ -1,0 +1,65 @@
+"""Source hygiene of the package, checked with the standard library's ast:
+no module imports a name it never uses, and every module-level private
+name is referenced somewhere in the package."""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "morreylab"
+TREES = {path.name: ast.parse(path.read_text(), str(path)) for path in sorted(SRC.glob("*.py"))}
+
+
+def _read_names(tree: ast.AST) -> set[str]:
+    """Names read anywhere in the tree, with the identifier strings that
+    stand for names: ``__all__`` entries and quoted annotations."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value.isidentifier():
+            names.add(node.value)
+    return names
+
+
+def test_no_unused_import():
+    unused = []
+    for name, tree in TREES.items():
+        if name == "__init__.py":  # its imports are the package's exports
+            continue
+        read = _read_names(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = (alias.asname or alias.name).split(".")[0]
+                    if bound not in read:
+                        unused.append(f"{name}: {bound}")
+    assert not unused
+
+
+def test_no_unreferenced_private_name():
+    referenced = set()
+    for tree in TREES.values():
+        referenced |= _read_names(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                referenced.update(alias.name for alias in node.names)
+    unreferenced = []
+    for name, tree in TREES.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            for private in defined:
+                if private.startswith("_") and not private.startswith("__") and private not in referenced:
+                    unreferenced.append(f"{name}: {private}")
+    assert not unreferenced

@@ -6,8 +6,6 @@ import numpy as np
 import pytest
 
 from morreylab.maxops import (
-    HardyOriginWarning,
-    RadialProfile,
     RefinePolicy,
     _candidate_arrays,
     _cell_floor,
@@ -16,13 +14,13 @@ from morreylab.maxops import (
     commutator,
     commutator_envelope,
     fractional_maximal,
-    hardy,
     iterated_maximal,
     maximal,
     maximal_commutator,
     maximal_envelope,
 )
 from morreylab import stepfn
+from morreylab.radial import HardyOriginWarning, RadialProfile, hardy
 from morreylab.stepfn import Interval, StepFunction, average, combine, default_hull, prefix_at
 
 CHI01 = StepFunction.indicator(0.0, 1.0)
@@ -628,7 +626,7 @@ class TestEnvelopes:
         for _ in range(6):
             b = random_step(rng, max_cells=5, signed=True)
             f = random_step(rng, max_cells=6)
-            lower = _abs_commutator_lower(b, f, RefinePolicy(tol=0.05, max_depth=12))
+            lower = _abs_commutator_lower(b, f)
             hull = lower.support_hull()
             if hull is None:
                 continue

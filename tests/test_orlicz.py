@@ -19,7 +19,7 @@ from morreylab.orlicz import (
     orlicz_maximal,
     weak_llog_average,
 )
-from morreylab.stepfn import Interval, StepFunction, average
+from morreylab.stepfn import Interval, StepFunction, average, superlevels
 
 CHI01 = StepFunction.indicator(0.0, 1.0)
 Q01 = Interval(0.0, 1.0)
@@ -198,9 +198,7 @@ class TestLuxemburg:
             f = random_step(rng, max_cells=8)
             hull = f.support_hull()
             q = Interval(hull.left - 0.2, hull.right + 0.3)
-            from morreylab.orlicz import _weak_level_data
-
-            levels, mus = _weak_level_data(f, q)
+            levels, mus = superlevels(*_clipped_cells(f, q))
             if len(levels) == 0:
                 continue
 
@@ -209,12 +207,12 @@ class TestLuxemburg:
                 ts = ts[ts > 0]
                 # measure of {|f| > alpha t}: the deepest level still above
                 mu_t = np.array(
-                    [float(mus[levels > alpha * t][-1]) if (levels > alpha * t).any() else 0.0 for t in ts]
+                    [float(mus[levels > alpha * t][0]) if (levels > alpha * t).any() else 0.0 for t in ts]
                 )
                 denom = (1.0 / ts) * (1.0 + np.maximum(np.log(1.0 / ts), 0.0))
                 return float(np.max(mu_t / q.length / denom))
 
-            lo, hi = 1e-12, float(levels[0]) * 2.0
+            lo, hi = 1e-12, float(levels[-1]) * 2.0
             for _ in range(120):
                 mid = 0.5 * (lo + hi)
                 if s_grid(mid) > 1.0:
@@ -253,9 +251,7 @@ class TestWeakAverage:
         rng = np.random.default_rng(23)
         f = random_step(rng)
         q = Interval(-3.0, 3.0)
-        from morreylab.orlicz import _weak_level_data
-
-        levels, mus = _weak_level_data(f, q)
+        levels, mus = superlevels(*_clipped_cells(f, q))
 
         def s(alpha):
             t = levels / alpha

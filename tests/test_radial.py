@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from morreylab.maxops import RadialProfile
 from morreylab.radial import (
     PiecewiseLogPoly,
     PolyLogPiece,
+    RadialProfile,
     _sup_weighted,
     hardy_reduction_check,
     inner_integral,

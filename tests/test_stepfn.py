@@ -14,6 +14,7 @@ from morreylab.stepfn import (
     integrate,
     pos_neg_parts,
     rearrangement,
+    superlevels,
 )
 
 CHI01 = StepFunction.indicator(0.0, 1.0)
@@ -192,6 +193,39 @@ class TestDistribution:
     def test_negative_level_rejected(self):
         with pytest.raises(ValueError):
             distribution(CHI01, -0.1)
+
+
+class TestSuperlevels:
+    @staticmethod
+    def cell_loop(lengths, values):
+        levels = sorted(set(values))
+        return levels, [math.fsum(l for l, v in zip(lengths, values) if v >= t) for t in levels]
+
+    @pytest.mark.parametrize(
+        "lengths, values",
+        [
+            ([0.5, 1.0, 0.25, 2.0, 0.125], [3.0, 1.0, 3.0, 1.0, 3.0]),  # ties
+            ([0.3, 0.4, 0.2, 0.1], [0.0, 2.0, 0.0, 5.0]),  # zero cells
+            ([1.5], [4.0]),  # one cell
+            ([], []),
+        ],
+    )
+    def test_examples_match_cell_loop(self, lengths, values):
+        levels, meas = superlevels(np.array(lengths), np.array(values))
+        want_levels, want_meas = self.cell_loop(lengths, values)
+        assert levels.tolist() == want_levels
+        assert meas == pytest.approx(want_meas, rel=1e-15)
+
+    def test_random_match_cell_loop(self):
+        rng = np.random.default_rng(5)
+        for _ in range(50):
+            m = int(rng.integers(1, 30))
+            lengths = rng.uniform(0.0, 2.0, m)
+            values = rng.choice([0.0, 0.5, 1.0, 2.5, 7.0], m)
+            levels, meas = superlevels(lengths, values)
+            want_levels, want_meas = self.cell_loop(lengths.tolist(), values.tolist())
+            assert levels.tolist() == want_levels
+            assert meas == pytest.approx(want_meas, rel=1e-13)
 
 
 class TestRearrangement:
