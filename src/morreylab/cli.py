@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -97,6 +98,8 @@ def _points_from_args(args) -> list[float]:
         pts.extend(lo + i * step for i in range(count))
     if not pts:
         raise UsageError("no evaluation points; pass --at or --grid")
+    if not all(map(math.isfinite, pts)):
+        raise UsageError("evaluation points must be finite")
     return pts
 
 
@@ -305,13 +308,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (UsageError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -35,8 +35,7 @@ The same scan for the fractional variant |Q|^(a-1) * int_Q |f| gives the
 derivative sign (a-1)(A + c*d) + c(L + d), which is nondecreasing in d
 (a, c >= 0), so any interior critical point is a minimum along the scan
 direction and endpoint enumeration is again exact.  Its objective does not
-separate into one term per endpoint, so the pairs go to the pair kernel
-``stepfn._pair_max``, in blocks of rows, pruned by an exact row bound.
+separate into one term per endpoint: see the hull walk ``stepfn._pair_max``.
 
 The per-cell split
 ------------------
@@ -77,7 +76,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .stepfn import (
-    _BLOCK,
     _pair_max,
     _values_at,
     EnvelopePair,
@@ -101,6 +99,9 @@ __all__ = [
     "commutator_envelope",
 ]
 
+# float64 entries in any one temporary of the row-blocked passes
+_BLOCK = 16_384
+
 
 @dataclass(frozen=True)
 class RefinePolicy:
@@ -112,6 +113,11 @@ class RefinePolicy:
 
     tol: float = 1e-3
     max_depth: int = 24
+
+    def __post_init__(self) -> None:
+        if not (math.isfinite(self.tol) and self.tol > 0.0) or self.max_depth < 0:
+            raise ValueError(
+                f"need a finite tol > 0 and max_depth >= 0, got tol={self.tol}, max_depth={self.max_depth}")
 
 
 def _candidate_arrays(f: StepFunction, left: float, right: float):
@@ -406,7 +412,7 @@ def maximal_envelope(
 
     done: list[tuple[np.ndarray, ...]] = []
     kept = capped = 0
-    for depth in range(max(refine.max_depth, 0) + 1):
+    for depth in range(refine.max_depth + 1):
         hi_ends = np.maximum(mf_l, mf_r)
         hi = np.maximum(hi_ends, upper_floor)
         lo = np.minimum(np.maximum.reduce([c_lo[cells + 1], r_lo, l_lo]), sup)
@@ -421,9 +427,7 @@ def maximal_envelope(
         if not divide.any():
             break
         if kept + 2 * np.count_nonzero(divide) > _MAX_ENVELOPE_CELLS:
-            raise RuntimeError(
-                "envelope refinement exceeded the cell budget; loosen tol or max_depth"
-            )
+            raise ValueError(f"envelope refinement exceeded its {_MAX_ENVELOPE_CELLS}-cell budget; loosen tol")
         xm, cells = mid[divide], cells[divide]
         mf_m, r_m, l_m = split(xm, cells)
         left, right = halves(left[divide], xm), halves(xm, right[divide])

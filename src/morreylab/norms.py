@@ -14,19 +14,17 @@ Exact norms
 For the Morrey objective |Q|^((lam-1)/p) * (int_Q |f|^p)^(1/p) the
 one-endpoint scan has derivative sign (lam-1)(A + c d) + c (L + d), which
 is nondecreasing in the penetration depth, so the supremum over all
-intervals is attained at breakpoint pairs of f.  The pair kernel
-``stepfn._pair_max`` scans them in blocks of rows, ascending in the left
-end, until an exact row bound shows that no later row can win.
+intervals is attained at breakpoint pairs of f: see ``stepfn._pair_max``.
 
 The weak L(1+log+ L) average over Q is max_k v_k |E_k cap Q| / |Q| with
 E_k = {|f| >= v_k} over the distinct values v_k of |f|
 (``orlicz.weak_llog_average``).  Exchanging the two maxima, the weak norm
 is max_k v_k ||1_{E_k}||_{M_{1,lam}}: one p = 1 Morrey norm per superlevel
-set, scanned by the same pair kernel over the component ends of E_k
+set, walked by the same kernel over the component ends of E_k
 (lengthening Q into E_k or shortening it out of the complement raises
 |Q|^(lam-1) |E_k cap Q|).  As ||1_E||_{M_{1,lam}} <= |E|^lam, levels are
 scanned in decreasing order of v_k |E_k|^lam until that cannot win, each
-pair scan starting from the best of the levels before.
+walk starting from the best of the levels before.
 
 Certified upper bounds
 ----------------------
@@ -154,7 +152,7 @@ def _certified_upper_scale_invariant(
 
 def morrey_norm(f: StepFunction, p: float, lam: float) -> NormEstimate:
     """Morrey norm sup_Q |Q|^((lam-1)/p) (int_Q |f|^p)^(1/p), n = 1, exact
-    by the breakpoint-pair scan (module docstring)."""
+    by the hull walk over breakpoint pairs (module docstring)."""
     if p < 1 or not math.isfinite(p):
         raise ValueError("p must satisfy 1 <= p < inf")
     if not 0.0 <= lam <= 1.0:
@@ -193,7 +191,7 @@ def zygmund_morrey_norm(
 def _superlevel_max(g: StepFunction, lam: float, strict: bool = False) -> tuple[float, Interval | None]:
     """max over the distinct levels t of |g| of t * ||1_E||_{M_{1,lam}} with
     E = {|g| >= t}, or {|g| > t} when ``strict``, and the attaining interval;
-    each Morrey norm is the pair scan over E's component ends (module
+    each Morrey norm is the hull walk over E's component ends (module
     docstring)."""
     best, arg = 0.0, None
     b, w, _ = g._abs_arrays

@@ -381,65 +381,65 @@ def default_hull(*fs: StepFunction) -> Interval:
 # ---------------------------------------------------------------------------
 # vectorized helpers shared by the operator modules
 
-# float64 entries in any one temporary of the row-blocked passes
-_BLOCK = 16_384
-
-
-def _first_max(lengths: np.ndarray, masses: np.ndarray, e: float, p: float) -> tuple[float, int]:
-    """First maximum of lengths**e * masses**(1/p), lengths > 0 and masses >= 0,
-    among the positive masses, and its index (0.0 and -1 if there is none).
-
-    numpy's array power can round an ulp away from the scalar one, so the
-    arrays only preselect the near-maximal entries, and those are compared
-    in scalar arithmetic: the result is the scalar per-interval maximum.
-    """
-    approx = lengths**e * masses ** (1.0 / p)
-    best, arg = 0.0, -1
-    top = approx.max(initial=0.0)
-    if top > 0.0:
-        for k in np.flatnonzero(approx >= top * (1.0 - 1e-12)):
-            v = float(lengths[k] ** e * masses[k] ** (1.0 / p))
-            if v > best:
-                best, arg = v, int(k)
-    return best, arg
-
-
 def _pair_max(
     lefts: np.ndarray, plefts: np.ndarray, rights: np.ndarray, prights: np.ndarray, e: float, p: float, top: float,
     floor: float = 0.0,
 ) -> tuple[float, Interval | None]:
-    """First maximum, in row-major order, of (r - l)**e (P(r) - P(l))**(1/p)
-    above ``floor`` over the pairs of ascending left ends l and right ends
-    r > l, P nondecreasing, with its interval, or (floor, None); ``top``
-    bounds every cell's weight, so P(r) - P(l) <= top (r - l).
+    """Maximum of (r - l)**e (P(r) - P(l))**(1/p) above ``floor`` (e <= 0 <=
+    e + 1/p) over the pairs of ascending left ends l and right ends r > l,
+    P nondecreasing, with its interval, or (floor, None); ``top`` bounds the
+    cell weights, so P(r) - P(l) <= top (r - l).
 
-    A block of rows holds at most _BLOCK entries, over the columns from the
-    first right end past its first left end; pairs with r <= l get mass 0
-    (and length 1).  :func:`_first_max` runs over the flattened block, which
-    wins only if strictly greater: the scalar per-pair maximum.
+    Lemma: a hull vertex attains the maximum.  A pair is a point (L, M), and
+    the objective is h**(1/p), h = M L**-b, b = -e p in [0, 1].  With t the
+    maximum of h, the convex hypograph of t L**b holds every point and the
+    origin, so it holds their upper hull.  On a line M = c + s L,
+    L**(b+1) dh/dL = (1 - b) s L - b c: a stationary point needs c, s > 0
+    and is a minimum, so on each hull edge h peaks at an end.
 
-    Row bound: as r - l >= M / top for a pair of mass M, and e <= 0 <= e + 1/p,
-    (r - l)**e M**(1/p) <= top**(-e) M**(e + 1/p) <= top**(-e) (P_end - P(l))**(e + 1/p)
-    with P_end the last P(r).  It does not increase with l, so the scan stops at
-    the first block whose first row cannot win; the factor 1 + 1e-12 absorbs
-    the rounding where the bound is attained.
+    The walk.  The oracle returns the pair maximizing M - a L, by one running
+    minimum of P(l) - a l over the left ends below each right end.  The
+    first chord joins the origin (supporting slope ``top``) to the oracle's
+    pair at a = 0 (slope 0).  At a chord's slope, an oracle pair strictly
+    above the chord is a vertex and splits it.  Points above a chord lie in
+    the triangle under its supporting lines, on whose sides h peaks at a
+    corner, so a chord is dropped when h at the apex cannot beat the best.
+
+    Rounding.  Vertices are scored in scalar arithmetic, as the per-pair
+    maximum is.  The oracle compares rounded sums, so it can miss a vertex
+    within rounding of a chord, where h is at most its ends' best: the
+    result then falls short by a rounding amount.  This shows on exact ties
+    at b = 1, whose maximizers lie on one ray and only its far end is scored.
     """
-    best, pair, s = floor, None, 0
-    while s < len(lefts):
-        j0 = int(rights.searchsorted(lefts[s], side="right"))
-        cols = len(rights) - j0
-        if cols == 0 or top**-e * max(prights[-1] - plefts[s], 0.0) ** (e + 1.0 / p) * (1.0 + 1e-12) <= best:
-            break
-        t = s + max(1, _BLOCK // cols)
-        lengths = rights[None, j0:] - lefts[s:t, None]
-        ahead = lengths > 0.0
-        masses = np.where(ahead, prights[None, j0:] - plefts[s:t, None], 0.0)
-        v, k = _first_max(np.where(ahead, lengths, 1.0).ravel(), masses.ravel(), e, p)
-        if v > best:
-            i, j = divmod(k, cols)
-            best, pair = v, Interval(lefts[s + i], rights[j0 + j])
-        s = t
-    return best, pair
+    rights, prights = rights[rights > lefts[0]], prights[rights > lefts[0]]
+    below = lefts.searchsorted(rights) - 1  # the last left end below each right end
+
+    def vertex(a: float) -> tuple[float, float, int, int]:
+        cost = plefts - a * lefts
+        j = int((prights - a * rights - np.minimum.accumulate(cost)[below]).argmax())
+        i = int(cost[: below[j] + 1].argmin())
+        return float(rights[j] - lefts[i]), float(prights[j] - plefts[i]), i, j
+
+    def objective(length: float, mass: float) -> float:
+        return length**e * mass ** (1.0 / p) if mass > 0.0 else 0.0
+
+    best, arg = floor, None
+    chords = [((0.0, 0.0), top, vertex(0.0), 0.0)]
+    while chords:
+        u, su, v, sv = chords.pop()
+        (lu, mu), (lv, mv) = u[:2], v[:2]
+        if (score := objective(lv, mv)) > best:  # v, a pair, is scored again if it ends a later chord
+            best, arg = score, v
+        if not su > sv:
+            continue
+        t = min(max((mv - mu - sv * (lv - lu)) / (su - sv), 0.0), lv - lu)  # the apex, at L = lu + t
+        if lu + t > 0.0 and objective(lu + t, mu + su * t) <= best:
+            continue
+        a = (mv - mu) / (lv - lu)
+        w = vertex(a)
+        if lu < w[0] < lv and w[1] - a * w[0] > max(mu - a * lu, mv - a * lv):
+            chords += [(w, a, v, sv), (u, su, w, a)]
+    return best, None if arg is None else Interval(lefts[arg[2]], rights[arg[3]])
 
 
 def superlevels(lengths: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

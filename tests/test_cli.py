@@ -96,6 +96,31 @@ class TestMaxfn:
         val = capsys.readouterr().out.strip().splitlines()[1].split(",")[1]
         assert float(val) == math.pi
 
+    @pytest.mark.parametrize("tol", ["0", "-1", "nan"])
+    def test_m2_bad_tol_exit_2(self, chi01_file, tol, capsys):
+        assert main(["maxfn", "--input", chi01_file, "--op", "M2", "--at", "0.5", f"--tol={tol}"]) == 2
+        assert "tol" in capsys.readouterr().err
+
+    def test_m2_cell_budget_exit_2(self, tmp_path, capsys):
+        # the default tol on 1000 cells needs more envelope cells than the budget
+        rng = np.random.default_rng(5)
+        f = StepFunction(np.sort(rng.uniform(0.0, 1.0, 1001)), np.exp(rng.uniform(-3.0, 3.0, 1000)))
+        path = tmp_path / "f.json"
+        path.write_text(f.to_json())
+        assert main(["maxfn", "--input", str(path), "--op", "M2", "--at", "0.5"]) == 2
+        err = capsys.readouterr().err
+        assert "budget" in err and "max_depth" not in err
+
+    @pytest.mark.parametrize("op", [["--op", "M"], ["--op", "Malpha", "--alpha", "0.5"]])
+    @pytest.mark.parametrize("points", [["--at", "nan"], ["--at", "0.5,inf"], ["--grid=-inf:1:3"], ["--grid=0:nan:3"]])
+    def test_non_finite_points_exit_2(self, chi01_file, op, points, capsys):
+        assert main(["maxfn", "--input", chi01_file, *op, *points]) == 2
+        assert capsys.readouterr().out == ""
+
+    def test_directory_input_exit_2(self, tmp_path, capsys):
+        assert main(["maxfn", "--input", str(tmp_path), "--op", "M", "--at", "0.5"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 class TestNorm:
     def test_morrey_chi04(self, chi04_file, capsys):

@@ -1,13 +1,16 @@
 """Source hygiene of the package, checked with the standard library's ast:
 no module imports a name it never uses, and every module-level private
-name is referenced somewhere in the package."""
+name is referenced somewhere in the package.  Also, every name the traced
+benchmark run patches still exists."""
 
 from __future__ import annotations
 
 import ast
+import importlib.util
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "morreylab"
+SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 TREES = {path.name: ast.parse(path.read_text(), str(path)) for path in sorted(SRC.glob("*.py"))}
 
 
@@ -63,3 +66,18 @@ def test_no_unreferenced_private_name():
                 if private.startswith("_") and not private.startswith("__") and private not in referenced:
                     unreferenced.append(f"{name}: {private}")
     assert not unreferenced
+
+
+def test_traced_names_resolve():
+    # a deleted name would otherwise show only as a crash of the traced run
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    missing = []
+    for label, (module, attr) in {**spans.SPANNED, **spans.COUNTED}.items():
+        owner = importlib.import_module(f"morreylab.{module}")
+        for part in attr.split("."):
+            owner = getattr(owner, part, None)
+        if not callable(owner):
+            missing.append(label)
+    assert not missing

@@ -1,9 +1,12 @@
 import math
+import time
 import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from morreylab.maxops import (
     RefinePolicy,
@@ -19,11 +22,20 @@ from morreylab.maxops import (
     maximal_commutator,
     maximal_envelope,
 )
-from morreylab import stepfn
 from morreylab.radial import HardyOriginWarning, RadialProfile, hardy
-from morreylab.stepfn import Interval, StepFunction, average, combine, default_hull, prefix_at
+from morreylab.stepfn import Interval, StepFunction, _pair_max, average, combine, default_hull, integrate, prefix_at
 
 CHI01 = StepFunction.indicator(0.0, 1.0)
+
+
+@st.composite
+def tie_heavy_steps(draw):
+    """1-13 cells on integer breakpoints with values in {0, 1, 2, 3}: many
+    intervals share a length and a mass."""
+    n = draw(st.integers(1, 13))
+    gaps = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+    vals = draw(st.lists(st.sampled_from([0.0, 1.0, 2.0, 3.0]), min_size=n, max_size=n))
+    return StepFunction(np.cumsum([draw(st.integers(-5, 5)), *gaps]), vals)
 
 
 def random_step(rng, max_cells=12, signed=False):
@@ -452,10 +464,7 @@ class TestFractionalMaximal:
             assert exact >= best - 1e-12
             assert exact <= best * (1.0 + 1e-9) + 1e-12
 
-    @pytest.mark.parametrize("block", [1, 5, stepfn._BLOCK])
-    def test_matches_scalar_pair_loop(self, monkeypatch, block):
-        # blocks of one row, of a few rows cut mid-row, and the default
-        monkeypatch.setattr(stepfn, "_BLOCK", block)
+    def test_matches_scalar_pair_loop(self):
         rng = np.random.default_rng(16)
         cases = [(f, x) for f in ROW_BOUND_ATTAINED for x in (-0.5, 0.5, 1.0, 1.5, 2.5)]
         cases += [(random_step(rng, max_cells=59), float(rng.uniform(-3, 3))) for _ in range(300)]
@@ -484,8 +493,41 @@ class TestFractionalMaximal:
         masses = prefix_at(b, w, prefix, vs) - prefix_at(b, w, prefix, us)
         assert np.all((vs - us) ** -0.5 * masses <= exact * (1 + 1e-12))
 
+    def test_hundred_thousand_cells(self):
+        """Budget: under 2 s of CPU and 50 MB traced; about 15 ms on a 2-vCPU host."""
+        rng = np.random.default_rng(19)
+        m = 100_000
+        f = StepFunction(np.sort(rng.uniform(-2.0, 2.0, m + 1)), np.exp(rng.uniform(-3.0, 3.0, m)))
+        assert f.num_cells == m
+        tracemalloc.start()
+        try:
+            cpu = time.process_time()
+            exact = fractional_maximal(f, 0.5, 0.3)
+            cpu = time.process_time() - cpu
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cpu < 2.0
+        assert peak < 50e6
+        ts, ps, k = _candidate_arrays(f, 0.3, 0.3)
+        value, q = _pair_max(ts[:k], ps[:k], ts[k:], ps[k:], -0.5, 1.0, f.sup_abs())
+        assert value == exact
+        assert q.length**-0.5 * integrate(f.abs(), q) == pytest.approx(exact, rel=1e-12)
+        b, w, prefix = f._abs_arrays
+        us, vs = rng.uniform(-2.5, 0.3, 200), rng.uniform(0.3, 2.5, 200)
+        masses = prefix_at(b, w, prefix, vs) - prefix_at(b, w, prefix, us)
+        assert np.all((vs - us) ** -0.5 * masses <= exact * (1 + 1e-12))
 
-# inputs where a row of the pair kernel attains its row bound
+    @settings(deadline=None, max_examples=150)
+    @given(tie_heavy_steps(), st.integers(-12, 90).map(lambda k: k / 2))
+    def test_ties_within_ulps_of_scalar_pair_loop(self, f, x):
+        for alpha in (0.1, 0.5, 0.9):
+            want = scalar_fractional(f, alpha, x)
+            assert abs(fractional_maximal(f, alpha, x) - want) <= 4 * math.ulp(want)
+
+
+# inputs on which a row of the blocked pair scan the hull walk replaced
+# attained its row bound
 ROW_BOUND_ATTAINED = [
     StepFunction.indicator(0.0, 1.0, 3.0),
     StepFunction((0.0, 1.0, 2.0), (1.0, 5.0)),
@@ -559,6 +601,11 @@ class TestCommutator:
 
 
 class TestEnvelopes:
+    @pytest.mark.parametrize("bad", [{"tol": 0.0}, {"tol": -1.0}, {"tol": math.nan}, {"tol": math.inf}, {"max_depth": -1}])
+    def test_refine_policy_rejects_bad_settings(self, bad):
+        with pytest.raises(ValueError, match="tol"):
+            RefinePolicy(**bad)
+
     def test_upper_cell_is_endpoint_max(self):
         env = maximal_envelope(CHI01, RefinePolicy(tol=0.5, max_depth=2), Interval(-1.0, 2.0))
         # on (1, 2): Mf decreases from 1 to 1/2, so the upper value near 1+ is ~1
