@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from morreylab import maxops
 from morreylab.maxops import (
     RefinePolicy,
     _candidate_arrays,
@@ -464,7 +465,12 @@ class TestFractionalMaximal:
             assert exact >= best - 1e-12
             assert exact <= best * (1.0 + 1e-9) + 1e-12
 
-    def test_matches_scalar_pair_loop(self):
+    @pytest.mark.parametrize("slack", [1, 5, 16384])
+    def test_matches_scalar_pair_loop(self, monkeypatch, slack):
+        # the cell-weight bound as given and loosened: a looser bound only
+        # widens the apex triangles, so the walk prunes fewer chords
+        walk = maxops._pair_max
+        monkeypatch.setattr(maxops, "_pair_max", lambda *a: walk(*a[:6], slack * a[6], *a[7:]))
         rng = np.random.default_rng(16)
         cases = [(f, x) for f in ROW_BOUND_ATTAINED for x in (-0.5, 0.5, 1.0, 1.5, 2.5)]
         cases += [(random_step(rng, max_cells=59), float(rng.uniform(-3, 3))) for _ in range(300)]
