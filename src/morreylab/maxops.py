@@ -12,59 +12,56 @@ so the global supremum is attained with both endpoints in
 exactly; intervals reaching past the support hull only lengthen without
 adding mass, so they never win.
 
-Searching the candidates
-------------------------
+The one-sided lemma
+-------------------
 With P(t) = int_{-inf}^t |f|, the average over [u, v] is the slope of the
-chord of P from u to v, so Mf(x) is the steepest chord from a left
-candidate u <= x to a right candidate v >= x: the maximum-density-segment
-problem (Chung & Lu, SIAM J. Comput. 34, 2004).  The pairs are searched,
-not enumerated.  For a trial slope lam the excess
-(P(v) - lam*v) + (lam*u - P(u)) of a pair over lam separates into one term
-per endpoint, so one O(m) argmax per side finds the pair that beats lam by
-the most, and that pair's slope becomes the next trial (Dinkelbach's
-iteration for fractional programs, Management Sci. 13, 1967).  The trial
-slope starts at an attained value and rises strictly, each time to the
-slope of an actual pair, of which there are finitely many, so the loop
-stops.  It stops only when no pair has positive excess, i.e. when no pair
-is steeper than the trial slope, so the result is the exact maximum and
-is attained.  Few steps are needed: over 7,500 random points with
-m <= 1000 the loop made at most 8 passes, 3.8 on average, the last of
-which only confirms the maximum.
+chord of P from u to v.  A chord with u <= x <= v splits at x into [u, x]
+and [x, v], and its average is their length-weighted mean (the mediant
+inequality), so one of them averages at least as much.  Mf(x) is therefore
+the larger one-sided maximum (Sawyer, Trans. AMS 297, 1986), each one pass
+over the breakpoints on its side: no pair is searched.
 
 The same scan for the fractional variant |Q|^(a-1) * int_Q |f| gives the
 derivative sign (a-1)(A + c*d) + c(L + d), which is nondecreasing in d
 (a, c >= 0), so any interior critical point is a minimum along the scan
-direction and endpoint enumeration is again exact.  Its objective does not
-separate into one term per endpoint: see the hull walk ``stepfn._pair_max``.
+direction and endpoint enumeration is again exact.  Its weight favours long
+intervals, so the split fails for it: see the hull walk ``stepfn._pair_max``.
 
 The per-cell split
 ------------------
 Take a cell [l, r] of f where |f| = c (or a half-line off the support, with
-c = 0) and x in it.  The candidate pairs for Mf(x) fall into three groups:
-- u <= l and v >= r, both breakpoints: the chords spanning the cell, whose
-  best slope C does not depend on x (C = 0 off the support);
-- u = x and v >= r: since P(v) - P(x) = P(v) - P(r) + c(r - x), the average
-  is c + K_v / (v - x) with K_v = P(v) - P(r) - c(v - r), and
-  R(x) = c + max(0, max_v K_v / (v - x)), the 0 standing for v = r, where
-  K_r = 0, and for the shrinking interval at x;
-- v = x and u <= l: the mirror image L(x) = c + max(0, max_u K_u / (x - u))
-  with K_u = P(l) - P(u) - c(l - u).
-So Mf = max(C, R, L) on the cell.  R is nondecreasing: the 0 is constant,
-and each K_v / (v - x) with K_v > 0 rises as x moves toward v (terms with
-K_v <= 0 never exceed the 0).  L is nonincreasing by the mirror argument.
-Hence on a sub-cell [a, b] the maximum of Mf is max(C, R(b), L(a)), which
-max(Mf(a), Mf(b)) attains.  The intervals containing all of [a, b] have
-u <= l or u = a, and v >= r or v = b: the pairs spanning the cell give C,
-u = a gives R(a) (with v = b averaging c), and v = b gives L(b).  So
-max(C, R(a), L(b)) is the spanning-chord floor of the sub-cell, and it
-bounds Mf from below at each of its points.
+c = 0) and x in it.  For a breakpoint v >= r, P(v) - P(x) equals
+P(v) - P(r) + c(r - x), so the average over [x, v] is c + K_v / (v - x)
+with K_v = P(v) - P(r) - c(v - r), and the right maximum is
+R(x) = c + max(0, max_v K_v / (v - x)), the 0 standing for v = r, where
+K_r = 0, and for the shrinking interval at x.  The left one is the mirror
+L(x) = c + max(0, max_u K_u / (x - u)) over breakpoints u <= l, with
+K_u = P(l) - P(u) - c(l - u).  So Mf = max(R, L).  R is nondecreasing: each
+K_v / (v - x) with K_v > 0 rises as x moves toward v (terms with K_v <= 0
+never exceed the 0).  L is nonincreasing by the mirror argument.  On a
+sub-cell [a, b] the maximum of Mf is therefore max(Mf(a), Mf(b)), and its
+minimum is max(R(a), L(b)) unless [a, b] holds the crossing x* of R and L.
+
+The floor of a sub-cell adds a bridge: the average over [u_b, v_a], with v_a
+the breakpoint where R(a) is attained and u_b the one where L(b) is (the
+cell's end when the 0 wins).  That interval contains [a, b], so the floor
+max(R(a), L(b), bridge), every chord's mass charged, is below Mf on the
+sub-cell.  At x* the averages over [u*, x*] and [x*, v*] are equal, so the
+one over [u*, v*] is their common value, the minimum of Mf on the cell:
+once refinement has narrowed a sub-cell to the crossing's pair of argmaxes,
+the bridge is exact.  On a wide sub-cell that holds x* with other argmaxes
+the floor can be inexact: on one whole cell each of 3,000 random functions
+of up to 20 cells it was low on 29, by up to 26 %, and halving toward x*
+closed the gap within 6 halvings, as R(a) and L(b) both tend to the value
+at x*.  Off the support one side is 0 and there is no bridge.
 
 No quantity here depends on the sub-cell's width.  K_v is a difference of
 prefix sums at two breakpoints, less c times their distance; x enters only
 through v - x >= v - r.  The direct chord (P(v) - P(x)) / (v - x) instead
 interpolates P(x), whose rounding error of about an ulp of max P swamps
-the mass of a short sub-cell next to r.  The rounding of K itself, a few
-ulps of max P, is charged on the lower side.
+the mass of a short sub-cell next to r.  The rounding of K and of the
+bridge's prefix difference, a few ulps of max P, is charged on the lower
+side.
 """
 
 from __future__ import annotations
@@ -133,39 +130,22 @@ def _candidate_arrays(f: StepFunction, left: float, right: float):
     return ts, ps, k + 1
 
 
-def _max_chord(ts: np.ndarray, ps: np.ndarray, nu: int, jv: int, lam: float) -> float:
-    """Steepest chord (ps[j] - ps[i]) / (ts[j] - ts[i]) from a left candidate
-    i < nu to a right candidate j >= jv with ts[j] > ts[i], or ``lam`` when
-    no such chord is steeper.
-
-    Dinkelbach's iteration (see the module docstring): the left candidate
-    maximizes e = lam*t - P(t) and the right one minimizes it, both O(m);
-    ``lam`` only ever rises strictly to the slope of a pair.  A zero-length
-    argmax pair has zero excess, so no pair beats ``lam``.
-    """
-    while True:
-        e = lam * ts - ps
-        # the ndarray methods skip np.argmax's dispatch, as costly as the scan
-        i = e[:nu].argmax()
-        j = jv + e[jv:].argmin()
-        length = ts[j] - ts[i]
-        if not length > 0.0:
-            return lam
-        slope = float((ps[j] - ps[i]) / length)
-        if not slope > lam:
-            return lam
-        lam = slope
-
-
 def maximal(f: StepFunction, x: float) -> float:
-    """Exact Hardy-Littlewood maximal function of a step function at x."""
+    """Exact Hardy-Littlewood maximal function of a step function at x: the
+    larger of R(x) and L(x) (module docstring), one pass over each side."""
     x = float(x)
     if f.is_zero:
         return 0.0
-    ts, ps, k = _candidate_arrays(f, x, x)
+    b, w, prefix = f._abs_arrays
+    # x lies in [b[j - 1], b[j]), where |f| = c, and the first i breakpoints are below it
+    j = int(b.searchsorted(x, side="right"))
+    i = j - 1 if j and b[j - 1] == x else j
+    c = float(w[j - 1]) if 0 < j < len(b) else 0.0
+    r = ((prefix[j:] - prefix[j] - c * (b[j:] - b[j])) / (b[j:] - x)).max() if j < len(b) else 0.0
+    l = ((prefix[j - 1] - prefix[:i] - c * (b[j - 1] - b[:i])) / (x - b[:i])).max() if i else 0.0
     # averages of |f| never exceed sup |f|; the clamp also guards the
     # cancellation noise of prefix differences over near-degenerate pairs
-    return min(_max_chord(ts, ps, k, k, abs(f(x))), f.sup_abs())
+    return min(float(c + max(r, l, 0.0)), f.sup_abs())
 
 
 def fractional_maximal(f: StepFunction, alpha: float, x: float) -> float:
@@ -268,64 +248,15 @@ def _charge(prefix: np.ndarray) -> float:
     return 4.0 * math.ulp(prefix[-1])
 
 
-def _max_chords(
-    ts: np.ndarray, ps: np.ndarray, nu: np.ndarray, jv: np.ndarray, lam: np.ndarray, charge: float = 0.0
-) -> np.ndarray:
-    """:func:`_max_chord` row by row over the shared ``ts``/``ps``: row r
-    takes left candidates i < nu[r] and right candidates j >= jv[r], with
-    0 < nu[r] <= jv[r] < len(ts), and starts at lam[r]; ``charge`` is taken
-    off every chord's mass.  Rows run in blocks of at most _BLOCK entries
-    until no row of the block rises.
-
-    :func:`maximal` keeps the scalar form.  Searched as one row of a row
-    form like this one, a point cost about three times as much, in 2-D
-    temporaries and index arrays, and ``maxfn --op M`` on 1000-cell inputs
-    fell from about 290 to 210 tasks/s on a 2-core host.
-    """
-    lam = np.array(lam, dtype=float)
-    cols = np.arange(len(ts))
-    step = max(1, _BLOCK // len(ts))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for s in range(0, len(lam), step):
-            rows, left, right = lam[s : s + step], nu[s : s + step, None], jv[s : s + step, None]
-            while True:
-                e = rows[:, None] * ts - ps
-                i = np.where(cols < left, e, -np.inf).argmax(axis=1)
-                j = np.where(cols >= right, e, np.inf).argmin(axis=1)
-                length = ts[j] - ts[i]
-                slope = (ps[j] - ps[i] - charge) / length
-                up = (length > 0.0) & (slope > rows)
-                if not up.any():
-                    break
-                rows[up] = slope[up]
-    return lam
-
-
-def _cell_floor(f: StepFunction, cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """C, the steepest chord of P spanning the whole cell, for the extended
-    cells ``cells`` of f (module docstring); it is the least value of Mf on
-    the cell.  Returns two arrays with extended cell i at index i + 1: C
-    with every chord's mass charged (:func:`_charge`), a certified floor,
-    and C as computed, for the upper side, whose search starts from the
-    charged value.  Entries of cells off the support, and of cells not
-    asked for, are 0.
-    """
-    b, w, prefix = f._abs_arrays
-    own = np.unique(cells[(cells >= 0) & (cells < len(w))]) + 1
-    lo, hi = np.zeros(len(w) + 2), np.zeros(len(w) + 2)
-    # the cell's own value starts the search: a pair of breakpoints, exact
-    lo[own] = _max_chords(b, prefix, own, own, w[own - 1], _charge(prefix))
-    hi[own] = _max_chords(b, prefix, own, own, np.maximum(w[own - 1], lo[own]))
-    return lo, hi
-
-
 def _side_chords(f: StepFunction, xs: np.ndarray, cells: np.ndarray) -> tuple[np.ndarray, ...]:
     """R and L (module docstring) at each point x of xs in the closed
     extended cell ``cells`` of f: R(x) = c + max(0, max_v K_v / (v - x))
     over the breakpoints v > x at or right of the cell, L its mirror, with c
     the cell's value and K measured from the cell's end on that side.
-    Returns R and R charged, L and L charged, each chord's mass charged by
-    :func:`_charge`.  Points run in blocks of at most _BLOCK entries."""
+    Returns Mf = max(R, L), clamped to sup |f|, then R with every chord's
+    mass charged by :func:`_charge` and the index of the breakpoint where it
+    is attained (the cell's end when the 0 attains it), then the same two
+    for L.  Points run in blocks of at most _BLOCK entries."""
     b, w, prefix = f._abs_arrays
     c = np.concatenate(([0.0], w, [0.0]))[cells + 1]
     n, k = len(b), len(xs)
@@ -337,7 +268,7 @@ def _side_chords(f: StepFunction, xs: np.ndarray, cells: np.ndarray) -> tuple[np
     j1 = np.concatenate((np.full(k, n), cells + 1 - (b[np.maximum(cells, 0)] == xs)))
     # the charge lowers a chord's mass: K on the right, -K on the left
     charges = np.repeat([_charge(prefix), -_charge(prefix)], k)
-    hi, lo = np.zeros(2 * k), np.zeros(2 * k)
+    hi, lo, at = np.zeros(2 * k), np.zeros(2 * k), ends.copy()
     live = np.flatnonzero(j0 < j1)
     step = max(1, _BLOCK // n)
     for s in range(0, live.size, step):
@@ -348,12 +279,32 @@ def _side_chords(f: StepFunction, xs: np.ndarray, cells: np.ndarray) -> tuple[np
         den = np.where(inside, b[a:z] - xs2[r, None], 1.0)
         excess = prefix[a:z] - prefix[ends[r], None] - cs[r, None] * (b[a:z] - b[ends[r], None])
         hi[r] = np.where(inside, excess / den, 0.0).max(axis=1)
-        lo[r] = np.where(inside, (excess - charges[r, None]) / den, 0.0).max(axis=1)
+        charged = np.where(inside, (excess - charges[r, None]) / den, 0.0)
+        best = charged.argmax(axis=1)
+        lo[r] = charged[np.arange(len(r)), best]
+        at[r] = np.where(lo[r] > 0.0, a + best, ends[r])
     hi, lo = cs + hi, cs + lo
-    return hi[:k], lo[:k], hi[k:], lo[k:]
+    return np.minimum(np.maximum(hi[:k], hi[k:]), f.sup_abs()), lo[:k], at[:k], lo[k:], at[k:]
+
+
+def _cell_floor(
+    f: StepFunction, cells: np.ndarray, r: np.ndarray, v: np.ndarray, l: np.ndarray, u: np.ndarray
+) -> np.ndarray:
+    """max(R(a), L(b), bridge) (module docstring) on sub-cells [a, b] of the
+    extended cells ``cells`` of f, from R(a) and L(b) charged and their
+    breakpoints v and u, as :func:`_side_chords` returns them.  The bridge,
+    the average over [b[u], b[v]] charged by :func:`_charge`, exists on the
+    support only."""
+    b, w, prefix = f._abs_arrays
+    on = (cells >= 0) & (cells < len(w))
+    v, u = v[on], u[on]
+    bridge = np.zeros(len(cells))
+    bridge[on] = (prefix[v] - prefix[u] - _charge(prefix)) / (b[v] - b[u])
+    return np.minimum(np.maximum.reduce([r, l, bridge]), f.sup_abs())
 
 
 _MAX_ENVELOPE_CELLS = 200_000
+_MAX_SECOND_LEVEL_CELLS = 20_000
 
 
 def maximal_envelope(
@@ -366,20 +317,17 @@ def maximal_envelope(
 
     The grid starts at the hull ends and the breakpoints of f inside it, so
     every grid cell lies in one cell of f, or in a half-line off the
-    support, and Mf there is that cell's split max(C, R, L) (module
-    docstring).  A sub-cell [a, b] gets the upper value max(Mf(a), Mf(b)),
-    exact because R rises and L falls, and the lower value
-    max(C, R(a), L(b)) with every chord's mass charged, the best average
-    over the intervals containing it.  C comes once per cell of f that
-    meets the hull, R and L once per grid point; no cell runs a search of
-    its own.  Cells are
-    bisected level by level until (upper - lower) <= tol * upper or the
-    depth cap; ``depth_capped`` on the result counts the cells accepted at
-    the cap with the gap still open.  The lower envelope is a valid global
-    lower bound (it vanishes off the hull, and Mf >= 0); the upper envelope
-    bounds Mf on the hull only.  ``upper_floor`` is max-ed into every upper
-    cell; iterated application uses it to absorb tail mass of truncated
-    inputs.
+    support, and Mf there is max(R, L) (module docstring).  A sub-cell
+    [a, b] gets the upper value max(Mf(a), Mf(b)), exact because R rises
+    and L falls, and the lower value :func:`_cell_floor`.  R and L come once
+    per grid point, with the breakpoints that attain them, and the floor is
+    O(1) per sub-cell; no cell runs a search of its own.  Cells are bisected
+    level by level until (upper - lower) <= tol * upper or the depth cap;
+    ``depth_capped`` on the result counts the cells accepted at the cap with
+    the gap still open.  The lower envelope is a valid global lower bound
+    (it vanishes off the hull, and Mf >= 0); the upper envelope bounds Mf
+    on the hull only.  ``upper_floor`` is max-ed into every upper cell;
+    iterated application uses it to absorb tail mass of truncated inputs.
     """
     refine = refine or RefinePolicy()
     if f.is_zero and upper_floor == 0.0:
@@ -387,24 +335,15 @@ def maximal_envelope(
         return EnvelopePair(z, z)
     hull = hull or default_hull(f)
     b = f._abs_arrays[0]
-    sup = f.sup_abs()
     pts = np.concatenate(([hull.left], b[(b > hull.left) & (b < hull.right)], [hull.right]))
     left, right = pts[:-1], pts[1:]
-    # refinement never leaves these cells, so C is needed on them alone
     cells = b.searchsorted(left, side="right") - 1
-    c_lo, c_hi = _cell_floor(f, cells)
-
-    def split(xs: np.ndarray, at: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        # Mf, and R and L charged, at points xs of the extended cells ``at``
-        r_hi, r_lo, l_hi, l_lo = _side_chords(f, xs, at)
-        return np.minimum(np.maximum.reduce([c_hi[at + 1], r_hi, l_hi]), sup), r_lo, l_lo
-
     # a breakpoint on the grid ends two cells of f: R and L come from each,
     # Mf from the cell on its right, so both cells see one value
-    mf, r_lo, l_lo = split(np.concatenate((left, right)), np.tile(cells, 2))
+    mf, r_lo, v, l_lo, u = _side_chords(f, np.concatenate((left, right)), np.tile(cells, 2))
     k = len(left)
     mf = np.append(mf[:k], mf[-1])
-    mf_l, mf_r, r_lo, l_lo = mf[:-1], mf[1:], r_lo[:k], l_lo[k:]
+    mf_l, mf_r, r_lo, v, l_lo, u = mf[:-1], mf[1:], r_lo[:k], v[:k], l_lo[k:], u[k:]
 
     def halves(a: np.ndarray, z: np.ndarray) -> np.ndarray:
         # the children (left, mid) and (mid, right) of each divided cell, in order
@@ -415,7 +354,7 @@ def maximal_envelope(
     for depth in range(refine.max_depth + 1):
         hi_ends = np.maximum(mf_l, mf_r)
         hi = np.maximum(hi_ends, upper_floor)
-        lo = np.minimum(np.maximum.reduce([c_lo[cells + 1], r_lo, l_lo]), sup)
+        lo = _cell_floor(f, cells, r_lo, v, l_lo, u)
         open_ = ~((hi - lo <= refine.tol * hi) | (hi <= 0.0) | (upper_floor >= hi_ends))
         mid = 0.5 * (left + right)
         divide = open_ & (left < mid) & (mid < right)
@@ -429,10 +368,11 @@ def maximal_envelope(
         if kept + 2 * np.count_nonzero(divide) > _MAX_ENVELOPE_CELLS:
             raise ValueError(f"envelope refinement exceeded its {_MAX_ENVELOPE_CELLS}-cell budget; loosen tol")
         xm, cells = mid[divide], cells[divide]
-        mf_m, r_m, l_m = split(xm, cells)
+        mf_m, r_m, v_m, l_m, u_m = _side_chords(f, xm, cells)
         left, right = halves(left[divide], xm), halves(xm, right[divide])
         mf_l, mf_r = halves(mf_l[divide], mf_m), halves(mf_m, mf_r[divide])
-        r_lo, l_lo = halves(r_lo[divide], r_m), halves(l_m, l_lo[divide])
+        r_lo, v = halves(r_lo[divide], r_m), halves(v[divide], v_m)
+        l_lo, u = halves(l_m, l_lo[divide]), halves(u_m, u[divide])
         cells = np.repeat(cells, 2)
     lefts, rights, lows, highs = (np.concatenate(col) for col in zip(*done))
     order = np.argsort(lefts)
@@ -457,6 +397,11 @@ def iterated_maximal(
     side applies the certified envelope machinery to the lower envelope of
     Mf, a genuine global minorant, and is capped pointwise by the upper side.
     ``depth_capped`` sums the counts of the three envelopes, both levels.
+
+    The second level costs O(n^2) in the n cells of the first envelope, so
+    it raises ValueError past _MAX_SECOND_LEVEL_CELLS.  At the default tol
+    on a 45-cell input whose first envelope has 20,504 cells, each of the
+    two second-level envelopes took 11-12 s of CPU on a 2-vCPU host.
     """
     refine = refine or RefinePolicy()
     if f.is_zero:
@@ -465,6 +410,8 @@ def iterated_maximal(
     inner_hull = hull or default_hull(f)
     outer_hull = inner_hull.expanded(inner_hull.length)
     env1 = maximal_envelope(f, refine, outer_hull)
+    if max(env1.lower.num_cells, env1.upper.num_cells) > _MAX_SECOND_LEVEL_CELLS:
+        raise ValueError(f"the envelope of Mf passed the {_MAX_SECOND_LEVEL_CELLS}-cell limit of M(Mf); loosen tol")
     env2_lo = maximal_envelope(env1.lower, refine, inner_hull)
     supp = f.support_hull()
     assert supp is not None

@@ -49,6 +49,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 from .norms import NormEstimate
 from .stepfn import Interval, StepFunction
@@ -86,6 +87,11 @@ class RadialProfile:
                 raise ValueError("nonincreasing profiles must be nonnegative")
             if self.profile.breakpoints[0] != 0.0:
                 raise ValueError("nonincreasing profiles must start at radius 0")
+
+    @cached_property
+    def _inner(self) -> "PiecewiseLogPoly":
+        """The inner integral, built once per profile by :func:`inner_integral`."""
+        return inner_integral(self)
 
     def to_json_obj(self) -> dict:
         return {
@@ -244,7 +250,7 @@ def hardy(p: RadialProfile, x: float) -> float:
         if p.profile.is_zero:
             return 0.0
         return abs(p.profile(p.profile.breakpoints[0])) if p.profile.breakpoints[0] == 0.0 else 0.0
-    return p.dimension * inner_integral(p)(r) / r**p.dimension
+    return p.dimension * p._inner(r) / r**p.dimension
 
 
 def _sign_roots(f, df, pts: list[float]) -> list[float]:
@@ -360,7 +366,7 @@ def _radial_sup(p: RadialProfile, lam: float, levels: int) -> NormEstimate:
     ``upper_bound`` pads ``value`` by rounding only (module docstring)."""
     if p.profile.is_zero:
         return NormEstimate(0.0, 0.0, None, None)
-    P = inner_integral(p)
+    P = p._inner
     for _ in range(levels):
         P = P.integrate_div_t()
     value, arg = _sup_weighted(P, lam, p.dimension)

@@ -3,13 +3,15 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from morreylab import cli
+from morreylab import cli, radial
 from morreylab.cli import main
+from morreylab.radial import RadialProfile
 from morreylab.stepfn import StepFunction
 
 
@@ -110,6 +112,18 @@ class TestMaxfn:
         assert main(["maxfn", "--input", str(path), "--op", "M2", "--at", "0.5"]) == 2
         err = capsys.readouterr().err
         assert "budget" in err and "max_depth" not in err
+
+    def test_m2_second_level_limit_exit_2(self, tmp_path, capsys):
+        # the first envelope of 200 cells at the default tol has over 50,000
+        # cells; its second level would run for minutes
+        rng = np.random.default_rng(6)
+        f = StepFunction(np.sort(rng.uniform(0.0, 1.0, 201)), np.exp(rng.uniform(-3.0, 3.0, 200)))
+        path = tmp_path / "f.json"
+        path.write_text(f.to_json())
+        start = time.process_time()
+        assert main(["maxfn", "--input", str(path), "--op", "M2", "--at", "0.5"]) == 2
+        assert time.process_time() - start < 5.0
+        assert "20000-cell limit" in capsys.readouterr().err
 
     @pytest.mark.parametrize("op", [["--op", "M"], ["--op", "Malpha", "--alpha", "0.5"]])
     @pytest.mark.parametrize("points", [["--at", "nan"], ["--at", "0.5,inf"], ["--grid=-inf:1:3"], ["--grid=0:nan:3"]])
@@ -268,6 +282,21 @@ class TestRadialCmd:
         assert main(["radial", "--input", profile_file, "--op", "hardy", "--at", "2"]) == 0
         line = capsys.readouterr().out.strip().splitlines()[1]
         assert float(line.split(",")[1]) == pytest.approx(0.5, rel=1e-12)
+
+    def test_hardy_grid_builds_the_inner_integral_once(self, tmp_path, monkeypatch, capsys):
+        rng = np.random.default_rng(7)
+        bp = np.concatenate(([0.0], np.sort(rng.uniform(0.0, 2.0, 12))))
+        p = RadialProfile(StepFunction(bp, rng.uniform(0.5, 4.0, 12)), 2)
+        path = tmp_path / "profile.json"
+        path.write_text(json.dumps(p.to_json_obj()))
+        build, builds = radial.inner_integral, []
+        monkeypatch.setattr(radial, "inner_integral", lambda q: builds.append(q) or build(q))
+        assert main(["radial", "--input", str(path), "--op", "hardy", "--grid=0.1:2:50"]) == 0
+        assert len(builds) == 1
+        # the same bytes as an inner integral built afresh at every point
+        xs = [0.1 + i * ((2.0 - 0.1) / 49) for i in range(50)]
+        want = ["x,value"] + [f"{x:.17g},{2 * build(p)(x) / x**2:.17g}" for x in xs]
+        assert capsys.readouterr().out == "\n".join(want) + "\n"
 
     def test_reduction(self, profile_file, capsys):
         assert main(["radial", "--input", profile_file, "--op", "reduction", "--lambda", "0.5"]) == 0

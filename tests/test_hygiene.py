@@ -1,17 +1,20 @@
 """Source hygiene of the package, checked with the standard library's ast:
-no module imports a name it never uses, and every module-level private
-name is referenced somewhere in the package.  Also, every name the traced
-benchmark run patches still exists."""
+no module imports a name it never uses, every module-level private name is
+referenced somewhere in the package, and every private or module-qualified
+name that the text cites as ``name`` or :func:`name` exists.  Also, every
+name the traced benchmark run patches still exists."""
 
 from __future__ import annotations
 
 import ast
 import importlib.util
+import re
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "morreylab"
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
-TREES = {path.name: ast.parse(path.read_text(), str(path)) for path in sorted(SRC.glob("*.py"))}
+SOURCES = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+TREES = {name: ast.parse(text, name) for name, text in SOURCES.items()}
 
 
 def _read_names(tree: ast.AST) -> set[str]:
@@ -66,6 +69,45 @@ def test_no_unreferenced_private_name():
                 if private.startswith("_") and not private.startswith("__") and private not in referenced:
                     unreferenced.append(f"{name}: {private}")
     assert not unreferenced
+
+
+def _bound_names(body: list[ast.stmt]) -> dict[str, ast.stmt]:
+    """Names a module or class body binds, each with its statement."""
+    bound = {}
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound[node.name] = node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            bound.update((t.id, node) for t in targets if isinstance(t, ast.Name))
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound.update(((alias.asname or alias.name).split(".")[0], node) for alias in node.names)
+    return bound
+
+
+def test_docstring_references_resolve():
+    # ``stepfn._pair_max`` in any module, or ``_charge`` in the module that
+    # defines it: a cited name that was deleted or renamed misleads the reader
+    cited = re.compile(r"``([A-Za-z_][\w.]*)``|:(?:func|class|meth|attr):`([A-Za-z_][\w.]*)`")
+    modules = {name.removesuffix(".py"): name for name in TREES}
+    unresolved = []
+    for name, text in SOURCES.items():
+        for match in cited.finditer(text):
+            ref = match.group(1) or match.group(2)
+            head, _, rest = ref.partition(".")
+            if head in modules:
+                module, path = modules[head], rest
+            elif ref.startswith("_") and not ref.startswith("__"):
+                module, path = name, ref
+            else:
+                continue
+            node = TREES[module]
+            for part in path.split(".") if path else []:
+                node = _bound_names(node.body).get(part) if hasattr(node, "body") else None
+                if node is None:
+                    unresolved.append(f"{name}: {ref}")
+                    break
+    assert not unresolved
 
 
 def test_traced_names_resolve():
