@@ -34,25 +34,42 @@ of a convex increasing function lands above it again, so the iterates
 fall monotonically; the solve stops when they stop falling and returns
 1/s.
 
-Two llog solvers exist, chosen by call shape.  ``luxemburg_average`` solves
-one window in scalar arithmetic over its cells.  ``_llog_rows`` solves a
-whole interval family at once over the level sweep
-(``stepfn.level_measures``), the same sweep folding in the llog
-functional with threshold mean_Q.  On one window of a 12-cell input the
-array form costs about three times the scalar one, so one-window callers
-(the Holder suite, the oracles in the tests) keep the scalar solver.
+Row form.  Every one-window quantity is computed for k (function, window)
+pairs at once over padded (k, m) arrays: row i holds the cells of |f_i|
+clipped to window i (``_window_rows``), and a single call serves one pair
+or a whole suite.  A padded cell, a cell clipped out of its window and a
+cell where f vanishes all get length 0 and repeat the largest value of
+their row, so padding adds no level, no log or division sees 0, and no
+exponent exceeds the row's own.  The Newton iterations run on all rows at
+once, and each row keeps its last iterate once its step stops rising
+(llog) or falling (exp); a stopped row's step is recomputed unchanged, so
+it stays frozen exactly where the one-row iteration would return.  Both
+roots, the llog functional and the weak average are positively homogeneous,
+so each row is solved scaled by the power of two 2^-e that brings its
+largest value into [1/2, 1) and the result is scaled back by 2^e: powers of
+two are exact, and values near the ends of the float range neither
+underflow nor overflow inside the solve.  The mean of |f h| over each
+window merges both functions' breakpoints, clipped to the window, in one
+sort; its cost is linear in the breakpoints, up to the sort.
+
+``_llog_rows`` solves one function over a whole interval family instead,
+by the level sweep (``stepfn.level_measures``), which holds O(family) memory
+per level and folds in the llog functional with threshold mean_Q; it runs
+unscaled and shares the Newton climb ``_llog_climb`` with the row form.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import wraps
+from itertools import chain
+from typing import Sequence
 
 import numpy as np
 
 from .families import ResolvedFamily, resolve_family
-from .stepfn import (Interval, StepFunction, average, combine, level_measures, superlevels, window_integrals,
-                     window_split)
+from .stepfn import Interval, StepFunction, level_measures, window_integrals, window_split
 
 __all__ = [
     "OrliczGauge",
@@ -99,14 +116,57 @@ LLOG = OrliczGauge("llog")
 EXP = OrliczGauge("exp")
 
 
-def _clipped_cells(f: StepFunction, window: Interval) -> tuple[np.ndarray, np.ndarray]:
-    """(length, |value|) arrays of the nonzero cells of f inside the window."""
-    if f.is_zero:
-        return np.empty(0), np.empty(0)
-    b, w, _ = f._abs_arrays
-    lens = np.minimum(b[1:], window.right) - np.maximum(b[:-1], window.left)
-    mask = (lens > 0.0) & (w > 0.0)
-    return lens[mask], w[mask]
+def _window_rows(fs: Sequence[StepFunction], lefts: np.ndarray,
+                 rights: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(lens, vals, area): row i holds the cells of |f_i| clipped to the
+    window (lefts[i], rights[i]), padded to the longest row, and area[i] is
+    the window's length.  A padded, clipped-out or zero cell has length 0
+    and repeats its row's largest value (0 on a row with no cell)."""
+    m = max(max(len(f.values) for f in fs), 1)
+    b = np.array([f.breakpoints + f.breakpoints[-1:] * (m - len(f.values)) for f in fs])
+    w = np.abs(np.array([f.values + (0.0,) * (m - len(f.values)) for f in fs]))
+    lens = np.minimum(b[:, 1:], rights[:, None]) - np.maximum(b[:, :-1], lefts[:, None])
+    on = (lens > 0.0) & (w > 0.0)
+    top = (w * on).max(axis=1)
+    return np.where(on, lens, 0.0), np.where(on, w, top[:, None]), rights - lefts
+
+
+def _one_window(f: StepFunction, window: Interval) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The single row of f on the window."""
+    return _window_rows([f], np.array([window.left]), np.array([window.right]))
+
+
+def _scaled(solve):
+    """The row form solve(lens, vals, area), positively homogeneous of degree
+    one in vals, run on every row with a cell, each row scaled by 2^-e with e
+    the binary exponent of its largest value and the result scaled back by
+    2^e (module docstring); 0 on rows with no cell, whose values are all 0."""
+
+    @wraps(solve)
+    def rows(lens: np.ndarray, vals: np.ndarray, area: np.ndarray) -> np.ndarray:
+        top = vals.max(axis=1)
+        if not top.all():
+            out, live = np.zeros(len(area)), top > 0.0
+            if live.any():
+                out[live] = rows(lens[live], vals[live], area[live])
+            return out
+        e = np.frexp(top)[1]
+        return np.ldexp(solve(lens, np.ldexp(vals, -e[:, None]), area), e)
+
+    return rows
+
+
+def _descending(lens: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's (lens, vals) by value, largest first."""
+    k, m = vals.shape
+    at = vals.argsort(axis=1)[:, ::-1] + (np.arange(k) * m)[:, None]
+    return lens.take(at), vals.take(at)
+
+
+def _gauge_rows(lens: np.ndarray, vals: np.ndarray, area: np.ndarray, gauge: OrliczGauge,
+                alpha: np.ndarray) -> np.ndarray:
+    """gauge_average of every row at its own alpha > 0."""
+    return (lens * gauge.apply(vals / alpha[:, None])).sum(axis=1) / area
 
 
 def gauge_average(f: StepFunction, window: Interval, gauge: OrliczGauge, alpha: float) -> float:
@@ -114,47 +174,67 @@ def gauge_average(f: StepFunction, window: Interval, gauge: OrliczGauge, alpha: 
     per cell, so the integral is a finite sum."""
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    lens, vals = _clipped_cells(f, window)
-    if len(lens) == 0:
-        return 0.0
-    return float(np.sum(lens * gauge.apply(vals / alpha))) / window.length
+    return float(_gauge_rows(*_one_window(f, window), gauge, np.array([alpha]))[0])
 
 
-def _luxemburg_exp_exact(lens: np.ndarray, vals: np.ndarray, area: float) -> float:
-    """Exp-gauge Luxemburg root of one window: Newton in s = 1/alpha,
-    falling monotonically onto the root from an overflow-free start
-    (module docstring)."""
-    lv = lens * vals
-    s = min(area / float(np.sum(lv)), float(np.min(np.log1p(area / lens) / vals)))
+def _llog_climb(a: np.ndarray, area: np.ndarray, u: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Newton on R(a) = a area + u log a - c from a start at or below the
+    root, rising monotonically onto it (module docstring); a row whose step
+    stops rising keeps its last iterate, as fmax returns it there.  A single
+    row takes the same steps on numpy scalars, which skip the per-array
+    overhead that would otherwise be most of a one-window solve."""
+    if a.shape == (1,):
+        return _llog_climb(a[0], area[0], u[0], c[0]).reshape(1)
     while True:
-        em = np.expm1(vals * s)
-        new = s - (float(np.sum(lens * em)) - area) / float(np.sum(lv * (em + 1.0)))
-        if not new < s:
-            return 1.0 / s
-        s = new
-
-
-def _luxemburg_llog_exact(lens: np.ndarray, vals: np.ndarray, area: float) -> float:
-    """Exact llog Luxemburg root of one window: a segment search, then
-    Newton climbing monotonically to the root (module docstring)."""
-    order = np.argsort(vals)[::-1]
-    v = vals[order]
-    lv = lens[order] * v
-    s_total = float(np.sum(lv))
-    cum_lv = np.concatenate(([0.0], np.cumsum(lv)))
-    cum_lvlog = np.concatenate(([0.0], np.cumsum(lv * np.log(v))))
-    # first cell of each distinct value: cells 0..k-1 lie strictly above v[k]
-    starts = np.flatnonzero(np.concatenate(([True], v[1:] != v[:-1])))
-    resid = v[starts] * area + cum_lv[starts] * np.log(v[starts]) - (s_total + cum_lvlog[starts])
-    hit = np.flatnonzero(resid <= 0.0)
-    k, floor = (int(starts[hit[0]]), float(v[starts[hit[0]]])) if len(hit) else (len(v), 0.0)
-    u, c = float(cum_lv[k]), s_total + float(cum_lvlog[k])
-    a = max(floor, s_total / area)
-    while True:
-        new = a - (a * area + u * math.log(a) - c) / (area + u / a)
-        if not new > a:
+        new = a - (a * area + u * np.log(a) - c) / (area + u / a)
+        if not np.count_nonzero(new > a):
             return a
-        a = new
+        a = np.fmax(new, a)
+
+
+@_scaled
+def _llog_root_rows(lens: np.ndarray, vals: np.ndarray, area: np.ndarray) -> np.ndarray:
+    """llog Luxemburg root of every row: the segment search over the row's
+    distinct values, then the Newton climb (module docstring)."""
+    lens, v = _descending(lens, vals)
+    lv, logv = lens * v, np.log(v)
+    k, m = v.shape
+    # column m stands for the segment below every value: floor 0, all cells above
+    cum_lv, cum_lvlog, floor = np.zeros((3, k, m + 1))
+    floor[:, :m] = v
+    np.add.accumulate(lv, axis=1, out=cum_lv[:, 1:])
+    np.add.accumulate(lv * logv, axis=1, out=cum_lvlog[:, 1:])
+    s_total = lv.sum(axis=1)
+    hit = np.ones((k, m + 1), dtype=bool)
+    resid = v * area[:, None] + cum_lv[:, :-1] * logv - (s_total[:, None] + cum_lvlog[:, :-1])
+    np.less_equal(resid, 0.0, out=hit[:, :m])
+    # only where a run of equal values starts at j do the cells before j lie strictly above v[j]
+    hit[:, 1:m] &= v[:, 1:] != v[:, :-1]
+    seg = hit.argmax(axis=1) + np.arange(k) * (m + 1)
+    u, c = cum_lv.take(seg), s_total + cum_lvlog.take(seg)
+    return _llog_climb(np.maximum(floor.take(seg), s_total / area), area, u, c)
+
+
+@_scaled
+def _exp_root_rows(lens: np.ndarray, vals: np.ndarray, area: np.ndarray) -> np.ndarray:
+    """Exp-gauge Luxemburg root of every row: Newton in s = 1/alpha, falling
+    monotonically onto the root from an overflow-free start (module
+    docstring)."""
+    lv = lens * vals
+    ratio = np.full(lens.shape, np.inf)
+    np.divide(area[:, None], lens, out=ratio, where=lens > 0.0)
+    s = np.minimum(area / lv.sum(axis=1), (np.log1p(ratio) / vals).min(axis=1))
+    while True:
+        em = np.expm1(vals * s[:, None])
+        new = s - ((lens * em).sum(axis=1) - area) / (lv * (em + 1.0)).sum(axis=1)
+        if not np.count_nonzero(new < s):
+            return 1.0 / s
+        s = np.fmin(new, s)
+
+
+def _luxemburg_rows(lens: np.ndarray, vals: np.ndarray, area: np.ndarray, gauge: OrliczGauge) -> np.ndarray:
+    """luxemburg_average of every row."""
+    return (_llog_root_rows if gauge.kind == "llog" else _exp_root_rows)(lens, vals, area)
 
 
 def _llog_rows(f: StepFunction, lefts: np.ndarray, rights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -181,14 +261,7 @@ def _llog_rows(f: StepFunction, lefts: np.ndarray, rights: np.ndarray) -> tuple[
         w_run += lv * logv
     u[~found], c[~found] = u_run[~found], w_run[~found]
     c += mass
-    a = np.maximum(floor, mean)
-    while True:
-        new = a - (a * area + u * np.log(a) - c) / (area + u / a)
-        up = new > a
-        if not up.any():
-            break
-        a = np.where(up, new, a)
-    lux[live], func[live] = a, acc / area
+    lux[live], func[live] = _llog_climb(np.maximum(floor, mean), area, u, c), acc / area
     return lux, func
 
 
@@ -199,13 +272,15 @@ def luxemburg_average(f: StepFunction, window: Interval, gauge: OrliczGauge = LL
     from below, falling onto the exp root in s = 1/alpha from a start
     where no exponent can overflow (module docstring).  Returns 0 when f
     vanishes a.e. on the window."""
-    lens, vals = _clipped_cells(f, window)
-    if len(lens) == 0:
-        return 0.0
-    area = window.length
-    if gauge.kind == "llog":
-        return _luxemburg_llog_exact(lens, vals, area)
-    return _luxemburg_exp_exact(lens, vals, area)
+    return float(_luxemburg_rows(*_one_window(f, window), gauge)[0])
+
+
+@_scaled
+def _weak_llog_rows(lens: np.ndarray, vals: np.ndarray, area: np.ndarray) -> np.ndarray:
+    """weak_llog_average of every row, max_k v_k |{|f| >= v_k}| / |I|: over
+    the values in descending order, each value times the running length."""
+    lens, v = _descending(lens, vals)
+    return (v * np.add.accumulate(lens, axis=1)).max(axis=1) / area
 
 
 def weak_llog_average(f: StepFunction, window: Interval) -> float:
@@ -221,22 +296,70 @@ def weak_llog_average(f: StepFunction, window: Interval) -> float:
     is nonincreasing in alpha, so the infimum is the largest of those
     roots:  max_k v_k |{|f| >= v_k} cap I| / |I|, exact to rounding.
     """
-    lens, vals = _clipped_cells(f, window)
-    if len(lens) == 0:
-        return 0.0
-    levels, mus = superlevels(lens, vals)
-    return float(np.max(levels * mus)) / window.length
+    return float(_weak_llog_rows(*_one_window(f, window))[0])
+
+
+@_scaled
+def _llog_functional_rows(lens: np.ndarray, vals: np.ndarray, area: np.ndarray) -> np.ndarray:
+    """llog_functional of every row."""
+    mean = (lens * vals).sum(axis=1) / area
+    terms = vals * (1.0 + np.maximum(np.log(vals / mean[:, None]), 0.0))
+    return (lens * terms).sum(axis=1) / area
 
 
 def llog_functional(f: StepFunction, window: Interval) -> float:
     """Exact (1/|I|) * int_I |f| (1 + log+(|f| / mean_I |f|)); 0 when f
     vanishes on the window."""
-    lens, vals = _clipped_cells(f, window)
-    if len(lens) == 0:
-        return 0.0
-    mean = float(np.sum(lens * vals)) / window.length
-    terms = vals * (1.0 + np.maximum(np.log(vals / mean), 0.0))
-    return float(np.sum(lens * terms)) / window.length
+    return float(_llog_functional_rows(*_one_window(f, window))[0])
+
+
+def _breakpoints(fs: Sequence[StepFunction]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every breakpoint x of every f_i: its row i, x itself and the value
+    of |f_i| from x on (0 from the last one)."""
+    sizes = np.fromiter((len(f.breakpoints) for f in fs), int, len(fs))
+    row = np.repeat(np.arange(len(fs)), sizes)
+    x = np.fromiter(chain.from_iterable(f.breakpoints for f in fs), float, len(row))
+    v = np.fromiter(chain.from_iterable(f.values + (0.0,) for f in fs), float, len(row))
+    return row, x, np.abs(v)
+
+
+def _mean_abs_product(fs: Sequence[StepFunction], hs: Sequence[StepFunction], lefts: np.ndarray,
+                      rights: np.ndarray) -> np.ndarray:
+    """mean of |f_i h_i| over every window (lefts[i], rights[i]).
+
+    Each breakpoint sets the value of its own function from there on.  Per
+    row, a sentinel at the window's left end sets both to 0; then all
+    breakpoints, clipped to the window, are merged by one stable sort on
+    (row, x), each function's value is carried forward from its own last
+    breakpoint, and the products over the segments between consecutive
+    points are summed per row.  The order among equal points does not
+    matter: the segments between them have length 0.  Memory and time are
+    linear in the breakpoints, up to the sort."""
+    k = len(fs)
+    row_f, x_f, v_f = _breakpoints(fs)
+    row_h, x_h, v_h = _breakpoints(hs)
+    row = np.concatenate((np.arange(k), row_f, row_h))
+    x = np.concatenate((lefts, x_f, x_h))
+    val = np.concatenate((np.zeros(k), v_f, v_h))
+    # kind 0 is the sentinel, 1 a breakpoint of f_i, 2 one of h_i
+    kind = np.concatenate((np.zeros(k, dtype=np.int8), np.ones(len(row_f), dtype=np.int8),
+                           np.full(len(row_h), 2, dtype=np.int8)))
+    x = np.minimum(np.maximum(x, lefts[row]), rights[row])
+    order = np.lexsort((x, row))
+    row, x, val, kind = row[order], x[order], val[order], kind[order]
+    at = np.arange(len(row))
+    f_now = val[np.maximum.accumulate(np.where(kind != 2, at, 0))]
+    h_now = val[np.maximum.accumulate(np.where(kind != 1, at, 0))]
+    seg = np.where(row[1:] == row[:-1], x[1:] - x[:-1], 0.0)
+    return np.bincount(row[:-1], weights=f_now[:-1] * h_now[:-1] * seg, minlength=k) / (rights - lefts)
+
+
+def _holder_rows(fs: Sequence[StepFunction], hs: Sequence[StepFunction], lefts: np.ndarray,
+                 rights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """holder_check of every (f_i, h_i, window i)."""
+    rhs = (_luxemburg_rows(*_window_rows(fs, lefts, rights), LLOG)
+           * _luxemburg_rows(*_window_rows(hs, lefts, rights), EXP))
+    return _mean_abs_product(fs, hs, lefts, rights), rhs
 
 
 def holder_check(f: StepFunction, h: StepFunction, window: Interval) -> tuple[float, float]:
@@ -250,10 +373,8 @@ def holder_check(f: StepFunction, h: StepFunction, window: Interval) -> tuple[fl
     the constant-1 form should do so on a fixed corpus and keep the
     factor-2 bound as the always-valid fallback.
     """
-    prod = combine(f, h, lambda a, b: a * b)
-    lhs = average(prod.abs(), window)
-    rhs = luxemburg_average(f, window, LLOG) * luxemburg_average(h, window, EXP)
-    return lhs, rhs
+    lhs, rhs = _holder_rows([f], [h], np.array([window.left]), np.array([window.right]))
+    return float(lhs[0]), float(rhs[0])
 
 
 def orlicz_maximal(f: StepFunction, x: float, family) -> float:

@@ -1,16 +1,24 @@
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from morreylab.experiments import random_step_function, suite_holder
 from morreylab.families import FamilySpec, resolve_family
 from morreylab.orlicz import (
     EXP,
     LLOG,
     OrliczGauge,
-    _clipped_cells,
+    _gauge_rows,
+    _holder_rows,
+    _llog_functional_rows,
+    _luxemburg_rows,
+    _weak_llog_rows,
+    _window_rows,
     gauge_average,
     holder_check,
     llog_functional,
@@ -19,7 +27,7 @@ from morreylab.orlicz import (
     orlicz_maximal,
     weak_llog_average,
 )
-from morreylab.stepfn import Interval, StepFunction, average, superlevels
+from morreylab.stepfn import Interval, StepFunction, average, combine, superlevels
 
 CHI01 = StepFunction.indicator(0.0, 1.0)
 Q01 = Interval(0.0, 1.0)
@@ -32,6 +40,14 @@ def random_step(rng, max_cells=12):
         bp = np.sort(rng.uniform(-2.0, 2.0, n + 1))
     vals = np.exp(rng.uniform(np.log(2.0**-8), np.log(2.0**8), n))
     return StepFunction(bp, vals)
+
+
+def clipped_cells(f, q):
+    """(length, |value|) of the cells of f inside q where f is nonzero."""
+    b, w = np.asarray(f.breakpoints), np.abs(np.asarray(f.values))
+    lens = np.minimum(b[1:], q.right) - np.maximum(b[:-1], q.left)
+    on = (lens > 0.0) & (w > 0.0)
+    return lens[on], w[on]
 
 
 def luxemburg_bisection(lens, vals, area, gauge, tol):
@@ -59,6 +75,22 @@ def luxemburg_bisection(lens, vals, area, gauge, tol):
         else:
             hi = mid
     raise RuntimeError("luxemburg bisection failed to converge")
+
+
+def gauge_sum(lens, vals, area, gauge, alpha):
+    """avg gauge(|f| / alpha) over the window, cell by cell."""
+    return math.fsum(l * gauge(v / alpha) for l, v in zip(lens, vals)) / area
+
+
+def llog_sum(lens, vals, area):
+    """(1/|I|) int_I |f| (1 + log+(|f| / mean_I |f|)), cell by cell."""
+    mean = math.fsum(lens * vals) / area
+    return math.fsum(l * v * (1.0 + max(math.log(v / mean), 0.0)) for l, v in zip(lens, vals)) / area
+
+
+def weak_sum(lens, vals, area):
+    """max over the values v of v |{|f| >= v}| / |I|."""
+    return max((v * math.fsum(lens[vals >= v]) for v in vals), default=0.0) / area
 
 
 @st.composite
@@ -150,7 +182,7 @@ class TestLuxemburg:
             hull = f.support_hull()
             a = float(rng.uniform(hull.left - 1.0, hull.right - 0.05))
             q = Interval(a, a + float(rng.uniform(0.05, 3.0)))
-            lens, vals = _clipped_cells(f, q)
+            lens, vals = clipped_cells(f, q)
             if len(lens) == 0:
                 continue
             for gauge in (LLOG, EXP):
@@ -174,7 +206,7 @@ class TestLuxemburg:
         cases.append(StepFunction((0.0, 1.0), (7.0,)))
         for f in cases:
             for q in (Interval(0.0, 1.0), Interval(-0.5, 2.0), Interval(0.1, 0.4)):
-                lens, vals = _clipped_cells(f, q)
+                lens, vals = clipped_cells(f, q)
                 if len(lens) == 0:
                     continue
                 fast = luxemburg_average(f, q, LLOG)
@@ -198,7 +230,7 @@ class TestLuxemburg:
             f = random_step(rng, max_cells=8)
             hull = f.support_hull()
             q = Interval(hull.left - 0.2, hull.right + 0.3)
-            levels, mus = superlevels(*_clipped_cells(f, q))
+            levels, mus = superlevels(*clipped_cells(f, q))
             if len(levels) == 0:
                 continue
 
@@ -251,7 +283,7 @@ class TestWeakAverage:
         rng = np.random.default_rng(23)
         f = random_step(rng)
         q = Interval(-3.0, 3.0)
-        levels, mus = superlevels(*_clipped_cells(f, q))
+        levels, mus = superlevels(*clipped_cells(f, q))
 
         def s(alpha):
             t = levels / alpha
@@ -345,3 +377,178 @@ class TestOrliczMaximal:
                     default=0.0,
                 )
                 assert orlicz_maximal(f, float(x), fam) == pytest.approx(loop, rel=1e-9)
+
+
+class TestExtremeScales:
+    """Each row is solved scaled by a power of two, so values near either
+    end of the float range neither underflow nor overflow inside a solve."""
+
+    WIDE = Interval(-1e10, 1e10)
+
+    def test_subnormal_exp_root(self):
+        f = StepFunction([0.0, 1.0], [1e-320])
+        assert luxemburg_average(f, Q01, EXP) == pytest.approx(1e-320 / math.log(2.0), rel=1e-3)
+
+    def test_subnormal_llog_on_wide_window(self):
+        # the llog root and the functional are about 1.1e-329 and 1.2e-329,
+        # below the smallest subnormal, so both round to 0
+        f = StepFunction([0.0, 1.0], [1e-320])
+        assert luxemburg_average(f, self.WIDE, LLOG) == 0.0
+        assert llog_functional(f, self.WIDE) == 0.0
+
+    def test_huge_value_on_wide_window(self):
+        f = StepFunction([0.0, 1.0], [1e300])
+        for gauge in (LLOG, EXP):
+            want = 1e300 * luxemburg_average(CHI01, self.WIDE, gauge)
+            assert luxemburg_average(f, self.WIDE, gauge) == pytest.approx(want, rel=1e-12)
+        assert llog_functional(f, self.WIDE) == pytest.approx(1e300 * llog_functional(CHI01, self.WIDE), rel=1e-12)
+
+    def test_power_of_two_homogeneity_at_both_ends(self):
+        rng = np.random.default_rng(30)
+        for _ in range(10):
+            f = random_step(rng)
+            hull = f.support_hull()
+            q = Interval(hull.left - 0.5, hull.right + 0.5)
+            for c in (2.0**-1000, 2.0**1000):
+                g = f.scale(c)
+                for gauge in (LLOG, EXP):
+                    assert luxemburg_average(g, q, gauge) == pytest.approx(c * luxemburg_average(f, q, gauge), rel=1e-12)
+                assert llog_functional(g, q) == pytest.approx(c * llog_functional(f, q), rel=1e-12)
+                assert weak_llog_average(g, q) == c * weak_llog_average(f, q)
+
+
+class TestRowForms:
+    """Every row of one padded call against the independent oracles."""
+
+    @staticmethod
+    def cases():
+        rng = np.random.default_rng(31)
+        cases = []
+        for n in range(1, 13):  # rows of 1 to 12 cells, padded to 12
+            f = random_step(rng, max_cells=n)
+            hull = f.support_hull()
+            a = float(rng.uniform(hull.left - 0.5, hull.right - 0.05))
+            cases.append((f, Interval(a, a + float(rng.uniform(0.05, 3.0)))))
+        cases.append((CHI01, Interval(5.0, 6.0)))  # misses the support
+        cases.append((StepFunction((0.0, 1.0, 2.0, 3.0), (1.0, 0.0, 2.0)), Interval(1.2, 1.8)))  # zero cells only
+        cases.append((StepFunction((0.0, 0.2, 0.5, 0.9), (4.0, 1.0, 4.0)), Q01))  # tied values
+        cases.append((StepFunction((0.0, 0.3, 0.7, 1.0), (2.0, 2.0**0.5, 2.0)), Interval(-0.5, 2.0)))
+        sliver = StepFunction((0.0, 0.4, 0.9), (3.0, 0.25))
+        cases.append((sliver, Interval(0.4 - 1e-12, 1.5)))  # the first cell clipped to a 1e-12 sliver
+        return cases
+
+    def rows(self):
+        fs, qs = zip(*self.cases())
+        return fs, qs, _window_rows(fs, *self.ends(qs))
+
+    @staticmethod
+    def ends(qs):
+        return np.array([q.left for q in qs]), np.array([q.right for q in qs])
+
+    def test_luxemburg_rows_against_bisection(self):
+        fs, qs, rows = self.rows()
+        for gauge in (LLOG, EXP):
+            got = _luxemburg_rows(*rows, gauge)
+            for f, q, a in zip(fs, qs, got):
+                lens, vals = clipped_cells(f, q)
+                if len(lens) == 0:
+                    assert a == 0.0
+                    continue
+                assert a == pytest.approx(luxemburg_bisection(lens, vals, q.length, gauge, 1e-14), rel=1e-12)
+
+    def test_other_rows_against_cell_sums(self):
+        fs, qs, rows = self.rows()
+        lux = _luxemburg_rows(*rows, LLOG)
+        alpha = np.where(lux > 0.0, lux, 1.0)
+        for gauge in (LLOG, EXP):
+            for f, q, got, a in zip(fs, qs, _gauge_rows(*rows, gauge, alpha), alpha):
+                assert got == pytest.approx(gauge_sum(*clipped_cells(f, q), q.length, gauge, a), rel=1e-13, abs=0.0)
+        for f, q, func, weak in zip(fs, qs, _llog_functional_rows(*rows), _weak_llog_rows(*rows)):
+            lens, vals = clipped_cells(f, q)
+            if len(lens) == 0:
+                assert func == 0.0 and weak == 0.0
+                continue
+            assert func == pytest.approx(llog_sum(lens, vals, q.length), rel=1e-13, abs=0.0)
+            assert weak == pytest.approx(weak_sum(lens, vals, q.length), rel=1e-13, abs=0.0)
+
+    def test_rows_match_one_window_calls(self):
+        fs, qs, rows = self.rows()
+        h = StepFunction((-1.0, 0.5, 2.5), (0.5, 3.0))
+        lux = _luxemburg_rows(*rows, LLOG)
+        lhs, rhs = _holder_rows(fs, [h] * len(fs), *self.ends(qs))
+        for i, (f, q) in enumerate(zip(fs, qs)):
+            assert lux[i] == pytest.approx(luxemburg_average(f, q, LLOG), rel=1e-14, abs=0.0)
+            assert (lhs[i], rhs[i]) == pytest.approx(holder_check(f, h, q), rel=1e-14, abs=0.0)
+            assert lhs[i] == pytest.approx(average(combine(f, h, lambda x, y: x * y).abs(), q), rel=1e-13, abs=0.0)
+
+
+class TestHolderScale:
+    def test_ten_thousand_cells_linear_memory(self):
+        # an m x m overlap tensor of two 10^4-cell inputs would take 800 MB
+        rng = np.random.default_rng(32)
+        f, h = (StepFunction(np.sort(rng.uniform(-1.0, 1.0, 10_001)), rng.uniform(0.5, 2.0, 10_000)) for _ in range(2))
+        q = Interval(-0.7, 0.8)
+        start = time.process_time()
+        holder_check(f, h, q)
+        elapsed = time.process_time() - start
+        tracemalloc.start()
+        try:
+            lhs, rhs = holder_check(f, h, q)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10e6
+        assert elapsed < 0.38  # the cell-by-cell product and its fsum took 0.38 s
+        assert lhs == pytest.approx(average(combine(f, h, lambda x, y: x * y).abs(), q), rel=1e-12)
+        assert 0.0 < lhs <= rhs
+
+
+def pair_loop_report(seed, n_pairs):
+    """suite_holder's checks from the same draws, pair by pair and window by
+    window, with the lhs from the combined product and every Luxemburg
+    average from the bisection oracle."""
+    rng = np.random.default_rng(seed)
+    names, worst = [], 0.0
+    for _ in range(n_pairs):
+        f = random_step_function(rng, 12, signed=False)
+        h = random_step_function(rng, 12, signed=False)
+        a = float(rng.uniform(-1.0, 0.9))
+        q = Interval(a, a + float(rng.uniform(0.1, 2.5)))
+        lhs = average(combine(f, h, lambda x, y: x * y).abs(), q)
+        sides = [clipped_cells(g, q) for g in (f, h)]
+        if all(len(lens) for lens, _ in sides):
+            rhs = math.prod(luxemburg_bisection(*cells, q.length, gauge, 1e-15) for cells, gauge in zip(sides, (LLOG, EXP)))
+            worst = max(worst, lhs / rhs)
+    oks = [worst <= 1.0 + 1e-8, worst <= 2.0 + 1e-8]
+    names += ["holder_all_pairs", "holder_classical_bound"]
+    resid, sandwich = 0.0, 0.0
+    for _ in range(60):
+        f = random_step_function(rng, 10, signed=False)
+        a = float(rng.uniform(-0.5, 0.5))
+        q = Interval(a, a + float(rng.uniform(0.2, 1.5)))
+        lens, vals = clipped_cells(f, q)
+        lux = luxemburg_bisection(lens, vals, q.length, LLOG, 1e-15) if len(lens) else 0.0
+        if lux > 0.0:
+            resid = max(resid, abs(gauge_sum(lens, vals, q.length, LLOG, lux) - 1.0))
+            func = llog_sum(lens, vals, q.length)
+            sandwich = max(sandwich, lux / func, func / (2.0 * lux))
+        if weak_sum(lens, vals, q.length) > lux * (1.0 + 1e-6):
+            names.append("weak_leq_strong")
+            oks.append(False)
+    names += ["luxemburg_fixed_point", "llog_sandwich", "submultiplicative_log"]
+    oks += [resid <= 1e-7, sandwich <= 1.0 + 1e-7, True]
+    return names, oks, worst
+
+
+class TestHolderSuiteBatch:
+    @pytest.mark.parametrize("seed, n_pairs", [(7, 50), (3, 200)])
+    def test_matches_pair_loop(self, seed, n_pairs):
+        rep = suite_holder(seed=seed, n_pairs=n_pairs)
+        names, oks, worst = pair_loop_report(seed, n_pairs)
+        assert [c["name"] for c in rep["checks"]] == names
+        assert [c["ok"] for c in rep["checks"]] == oks
+        assert rep["constants"]["holder_worst_ratio"] == pytest.approx(worst, rel=1e-12)
+
+    def test_seed_three_fails_the_constant_one_form(self):
+        rep = suite_holder(seed=3)
+        assert [c["name"] for c in rep["checks"] if not c["ok"]] == ["holder_all_pairs"]
