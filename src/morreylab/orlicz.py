@@ -151,7 +151,11 @@ def _scaled(solve):
                 out[live] = rows(lens[live], vals[live], area[live])
             return out
         e = np.frexp(top)[1]
-        return np.ldexp(solve(lens, np.ldexp(vals, -e[:, None]), area), e)
+        vals = np.ldexp(vals, -e[:, None])
+        gone = vals == 0.0  # over 2^1074 below the row's largest: negligible, so dropped like a zero cell
+        if gone.any():
+            lens, vals = np.where(gone, 0.0, lens), np.where(gone, vals.max(axis=1)[:, None], vals)
+        return np.ldexp(solve(lens, vals, area), e)
 
     return rows
 

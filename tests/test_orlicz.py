@@ -403,6 +403,16 @@ class TestExtremeScales:
             assert luxemburg_average(f, self.WIDE, gauge) == pytest.approx(want, rel=1e-12)
         assert llog_functional(f, self.WIDE) == pytest.approx(1e300 * llog_functional(CHI01, self.WIDE), rel=1e-12)
 
+    def test_range_wider_than_the_floats(self):
+        # 1e-30 lies more than 2^1074 below 1e300, so it underflows once the
+        # row is scaled; its cell adds nothing the solves can resolve
+        f = StepFunction([0.0, 0.5, 1.0], [1e300, 1e-30])
+        top = StepFunction([0.0, 0.5], [1e300])
+        for gauge in (LLOG, EXP):
+            assert luxemburg_average(f, Q01, gauge) == pytest.approx(luxemburg_average(top, Q01, gauge), rel=1e-12)
+        assert llog_functional(f, Q01) == pytest.approx(llog_functional(top, Q01), rel=1e-12)
+        assert weak_llog_average(f, Q01) == weak_llog_average(top, Q01)
+
     def test_power_of_two_homogeneity_at_both_ends(self):
         rng = np.random.default_rng(30)
         for _ in range(10):
