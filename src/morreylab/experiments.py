@@ -39,8 +39,7 @@ from .norms import (
     weak_zygmund_morrey_norm,
     zygmund_morrey_norm,
 )
-from .orlicz import (LLOG, _gauge_rows, _holder_rows, _llog_functional_rows, _luxemburg_rows, _weak_llog_rows,
-                     _window_rows, log_plus, orlicz_maximal)
+from .orlicz import _holder_rows, _llog_summary_rows, log_plus, orlicz_maximal
 from .radial import RadialProfile, hardy, hardy_reduction_check, zm_radial_functional
 from .stepfn import (Interval, StepFunction, _values_at, combine, default_hull, distribution, pos_neg_parts,
                      superlevels)
@@ -611,14 +610,11 @@ def suite_holder(seed: int = 7, n_pairs: int = 200) -> dict:
         a = float(rng.uniform(-0.5, 0.5))
         lefts.append(a)
         rights.append(a + float(rng.uniform(0.2, 1.5)))
-    rows = _window_rows(fs, np.array(lefts), np.array(rights))
-    lux = _luxemburg_rows(*rows, LLOG)
+    lux, resid, func, weak = _llog_summary_rows(fs, np.array(lefts), np.array(rights))
     on = lux > 0.0
-    live, strong = [r[on] for r in rows], lux[on]
-    worst_resid = float(np.max(np.abs(_gauge_rows(*live, LLOG, strong) - 1.0), initial=0.0))
-    func = _llog_functional_rows(*live)
+    strong, func = lux[on], func[on]
+    worst_resid = float(np.max(np.abs(resid[on]), initial=0.0))
     worst_sandwich = float(np.max(np.maximum(strong / func, func / (2.0 * strong)), initial=0.0))
-    weak = _weak_llog_rows(*rows)
     for i in np.flatnonzero(weak > lux * (1.0 + 1e-6)):
         checks.append(_check("weak_leq_strong", False, weak=float(weak[i]), strong=float(lux[i])))
     checks.append(_check("luxemburg_fixed_point", worst_resid <= 1e-7, residual=worst_resid))

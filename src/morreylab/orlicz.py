@@ -184,11 +184,7 @@ def gauge_average(f: StepFunction, window: Interval, gauge: OrliczGauge, alpha: 
 def _llog_climb(a: np.ndarray, area: np.ndarray, u: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Newton on R(a) = a area + u log a - c from a start at or below the
     root, rising monotonically onto it (module docstring); a row whose step
-    stops rising keeps its last iterate, as fmax returns it there.  A single
-    row takes the same steps on numpy scalars, which skip the per-array
-    overhead that would otherwise be most of a one-window solve."""
-    if a.shape == (1,):
-        return _llog_climb(a[0], area[0], u[0], c[0]).reshape(1)
+    stops rising keeps its last iterate, as fmax returns it there."""
     while True:
         new = a - (a * area + u * np.log(a) - c) / (area + u / a)
         if not np.count_nonzero(new > a):
@@ -317,6 +313,21 @@ def llog_functional(f: StepFunction, window: Interval) -> float:
     return float(_llog_functional_rows(*_one_window(f, window))[0])
 
 
+def _llog_summary_rows(fs: Sequence[StepFunction], lefts: np.ndarray,
+                       rights: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(lux, resid, func, weak) of every (f_i, window i): the llog Luxemburg
+    average, the llog gauge average at it minus 1, the llog functional and
+    the weak llog average.  resid and func are 0 where lux is 0."""
+    rows = _window_rows(fs, lefts, rights)
+    lux = _luxemburg_rows(*rows, LLOG)
+    on = lux > 0.0
+    live = [r[on] for r in rows]
+    resid, func = np.zeros(len(lux)), np.zeros(len(lux))
+    resid[on] = _gauge_rows(*live, LLOG, lux[on]) - 1.0
+    func[on] = _llog_functional_rows(*live)
+    return lux, resid, func, _weak_llog_rows(*rows)
+
+
 def _breakpoints(fs: Sequence[StepFunction]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every breakpoint x of every f_i: its row i, x itself and the value
     of |f_i| from x on (0 from the last one)."""
@@ -336,9 +347,13 @@ def _mean_abs_product(fs: Sequence[StepFunction], hs: Sequence[StepFunction], le
     breakpoints, clipped to the window, are merged by one stable sort on
     (row, x), each function's value is carried forward from its own last
     breakpoint, and the products over the segments between consecutive
-    points are summed per row.  The order among equal points does not
-    matter: the segments between them have length 0.  Memory and time are
-    linear in the breakpoints, up to the sort."""
+    points are summed per row.  Equal points of different functions may
+    come in either order, as the segments between them have length 0; but
+    the breakpoints of one function clipped to the left end share its x,
+    and the last of them sets the value carried into the first segment, so
+    the sort must be stable: the sentinel first, and each function's
+    clipped breakpoints in their input order.  Memory and time are linear
+    in the breakpoints, up to the sort."""
     k = len(fs)
     row_f, x_f, v_f = _breakpoints(fs)
     row_h, x_h, v_h = _breakpoints(hs)

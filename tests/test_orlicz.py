@@ -16,6 +16,7 @@ from morreylab.orlicz import (
     _gauge_rows,
     _holder_rows,
     _llog_functional_rows,
+    _llog_summary_rows,
     _luxemburg_rows,
     _weak_llog_rows,
     _window_rows,
@@ -445,6 +446,8 @@ class TestRowForms:
         cases.append((StepFunction((0.0, 0.3, 0.7, 1.0), (2.0, 2.0**0.5, 2.0)), Interval(-0.5, 2.0)))
         sliver = StepFunction((0.0, 0.4, 0.9), (3.0, 0.25))
         cases.append((sliver, Interval(0.4 - 1e-12, 1.5)))  # the first cell clipped to a 1e-12 sliver
+        # three breakpoints clip to the left end: the last of them sets the value carried in
+        cases.append((StepFunction((-3.0, -2.0, -1.0, 0.25, 0.5, 2.0), (5.0, 7.0, 9.0, 2.0, 4.0)), Interval(0.0, 1.0)))
         return cases
 
     def rows(self):
@@ -480,6 +483,19 @@ class TestRowForms:
                 continue
             assert func == pytest.approx(llog_sum(lens, vals, q.length), rel=1e-13, abs=0.0)
             assert weak == pytest.approx(weak_sum(lens, vals, q.length), rel=1e-13, abs=0.0)
+
+    def test_summary_rows_against_cell_sums(self):
+        fs, qs, _ = self.rows()
+        lux, resid, func, weak = _llog_summary_rows(fs, *self.ends(qs))
+        for f, q, a, r, fn, w in zip(fs, qs, lux, resid, func, weak):
+            lens, vals = clipped_cells(f, q)
+            if len(lens) == 0:
+                assert a == r == fn == w == 0.0
+                continue
+            assert a == pytest.approx(luxemburg_bisection(lens, vals, q.length, LLOG, 1e-14), rel=1e-12)
+            assert abs(r - (gauge_sum(lens, vals, q.length, LLOG, a) - 1.0)) <= 1e-14
+            assert fn == pytest.approx(llog_sum(lens, vals, q.length), rel=1e-13, abs=0.0)
+            assert w == pytest.approx(weak_sum(lens, vals, q.length), rel=1e-13, abs=0.0)
 
     def test_rows_match_one_window_calls(self):
         fs, qs, rows = self.rows()
