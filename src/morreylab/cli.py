@@ -311,6 +311,9 @@ def main(argv: list[str] | None = None) -> int:
     except (UsageError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except OverflowError as exc:
+        print(f"error: floating-point overflow: {exc}", file=sys.stderr)
+        return 2
 
 
 def entry() -> None:  # pragma: no cover - console script shim

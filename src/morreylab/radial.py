@@ -1,40 +1,46 @@
 """Closed-form radial functionals on the Morrey log-average scale.
 
 For a radial step profile phi in dimension n, the weighted inner integral
-I(t) = int_0^t |phi(r)| r^(n-1) dr is a piecewise polynomial; dividing by t
-and integrating again stays inside the class of piecewise
-polynomial-plus-logarithm functions (one more division adds log^2 terms).
-Two nesting levels suffice for everything here, so the representation
-carries polynomial coefficients plus log and log^2 coefficients and
-refuses a third level.  The n-dimensional Hardy operator, the solid
+I(t) = int_0^t |phi(r)| r^(n-1) dr is piecewise polynomial; dividing by t
+and integrating again adds log and log^2 terms, and a third level would
+need log^3, so it is refused.  The n-dimensional Hardy operator, the solid
 average of |phi| over the ball of radius |x|, is n I(|x|) / |x|^n.
 
-The functionals take the supremum over x > 0 of h(x) = x^shift * P(x),
-shift = lam - n < 0, over every piece's ends and critical points.
+The functionals take the supremum over x > 0 of h(x) = x^s * P(x),
+s = lam - n < 0, over every piece's ends and critical points.
 
-The Rolle ladder.  On a finite piece put u = log x, t = e^u and D = d/du.
-With P = sum c_k t^k + log1 u + log2 u^2, dh/du = e^(shift u) g(u) where
+The shape lemma.  Every piece of I and of its two antiderivatives has the
+shape P(x) = a + c x^n + l1 log x + l2 log^2 x, and the first piece is
+c x^n alone.  ``inner_integral`` writes a cell's piece as
+(acc - |v| cursor^n / n) + (|v| / n) x^n, and a gap or the tail as the
+constant acc; its first piece starts at cursor = acc = 0.
+``PiecewiseLogPoly.integrate_div_t`` maps a + c t^n + l1 log t to
+const + (c / n) x^n + a log x + (l1 / 2) log^2 x, refuses l2 != 0, and
+refuses a first piece with a constant or a log term, so its first piece
+is again (c / n) x^n.  The shape is closed under both steps;
+``PolyLogPiece`` refuses any other power and any power on a piece that
+reaches infinity.  On the first piece h = c x^lam rises, so its right
+end is its only candidate, and no piece is searched near 0.
 
-    g = shift P + DP = sum_{k>=1} d_k e^(ku) + b2 u^2 + b1 u + b0,
-    d_k = (shift + k) c_k,  b2 = shift log2,  b1 = shift log1 + 2 log2,
-    b0 = shift c_0 + log1,
+The closed-form split.  On any other piece put u = log x and D = d/du.
+Then dh/du = e^(s u) g(u) with
 
-so the piece's supremum sits at an end or a sign change of g.  D^2 g =
-e(t) = sum k^2 d_k t^k + 2 b2 is a polynomial in t, whose derivatives end
-in a constant.  Each rung f of the ladder is solved the same way.
-Between consecutive roots of f', f is monotone and has at most one root,
-which exists iff f changes sign between the two ends.  If
-the cell is also split at the roots of f'', the convexity is fixed too, so
-Newton started from the end with the larger |f'| (where f and f'' share a
-sign) falls monotonically onto the root without overshooting; it stops
-when it stops advancing.  Climbing e's derivatives from the constant down
-to e (in t), then Dg (derivative e, second derivative t e'(t)) and g
-(derivative Dg, second derivative e) in u, finds every sign change of g:
-no critical point can hide between samples, because nothing is sampled.
-A piece starting at 0 is searched from right * 1e-12; for the inner
-integral and its antiderivatives the first piece is C x^n, so h = C x^lam
-only rises there.  Past the last breakpoint the polynomial part is
-constant and the critical points solve a quadratic in log x.
+    g = s P + DP = A e^(n u) + b2 u^2 + b1 u + b0,
+    A = (s + n) c,  b2 = s l2,  b1 = s l1 + 2 l2,  b0 = s a + l1,
+
+so the piece's supremum sits at an end or a sign change of g.  On a
+cell's piece s + n = lam > 0, so A != 0 exactly when c != 0.  Then
+D^2 g = n^2 A e^(n u) + 2 b2 is monotone and vanishes at most at
+u* = log(-2 b2 / (n^2 A)) / n, when that argument is positive, while
+D^3 g = n^3 A e^(n u) keeps the sign of A.  Split at u*, Dg is monotone
+with fixed convexity on each part, so ``_sign_roots`` finds its at most
+two roots; split again at those roots and at u*, g is monotone with fixed
+convexity on each part, and ``_sign_roots`` finds its at most three
+roots.  When c = 0 (a gap, or the tail, whose right end is infinite) g is
+the quadratic b2 u^2 + b1 u + b0, solved directly after scaling by a
+power of two, so that b1^2 - 4 b2 b0 cannot underflow or overflow for
+tiny or huge profiles.  Nothing is sampled, so no critical point can hide
+between samples.
 
 The candidate set is complete, so ``value`` is the supremum up to the
 rounding of h at a root found to a few ulps (the maximum is flat to first
@@ -102,11 +108,13 @@ class RadialProfile:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "RadialProfile":
-        return cls(
-            StepFunction.from_json_obj(obj["profile"]),
-            int(obj.get("dimension", 1)),
-            bool(obj.get("nonincreasing", False)),
-        )
+        dimension = obj.get("dimension", 1)
+        nonincreasing = obj.get("nonincreasing", False)
+        if type(dimension) is not int:  # bool is an int subclass
+            raise ValueError("dimension must be a JSON integer")
+        if type(nonincreasing) is not bool:
+            raise ValueError("nonincreasing must be a JSON boolean")
+        return cls(StepFunction.from_json_obj(obj["profile"]), dimension, nonincreasing)
 
 
 def _poly(coeffs, t: float) -> float:
@@ -124,6 +132,12 @@ class PolyLogPiece:
     coeffs: tuple[float, ...]  # ascending powers
     log1: float = 0.0
     log2: float = 0.0
+
+    def __post_init__(self) -> None:
+        # the shape lemma of the module docstring
+        powers = self.coeffs[1:]
+        if not self.coeffs or any(powers[:-1]) or math.isinf(self.right) and any(powers):
+            raise ValueError("a piece is a + c t^n + logs, with c = 0 on a piece reaching infinity")
 
     def __call__(self, t: float) -> float:
         acc = _poly(self.coeffs, t)
@@ -166,34 +180,33 @@ class PiecewiseLogPoly:
         return worst
 
     def integrate_div_t(self) -> "PiecewiseLogPoly":
-        """F(x) = int_0^x self(t)/t dt, exact within the polylog class.
+        """F(x) = int_0^x self(t)/t dt, exact within the polylog class:
+        a + c t^n + l1 log t becomes const + (c / n) x^n + a log x +
+        (l1 / 2) log^2 x.
 
         Requires log2 == 0 everywhere (one more level would need log^3)
         and a first piece with no constant or log term (integrability
         at 0).
         """
-        first = self.pieces[0]
-        if first.coeffs and first.coeffs[0] != 0.0 or first.log1 or first.log2:
-            raise ValueError("integrand must vanish at 0 like a positive power")
+        _require_power_at_origin(self.pieces[0])
         out: list[PolyLogPiece] = []
         acc = 0.0  # running value of F at the left end of the piece
         for p in self.pieces:
             if p.log2:
                 raise ValueError("a third nesting level is not supported")
-            coeffs = [0.0] * max(len(p.coeffs), 1)
-            for k in range(1, len(p.coeffs)):
-                coeffs[k] = p.coeffs[k] / k
-            log1 = p.coeffs[0] if p.coeffs else 0.0
-            log2 = 0.5 * p.log1
+            n = len(p.coeffs) - 1
+            coeffs = [0.0] * (n + 1)
+            if n:
+                coeffs[n] = p.coeffs[n] / n
+            log1, log2 = p.coeffs[0], 0.5 * p.log1
             # fix the constant so F is continuous at the left junction
-            t0 = p.left
-            if t0 == 0.0:
+            if p.left == 0.0:
                 const = 0.0
             else:
-                lt = math.log(t0)
+                lt = math.log(p.left)
                 val = log1 * lt + log2 * lt * lt
-                for k in range(1, len(coeffs)):
-                    val += coeffs[k] * t0**k
+                if n:
+                    val += coeffs[n] * p.left**n
                 const = acc - val
             coeffs[0] = const
             piece = PolyLogPiece(p.left, p.right, tuple(coeffs), log1, log2)
@@ -203,9 +216,15 @@ class PiecewiseLogPoly:
         return PiecewiseLogPoly(tuple(out))
 
 
+def _require_power_at_origin(first: PolyLogPiece) -> None:
+    """Refuse a first piece with a constant or a log term: it must be c x^n."""
+    if first.coeffs[0] or first.log1 or first.log2:
+        raise ValueError("the first piece must vanish at 0 like c x^n, with no constant or log term")
+
+
 def inner_integral(p: RadialProfile) -> PiecewiseLogPoly:
-    """I(t) = int_0^t |phi(r)| r^(n-1) dr as a piecewise polynomial of
-    degree n with no log terms."""
+    """I(t) = int_0^t |phi(r)| r^(n-1) dr as pieces a + c t^n on the cells
+    and constants on the gaps and the tail, with no log terms."""
     n = p.dimension
     prof = p.profile
     if not prof.is_zero and any(v < 0 for v in prof.values):
@@ -225,8 +244,6 @@ def inner_integral(p: RadialProfile) -> PiecewiseLogPoly:
         acc = acc + abs(v) * (r**n - cursor**n) / n
         cursor = r
     pieces.append(PolyLogPiece(cursor, math.inf, (acc,)))
-    if pieces[0].left != 0.0:  # pragma: no cover - cells start at >= 0
-        pieces.insert(0, PolyLogPiece(0.0, pieces[0].left, (0.0,)))
     return PiecewiseLogPoly(tuple(pieces))
 
 
@@ -278,85 +295,58 @@ def _cells(a: float, b: float, *inner: list[float]) -> list[float]:
     return sorted({a, b, *(x for xs in inner for x in xs if a < x < b)})
 
 
-def _piece_critical(piece: PolyLogPiece, shift: float, lo: float) -> list[float]:
-    """Every sign change of g = shift*P + x*P' on [lo, piece.right], the
-    critical points of x^shift * P(x), by the Rolle ladder in u = log x
-    (module docstring)."""
-    c = list(piece.coeffs) or [0.0]
-    d = [(shift + k) * c[k] for k in range(len(c))]
-    b2, b1, b0 = shift * piece.log2, shift * piece.log1 + 2.0 * piece.log2, shift * c[0] + piece.log1
-    g0 = [b0] + d[1:]  # g = g0(t) + (b2 u + b1) u
-    g1 = [b1] + [k * d[k] for k in range(1, len(d))]  # Dg = g1(t) + 2 b2 u
-    chain = [[2.0 * b2] + [k * k * d[k] for k in range(1, len(d))]]  # D^2 g = e(t)
-    while len(chain[-1]) > 1:
-        chain.append([k * chain[-1][k] for k in range(1, len(chain[-1]))])
-    # down e's derivatives in t; roots[0] and roots[1] hold the roots of
-    # chain[i + 1] and chain[i + 2], none for the constant top one
-    ta, tb = lo, piece.right
-    roots: list[list[float]] = [[], []]
-    for i in range(len(chain) - 2, -1, -1):
-        lower, upper = chain[i], chain[i + 1]
-        roots.insert(0, _sign_roots(lambda t: _poly(lower, t), lambda t: _poly(upper, t),
-                                    _cells(ta, tb, roots[0], roots[1])))
-    ua, ub = math.log(ta), math.log(tb)
-    e0, e1 = ([math.log(t) for t in r] for r in roots[:2])
+def _piece_critical(piece: PolyLogPiece, shift: float) -> list[float]:
+    """Every sign change of g = shift*P + x*P' inside ``piece``, the
+    critical points of x^shift * P(x), by the closed-form split in
+    u = log x (module docstring); a piece with c = 0 solves g's quadratic."""
+    n = len(piece.coeffs) - 1
+    A = (shift + n) * piece.coeffs[-1] if n else 0.0
+    b2, b1, b0 = shift * piece.log2, shift * piece.log1 + 2.0 * piece.log2, shift * piece.coeffs[0] + piece.log1
+    if A == 0.0:
+        # scaled by a power of two (exactly) to unit size, so that
+        # b1^2 - 4 b2 b0 cannot underflow or overflow for tiny or huge
+        # profiles
+        e = -math.frexp(max(abs(b2), abs(b1), abs(b0)))[1]
+        b2, b1, b0 = math.ldexp(b2, e), math.ldexp(b1, e), math.ldexp(b0, e)
+        roots: list[float] = []
+        if b2 == 0.0:
+            if b1 != 0.0:
+                roots.append(-b0 / b1)
+        else:
+            disc = b1 * b1 - 4.0 * b2 * b0
+            if disc >= 0.0:
+                sq = math.sqrt(disc)
+                roots.extend(((-b1 - sq) / (2 * b2), (-b1 + sq) / (2 * b2)))
+        # e^u overflow guard; on the tail the objective decays anyway
+        return [x for x in (math.exp(u) for u in roots if u < 700.0) if piece.left < x < piece.right]
+    ua, ub = math.log(piece.left), math.log(piece.right)
+    ratio = -2.0 * b2 / (n * n * A)
+    split = [math.log(ratio) / n] if ratio > 0.0 else []  # the zero u* of D^2 g
 
     def dg(u: float) -> float:
-        return _poly(g1, math.exp(u)) + 2.0 * b2 * u
+        return n * A * math.exp(n * u) + 2.0 * b2 * u + b1
 
-    r1 = _sign_roots(dg, lambda u: _poly(chain[0], math.exp(u)), _cells(ua, ub, e0, e1))
-    r0 = _sign_roots(lambda u: _poly(g0, math.exp(u)) + (b2 * u + b1) * u, dg, _cells(ua, ub, r1, e0))
-    return [min(max(math.exp(u), ta), tb) for u in r0]
+    r1 = _sign_roots(dg, lambda u: n * n * A * math.exp(n * u) + 2.0 * b2, _cells(ua, ub, split))
+    r0 = _sign_roots(lambda u: A * math.exp(n * u) + (b2 * u + b1) * u + b0, dg, _cells(ua, ub, r1, split))
+    return [min(max(math.exp(u), piece.left), piece.right) for u in r0]
 
 
 def _sup_weighted(P: PiecewiseLogPoly, lam: float, n: int) -> tuple[float, float]:
-    """(sup, argmax) of x^(lam - n) * P(x) over x > 0."""
+    """(sup, argmax) of x^(lam - n) * P(x) over x > 0.  The first piece,
+    c x^n by the shape lemma, contributes its right end; every other piece
+    its ends and critical points."""
+    first, *rest = P.pieces
+    _require_power_at_origin(first)
     shift = lam - n
+    candidates = [(first.right, first)] + [
+        (x, piece) for piece in rest for x in (piece.left, piece.right, *_piece_critical(piece, shift))
+    ]
     best, arg = 0.0, 0.0
-
-    def consider(x: float, piece: PolyLogPiece) -> None:
-        nonlocal best, arg
-        if x <= 0.0 or not math.isfinite(x):
-            return
-        val = x**shift * piece(x)
-        if val > best:
-            best, arg = val, x
-
-    for piece in P.pieces:
-        if math.isfinite(piece.right):
-            lo = piece.left if piece.left > 0 else piece.right * 1e-12
-            if lo >= piece.right:
-                continue
-            for x in (lo, piece.right, *_piece_critical(piece, shift, lo)):
-                consider(x, piece)
-        else:
-            # constant-plus-logs tail: critical points solve a quadratic in
-            # log x:  shift*(a0 + c1 u + c2 u^2) + c1 + 2 c2 u = 0
-            a0 = piece.coeffs[0] if piece.coeffs else 0.0
-            c1, c2 = piece.log1, piece.log2
-            qa = shift * c2
-            qb = shift * c1 + 2.0 * c2
-            qc = shift * a0 + c1
-            # scaled by a power of two (exactly) to unit size, so that
-            # qb^2 - 4 qa qc cannot underflow or overflow for tiny or huge
-            # profiles
-            e = -math.frexp(max(abs(qa), abs(qb), abs(qc)))[1]
-            qa, qb, qc = math.ldexp(qa, e), math.ldexp(qb, e), math.ldexp(qc, e)
-            roots: list[float] = []
-            if qa == 0.0:
-                if qb != 0.0:
-                    roots.append(-qc / qb)
-            else:
-                disc = qb * qb - 4.0 * qa * qc
-                if disc >= 0.0:
-                    sq = math.sqrt(disc)
-                    roots.extend(((-qb - sq) / (2 * qa), (-qb + sq) / (2 * qa)))
-            consider(piece.left if piece.left > 0 else 1e-12, piece)
-            for u in roots:
-                if u < 700.0:  # e^u overflow guard; objective decays anyway
-                    x = math.exp(u)
-                    if x > piece.left:
-                        consider(x, piece)
+    for x, piece in candidates:
+        if math.isfinite(x):
+            val = x**shift * piece(x)
+            if val > best:
+                best, arg = val, x
     return best, arg
 
 

@@ -205,7 +205,7 @@ def test_criterion_11_weak_type_constants_locked():
     for key, rep in reports.items():
         want = EXPECTED[key]["constant"]
         assert math.isfinite(rep.constant)
-        assert rep.constant == pytest.approx(want, rel=0.05), key
+        assert rep.constant == pytest.approx(want, rel=1e-9), key
     # witnesses reproduce their constants
     for key in ("weak_type_M2", "weak_type_Cb", "weak_type_MbCommutator"):
         from morreylab.experiments import ConstantReport

@@ -303,3 +303,24 @@ class TestRadialCmd:
         obj = json.loads(capsys.readouterr().out)
         assert obj["holds"] is True
         assert obj["bound"] == pytest.approx(2.0 * obj["rhs"], rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "field", [{"dimension": 2.5}, {"dimension": "3"}, {"dimension": True}, {"nonincreasing": "false"}]
+    )
+    @pytest.mark.parametrize("argv", [["radial", "--op", "zm"], ["norm", "--kind", "zm-radial"]])
+    def test_loose_profile_fields_exit_2(self, tmp_path, field, argv, capsys):
+        # dimension must be a JSON integer and nonincreasing a JSON boolean
+        obj = {"dimension": 1, "profile": {"breakpoints": [0.0, 1.0], "values": [1.0]}, "nonincreasing": True}
+        path = tmp_path / "profile.json"
+        path.write_text(json.dumps({**obj, **field}))
+        assert main([argv[0], "--input", str(path), *argv[1:], "--lambda", "0.5"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("argv", [["radial", "--op", "zm"], ["norm", "--kind", "zm-radial"]])
+    def test_overflow_exit_2(self, tmp_path, argv, capsys):
+        # 0.01^(0.5 - 400) is out of floating-point range
+        obj = {"dimension": 400, "profile": {"breakpoints": [0.0, 0.01], "values": [1.0]}, "nonincreasing": True}
+        path = tmp_path / "profile.json"
+        path.write_text(json.dumps(obj))
+        assert main([argv[0], "--input", str(path), *argv[1:], "--lambda", "0.5"]) == 2
+        assert capsys.readouterr().err.startswith("error:")

@@ -90,7 +90,7 @@ class TestWeakTypeConstants:
     def test_m2_report_locked(self):
         rep = weak_type_constant("M2", EXPECTED["weak_type_M2"]["corpus"]["functions"])
         want = EXPECTED["weak_type_M2"]["constant"]
-        assert 0.95 * want <= rep.constant <= 1.05 * want
+        assert rep.constant == pytest.approx(want, rel=1e-9)
 
     def test_witness_reevaluates(self):
         for key in ("weak_type_M2", "weak_type_Cb", "weak_type_MbCommutator"):
@@ -212,7 +212,7 @@ class TestRegressionLocks:
         assert set(reports) == set(EXPECTED)
         for key, rep in reports.items():
             want = EXPECTED[key]["constant"]
-            assert rep.constant == pytest.approx(want, rel=0.05), key
+            assert rep.constant == pytest.approx(want, rel=1e-9), key
 
     def test_expected_file_structure(self):
         for key, obj in EXPECTED.items():

@@ -9,6 +9,7 @@ from morreylab.radial import (
     PiecewiseLogPoly,
     PolyLogPiece,
     RadialProfile,
+    _piece_critical,
     _sup_weighted,
     hardy_reduction_check,
     inner_integral,
@@ -213,13 +214,19 @@ class TestRadialFunctionals:
             assert est.value <= dense * (1.0 + 1e-4)
 
     def test_close_critical_pair_between_samples(self):
-        # on [1, 2], g = shift P + x P' = -(x - 1.98)(x - 1.998)(x - 3), so
+        # on [1, 2], lam = 1.5 and n = 3, g = shift P + x P' = A x^3 + B u^2
+        # + C u + D (u = log x) vanishes at 1.98, 1.998 and 0.5, so
         # x^shift P peaks at 1.98, dips until 1.998 and rises to 2 without
-        # regaining its peak; a 33-point scan sees g > 0 at 1.96875 and 2
-        # and returned h(2) = 37.52571375732, 3.5e-9 below the peak
+        # regaining its peak: h(2) is 6.6e-8 below it, and a 33-point scan
+        # returns h(2)
         shift = 1.5 - 3
-        g = -np.polynomial.polynomial.polyfromroots([1.98, 1.998, 3.0])
-        mid = PolyLogPiece(1.0, 2.0, tuple(float(gk) / (shift + k) for k, gk in enumerate(g)))
+        us = [math.log(1.98), math.log(1.998), math.log(0.5)]
+        A, B, C, D = np.linalg.svd([[math.exp(3 * u), u * u, u, 1.0] for u in us])[2][-1]
+        if A * 1.5**3 + (B * math.log(1.5) + C) * math.log(1.5) + D < 0.0:
+            A, B, C, D = -A, -B, -C, -D  # g > 0 below 1.98
+        log2 = float(B) / shift
+        log1 = (float(C) - 2.0 * log2) / shift
+        mid = PolyLogPiece(1.0, 2.0, ((float(D) - log1) / shift, 0.0, 0.0, float(A) / (shift + 3)), log1, log2)
         P = PiecewiseLogPoly(
             (PolyLogPiece(0.0, 1.0, (0.0,)), mid, PolyLogPiece(2.0, math.inf, (mid(2.0),)))
         )
@@ -228,14 +235,101 @@ class TestRadialFunctionals:
         assert value >= peak * (1.0 - 1e-15)
         assert abs(arg - 1.98) <= 1e-12
 
+    @pytest.mark.parametrize("n", [26, 40])
+    def test_high_dimension_is_finite(self, n):
+        # the first piece's right end is its only candidate; a search start
+        # at right * 1e-12 raised to lam - n overflowed from n = 26
+        p = RadialProfile(StepFunction([0.0, 0.5, 1.0], [2.0, 1.0]), n, nonincreasing=True)
+        F = inner_integral(p).integrate_div_t()
+        xs = np.exp(np.linspace(math.log(0.05), math.log(1e3), 20001))
+        for functional, G in ((zm_radial_functional, F), (zm_radial_functional_M, F.integrate_div_t())):
+            value = functional(p, 0.5).value
+            dense = max(x ** (0.5 - n) * G(float(x)) for x in xs)
+            assert math.isfinite(value)
+            assert value >= dense - 1e-9 * dense
+
+
+def _g(piece, shift, u):
+    """g = shift P + DP at u = log x (an array or a float), from the
+    piece's coefficients."""
+    n, c = len(piece.coeffs) - 1, piece.coeffs[-1]
+    A = (shift + n) * c if n else 0.0
+    return (A * np.exp(n * u) + shift * piece.log2 * u * u
+            + (shift * piece.log1 + 2.0 * piece.log2) * u + shift * piece.coeffs[0] + piece.log1)
+
+
+class TestPieceShape:
+    def test_middle_coefficient_refused(self):
+        with pytest.raises(ValueError):
+            PolyLogPiece(1.0, 2.0, (1.0, 0.5, 0.0, 2.0))
+
+    def test_first_piece_constant_refused(self):
+        P = PiecewiseLogPoly((PolyLogPiece(0.0, 1.0, (1.0, 0.0, 2.0)), PolyLogPiece(1.0, math.inf, (3.0,))))
+        with pytest.raises(ValueError):
+            _sup_weighted(P, 1.0, 2)
+
+    def test_every_level_has_the_shape(self):
+        rng = np.random.default_rng(47)
+        for n in range(1, 9):
+            for _ in range(3):
+                I = inner_integral(RadialProfile(decreasing_profile(rng), n, nonincreasing=True))
+                F = I.integrate_div_t()
+                for P in (I, F, F.integrate_div_t()):
+                    first = P.pieces[0]
+                    assert first.coeffs[0] == first.log1 == first.log2 == 0.0
+                    for piece in P.pieces:
+                        assert len(piece.coeffs) in (1, n + 1)
+                        assert not any(piece.coeffs[1:-1])
+                        if P is I:
+                            assert piece.log1 == piece.log2 == 0.0
+
+    def test_critical_points_against_dense_sign_scan(self):
+        # random sparse pieces with g = A x^n + B u^2 + C u + D built from
+        # prescribed zeros: by turns c = 0 with two zeros (one of them past
+        # the right end every other time), three zeros inside (so the zero
+        # u* of D^2 g lies between them), two inside and one past the
+        # right end, and a random piece
+        rng = np.random.default_rng(48)
+        found = []
+        for trial in range(400):
+            n = int(rng.integers(1, 7))
+            shift = n * float(rng.uniform(0.05, 0.95)) - n
+            left = float(np.exp(rng.uniform(-2.0, 1.0)))
+            right = left * float(np.exp(rng.uniform(0.2, 2.0)))
+            ua, ub = math.log(left), math.log(right)
+            zeros = rng.uniform(ua, ub, 3)
+            if trial % 4 == 2 or trial % 8 == 4:
+                zeros[2] = ub + float(rng.uniform(0.1, 1.0))
+            if trial % 4 == 0:
+                A, (B, C, D) = 0.0, np.polynomial.polynomial.polyfromroots(zeros[1:])[::-1]
+            elif trial % 4 == 3:
+                A, B, C, D = rng.normal(size=4)
+            else:
+                A, B, C, D = np.linalg.svd([[math.exp(n * u), u * u, u, 1.0] for u in zeros])[2][-1]
+            log2 = float(B) / shift
+            log1 = (float(C) - 2.0 * log2) / shift
+            coeffs = ((float(D) - log1) / shift, *[0.0] * (n - 1), float(A) / (shift + n))
+            piece = PolyLogPiece(left, right, coeffs, log1, log2)
+            got = _piece_critical(piece, shift)
+            found.append(len(got))
+            us = np.linspace(ua, ub, 20001)
+            signs = np.sign(_g(piece, shift, us))
+            for i in np.flatnonzero(signs[:-1] * signs[1:] < 0):  # every scanned sign change is a root
+                assert any(math.exp(us[i]) * (1 - 1e-9) <= x <= math.exp(us[i + 1]) * (1 + 1e-9) for x in got)
+            for x in got:  # and every root is a zero of g
+                assert left <= x <= right
+                scale = max(abs(_g(piece, shift, math.log(x) + d)) for d in (-1e-3, 1e-3))
+                assert abs(_g(piece, shift, math.log(x))) <= 1e-6 * scale
+        assert found.count(3) >= 50 and found.count(2) >= 100
+
 
 @st.composite
 def decreasing_profiles(draw):
-    """A nonincreasing radial profile in dimension 1-3 and lam/n in (0, 1)."""
+    """A nonincreasing radial profile in dimension 1-8 and lam/n in (0, 1)."""
     k = draw(st.integers(1, 6))
     radii = sorted(set(draw(st.lists(st.floats(0.05, 3.0), min_size=k, max_size=k))))
     vals = sorted(draw(st.lists(st.floats(0.1, 8.0), min_size=len(radii), max_size=len(radii))), reverse=True)
-    n = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 8))
     lam = n * draw(st.floats(0.05, 0.95))
     return RadialProfile(StepFunction([0.0, *radii], vals), n, nonincreasing=True), lam
 
