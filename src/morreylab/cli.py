@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from . import experiments
-from .maxops import RefinePolicy, iterated_maximal, maximal, maximal_commutator
+from .maxops import iterated_maximal, maximal, maximal_commutator
 from .maxops import commutator as bracket_commutator
 from .maxops import fractional_maximal
 from .norms import (
@@ -127,7 +127,9 @@ def cmd_maxfn(args) -> int:
         if hull is not None:
             lo_hull = min(lo_hull, hull.left - hull.length)
             hi_hull = max(hi_hull, hull.right + hull.length)
-        env = iterated_maximal(f, RefinePolicy(tol=args.tol, max_depth=20), Interval(lo_hull, hi_hull))
+        env = iterated_maximal(f, args.tol, Interval(lo_hull, hi_hull))
+        if env.depth_capped:
+            print(f"note: {env.depth_capped} envelope cells reached float resolution above --tol", file=sys.stderr)
         rows.append("x,lower,upper")
         rows += [f"{_fmt(x)},{_fmt(env.lower(x))},{_fmt(env.upper(x))}" for x in pts]
     else:  # pragma: no cover - argparse limits choices

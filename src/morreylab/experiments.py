@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .maxops import (
-    RefinePolicy,
     commutator,
     commutator_envelope,
     iterated_maximal,
@@ -62,30 +61,25 @@ __all__ = [
     "reevaluate_constant",
 ]
 
-LOOSE = RefinePolicy(tol=0.05, max_depth=16)
+LOOSE = 0.05
 
 
 # ---------------------------------------------------------------------------
 # seeded corpora
 
 
-def random_step_function(
-    rng: np.random.Generator,
-    max_cells: int = 24,
-    signed: bool = False,
-    hull: tuple[float, float] = (0.0, 1.0),
-) -> StepFunction:
+def random_step_function(rng: np.random.Generator, max_cells: int = 24, signed: bool = False) -> StepFunction:
     """Deterministic pseudo-random step function: up to ``max_cells`` cells,
-    breakpoints uniform in the hull, values log-uniform in [2^-8, 2^8],
+    breakpoints uniform in (0, 1), values log-uniform in [2^-8, 2^8],
     optionally with random signs."""
     n = int(rng.integers(1, max_cells + 1))
-    bp = np.sort(rng.uniform(hull[0], hull[1], n + 1))
-    while len(np.unique(bp)) != len(bp):  # pragma: no cover - measure zero
-        bp = np.sort(rng.uniform(hull[0], hull[1], n + 1))
+    bp = np.sort(rng.uniform(0.0, 1.0, n + 1))
+    while not (np.diff(bp) > 0).all():  # pragma: no cover - measure zero
+        bp = np.sort(rng.uniform(0.0, 1.0, n + 1))
     vals = np.exp(rng.uniform(math.log(2.0**-8), math.log(2.0**8), n))
     if signed:
         vals = vals * rng.choice([-1.0, 1.0], n)
-    return StepFunction(bp, vals)
+    return StepFunction(bp.tolist(), vals.tolist())
 
 
 def corpus(
@@ -288,7 +282,7 @@ def _best_level_ratio(lower: StepFunction, f: StepFunction, scale: float) -> tup
 
 def _abs_commutator_lower(b: StepFunction, f: StepFunction) -> StepFunction:
     """Certified lower envelope of |[M, b] f| on a default window, refined
-    by ``LOOSE``.
+    to the tolerance ``LOOSE``.
 
     On each cell of b's partition the symbol is the constant beta, so
     [M, b]f = M(bf) - beta * Mf there and interval arithmetic on the two
@@ -313,10 +307,10 @@ def _abs_commutator_lower(b: StepFunction, f: StepFunction) -> StepFunction:
 
 
 def _witness_lower(op_id: str, f: StepFunction, b: StepFunction | None) -> tuple[StepFunction, float]:
-    """Certified lower envelope, refined by ``LOOSE``, of the operator
-    ``op_id`` applied to f (with symbol b for the commutators) and the
-    scale of the inequality's right side: 1, or c0 (1 + log+ c0) for
-    [M, b], which is 0 when b vanishes."""
+    """Certified lower envelope, refined to the tolerance ``LOOSE``, of
+    the operator ``op_id`` applied to f (with symbol b for the commutators)
+    and the scale of the inequality's right side: 1, or c0 (1 + log+ c0)
+    for [M, b], which is 0 when b vanishes."""
     if op_id == "M2":
         return iterated_maximal(f, LOOSE).lower, 1.0
     if op_id == "Cb":
@@ -495,7 +489,7 @@ def standard_constant_reports() -> dict[str, ConstantReport]:
     )
     # Morrey weak-type constant for M on the unit indicator
     chi = StepFunction.indicator(0.0, 1.0)
-    env = maximal_envelope(chi, RefinePolicy(tol=0.02, max_depth=14))
+    env = maximal_envelope(chi, 0.02)
     reports["morrey_weak_type_chi"] = ConstantReport(
         "morrey_weak_type",
         {"input": "chi01", "lambda": 0.5},
@@ -675,7 +669,7 @@ def suite_weaktype(seed: int = 7) -> dict:
     constants["weak_morrey_M2"] = rep_wm.constant
     checks.append(_check("weak_morrey_finite", 0.0 < rep_wm.constant < math.inf, constant=rep_wm.constant))
     chi = StepFunction.indicator(0.0, 1.0)
-    env = maximal_envelope(chi, RefinePolicy(tol=0.02, max_depth=14))
+    env = maximal_envelope(chi, 0.02)
     cw = weak_type_morrey_check(chi, 0.5, env)
     constants["morrey_weak_type_chi"] = cw
     checks.append(_check("morrey_weak_type_finite", 0.0 < cw < math.inf, constant=cw))

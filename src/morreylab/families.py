@@ -22,6 +22,7 @@ raise the cap or coarsen the depth rather than subsample silently.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -75,36 +76,43 @@ class ResolvedFamily:
         return len(self.lefts)
 
     def cover_ratio_sup(self, delta: float) -> float:
-        """sup over lengths l in [delta, |hull|] of |Q'| / l, where Q' is the
-        shortest family interval guaranteed to contain an arbitrary length-l
-        subinterval of the hull.
+        """The one-delta case of :meth:`cover_ratio_sups`."""
+        return self.cover_ratio_sups([delta])[0]
+
+    def cover_ratio_sups(self, deltas: list[float]) -> list[float]:
+        """For each delta, sup over lengths l in [delta, |hull|] of |Q'| / l,
+        where Q' is the shortest family interval guaranteed to contain an
+        arbitrary length-l subinterval of the hull.
 
         Grid pairs cover with l + 2*gap; a dyadic double at level d >= 1
         covers any l <= s_d with length 2*s_d; the hull itself covers
         everything.  Each cover form is decreasing in l between ladder
-        sizes, so the supremum is attained just above a ladder size or at
-        delta; those anchors are enumerated exactly.
+        sizes, so the supremum is attained at delta or just above a ladder
+        size s > delta.  The ratio just above each ladder size is computed
+        once, and a suffix maximum over them serves every delta.
         """
-        if delta <= 0:
-            raise ValueError("delta must be positive")
         h = self.hull.length
-        inner_sizes = [s for s in self.ladder_sizes if s < h]
+        inner = sorted(s for s in self.ladder_sizes if s < h)
 
         def ratio(length: float) -> float:
             best = h / length  # the hull is always enumerated
             if self.grid_gap is not None:
                 best = min(best, (length + 2.0 * self.grid_gap) / length)
-            bigger = [s for s in inner_sizes if s >= length]
-            if bigger:
-                best = min(best, 2.0 * min(bigger) / length)
+            k = bisect.bisect_left(inner, length)
+            if k < len(inner):
+                best = min(best, 2.0 * inner[k] / length)
             return max(best, 1.0)
 
-        if delta >= h:
-            return 1.0
-        anchors = [delta] + [
-            math.nextafter(s, math.inf) for s in inner_sizes if delta < s < h
-        ]
-        return max(ratio(a) for a in anchors if a <= h)
+        # above[k]: the largest ratio just above inner[k], inner[k + 1], ...
+        above = [ratio(math.nextafter(s, math.inf)) for s in inner] + [1.0]
+        for k in range(len(inner) - 2, -1, -1):
+            above[k] = max(above[k], above[k + 1])
+        out = []
+        for delta in deltas:
+            if delta <= 0:
+                raise ValueError("delta must be positive")
+            out.append(1.0 if delta >= h else max(ratio(delta), above[bisect.bisect_right(inner, delta)]))
+        return out
 
 
 def _over_cap(count: int, spec: FamilySpec, at_least: str = "") -> None:

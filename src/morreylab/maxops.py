@@ -68,7 +68,6 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -85,7 +84,6 @@ from .stepfn import (
 )
 
 __all__ = [
-    "RefinePolicy",
     "maximal",
     "fractional_maximal",
     "maximal_commutator",
@@ -98,23 +96,6 @@ __all__ = [
 
 # float64 entries in any one temporary of the row-blocked passes
 _BLOCK = 16_384
-
-
-@dataclass(frozen=True)
-class RefinePolicy:
-    """Adaptive bisection policy for envelope construction.
-
-    Cells are split until (upper - lower) <= tol * upper or the per-cell
-    depth cap is reached.
-    """
-
-    tol: float = 1e-3
-    max_depth: int = 24
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.tol) and self.tol > 0.0) or self.max_depth < 0:
-            raise ValueError(
-                f"need a finite tol > 0 and max_depth >= 0, got tol={self.tol}, max_depth={self.max_depth}")
 
 
 def _candidate_arrays(f: StepFunction, left: float, right: float):
@@ -309,7 +290,7 @@ _MAX_SECOND_LEVEL_CELLS = 20_000
 
 def maximal_envelope(
     f: StepFunction,
-    refine: RefinePolicy | None = None,
+    tol: float = 1e-3,
     hull: Interval | None = None,
     upper_floor: float = 0.0,
 ) -> EnvelopePair:
@@ -321,15 +302,22 @@ def maximal_envelope(
     [a, b] gets the upper value max(Mf(a), Mf(b)), exact because R rises
     and L falls, and the lower value :func:`_cell_floor`.  R and L come once
     per grid point, with the breakpoints that attain them, and the floor is
-    O(1) per sub-cell; no cell runs a search of its own.  Cells are bisected
-    level by level until (upper - lower) <= tol * upper or the depth cap;
-    ``depth_capped`` on the result counts the cells accepted at the cap with
-    the gap still open.  The lower envelope is a valid global lower bound
+    O(1) per sub-cell; no cell runs a search of its own.
+
+    Cells are bisected level by level until no open cell can be split.  A
+    cell closes when (upper - lower) <= tol * upper, when its upper value is
+    0 or at most ``upper_floor``, or when no float lies strictly inside it
+    (its midpoint rounds to an end).  The float grid is the only depth cap:
+    ``depth_capped`` on the result counts the cells accepted open at float
+    resolution, and a tol that needs more than _MAX_ENVELOPE_CELLS cells
+    raises ValueError.  ``tol`` must be finite and positive, also for the
+    zero function.  The lower envelope is a valid global lower bound
     (it vanishes off the hull, and Mf >= 0); the upper envelope bounds Mf
     on the hull only.  ``upper_floor`` is max-ed into every upper cell;
     iterated application uses it to absorb tail mass of truncated inputs.
     """
-    refine = refine or RefinePolicy()
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"need a finite tol > 0, got tol={tol}")
     if f.is_zero and upper_floor == 0.0:
         z = StepFunction.zero()
         return EnvelopePair(z, z)
@@ -351,16 +339,14 @@ def maximal_envelope(
 
     done: list[tuple[np.ndarray, ...]] = []
     kept = capped = 0
-    for depth in range(refine.max_depth + 1):
+    while True:
         hi_ends = np.maximum(mf_l, mf_r)
         hi = np.maximum(hi_ends, upper_floor)
         lo = _cell_floor(f, cells, r_lo, v, l_lo, u)
-        open_ = ~((hi - lo <= refine.tol * hi) | (hi <= 0.0) | (upper_floor >= hi_ends))
+        open_ = ~((hi - lo <= tol * hi) | (hi <= 0.0) | (upper_floor >= hi_ends))
         mid = 0.5 * (left + right)
         divide = open_ & (left < mid) & (mid < right)
-        if depth >= refine.max_depth:
-            capped = int(np.count_nonzero(open_))
-            divide[:] = False
+        capped += int(np.count_nonzero(open_ & ~divide))
         done.append((left[~divide], right[~divide], lo[~divide], hi[~divide]))
         kept += len(done[-1][0])
         if not divide.any():
@@ -384,7 +370,7 @@ def maximal_envelope(
 
 def iterated_maximal(
     f: StepFunction,
-    refine: RefinePolicy | None = None,
+    tol: float = 1e-3,
     hull: Interval | None = None,
 ) -> EnvelopePair:
     """Certified bracket of the iterated maximal function M(Mf) on ``hull``.
@@ -396,23 +382,25 @@ def iterated_maximal(
     mediant inequality, which is folded in as ``upper_floor``.  The lower
     side applies the certified envelope machinery to the lower envelope of
     Mf, a genuine global minorant, and is capped pointwise by the upper side.
-    ``depth_capped`` sums the counts of the three envelopes, both levels.
+    Each of the three envelopes, both levels, bisects its cells until every
+    cell has (upper - lower) <= tol * upper, an upper value of 0 or at most
+    its ``upper_floor``, or no float strictly inside it: the float grid is
+    the only depth cap.  ``depth_capped`` sums the three counts of cells
+    accepted open at float resolution.
 
     The second level costs O(n^2) in the n cells of the first envelope, so
     it raises ValueError past _MAX_SECOND_LEVEL_CELLS.  At the default tol
     on a 45-cell input whose first envelope has 20,504 cells, each of the
     two second-level envelopes took 11-12 s of CPU on a 2-vCPU host.
     """
-    refine = refine or RefinePolicy()
-    if f.is_zero:
-        z = StepFunction.zero()
-        return EnvelopePair(z, z)
+    if f.is_zero:  # the zero pair, once tol is checked
+        return maximal_envelope(f, tol)
     inner_hull = hull or default_hull(f)
     outer_hull = inner_hull.expanded(inner_hull.length)
-    env1 = maximal_envelope(f, refine, outer_hull)
+    env1 = maximal_envelope(f, tol, outer_hull)
     if max(env1.lower.num_cells, env1.upper.num_cells) > _MAX_SECOND_LEVEL_CELLS:
         raise ValueError(f"the envelope of Mf passed the {_MAX_SECOND_LEVEL_CELLS}-cell limit of M(Mf); loosen tol")
-    env2_lo = maximal_envelope(env1.lower, refine, inner_hull)
+    env2_lo = maximal_envelope(env1.lower, tol, inner_hull)
     supp = f.support_hull()
     assert supp is not None
     mass = integrate(f.abs(), supp)
@@ -420,7 +408,7 @@ def iterated_maximal(
         mass / (outer_hull.right - supp.right),
         mass / (supp.left - outer_hull.left),
     )
-    env2_hi = maximal_envelope(env1.upper, refine, inner_hull, upper_floor=tail)
+    env2_hi = maximal_envelope(env1.upper, tol, inner_hull, upper_floor=tail)
     upper2 = env2_hi.upper
     # the two sides are rounded separately and can cross by an ulp where
     # they close on a plateau; lowering a lower bound keeps it certified
@@ -431,7 +419,7 @@ def iterated_maximal(
 def commutator_envelope(
     b: StepFunction,
     f: StepFunction,
-    refine: RefinePolicy | None = None,
+    tol: float = 1e-3,
     hull: Interval | None = None,
 ) -> EnvelopePair:
     """Certified bracket of C_b(f) on ``hull``.
@@ -441,10 +429,8 @@ def commutator_envelope(
     function |beta - b(.)| |f(.)|; the pieces are bracketed independently
     and concatenated, and ``depth_capped`` sums their counts.
     """
-    refine = refine or RefinePolicy()
-    if f.is_zero:
-        z = StepFunction.zero()
-        return EnvelopePair(z, z)
+    if f.is_zero:  # the zero pair, once tol is checked
+        return maximal_envelope(f, tol)
     hull = hull or default_hull(f, b)
     pts = sorted(
         {hull.left, hull.right} | {p for p in b.breakpoints if hull.left < p < hull.right}
@@ -453,7 +439,7 @@ def commutator_envelope(
     for left, right in zip(pts[:-1], pts[1:]):
         beta = b(left)
         g = combine(b, f, lambda bv, fv: abs(beta - bv) * abs(fv))
-        piece = maximal_envelope(g, refine, Interval(left, right))
+        piece = maximal_envelope(g, tol, Interval(left, right))
         capped += piece.depth_capped
         grid = np.union1d(piece.lower.breakpoints, piece.upper.breakpoints)
         grid = np.concatenate(([left], grid[(grid > left) & (grid < right)], [right]))

@@ -139,9 +139,9 @@ def _certified_upper_scale_invariant(
     h = fam.hull.length
     deltas = np.exp(np.linspace(math.log(h * 1e-9), math.log(h), 60))
     best = math.inf
-    for d in deltas:
+    for d, ratio in zip(deltas, fam.cover_ratio_sups(deltas.tolist())):
         small = supnorm * d**lam
-        shift = value * fam.cover_ratio_sup(float(d)) ** (1.0 - lam)
+        shift = value * ratio ** (1.0 - lam)
         best = min(best, max(small, shift))
     return max(value, _psi_max(lam) * best)
 

@@ -255,7 +255,10 @@ def hardy(p: RadialProfile, x: float) -> float:
     """Exact n-dimensional Hardy operator H f(x) = n I(|x|) / |x|^n, the
     solid average of |f| over the ball of radius |x|, with I the inner
     integral.  x = 0 is a removable limit; the first-cell value is returned
-    under a warning to keep pipelines total.
+    under a warning to keep pipelines total.  Where |x|^n underflows to 0
+    (a high dimension), the first piece, I = c t^n, gives n c, the first
+    cell's |value|; past it the quotient cannot be formed in floating point
+    and OverflowError is raised.
     """
     r = abs(float(x))
     if r == 0.0:
@@ -267,7 +270,14 @@ def hardy(p: RadialProfile, x: float) -> float:
         if p.profile.is_zero:
             return 0.0
         return abs(p.profile(p.profile.breakpoints[0])) if p.profile.breakpoints[0] == 0.0 else 0.0
-    return p.dimension * p._inner(r) / r**p.dimension
+    n = p.dimension
+    rn = r**n
+    if rn == 0.0:
+        first = p._inner.pieces[0]
+        if r > first.right:
+            raise OverflowError(f"n I(|x|) / |x|^n at |x| = {r}: |x|^{n} underflows to 0")
+        return n * first.coeffs[-1]
+    return n * p._inner(r) / rn
 
 
 def _sign_roots(f, df, pts: list[float]) -> list[float]:

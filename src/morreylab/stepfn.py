@@ -264,9 +264,9 @@ class EnvelopePair:
     ``lower <= upper`` holds pointwise (checked on the common breakpoint
     refinement; the two sides are stored canonically, so their breakpoint
     sequences may differ after merging of equal adjacent cells).
-    ``depth_capped`` counts the cells a refinement accepted only because it
-    reached its depth cap with the gap still above tolerance; it is not
-    serialized.
+    ``depth_capped`` counts the cells a refinement accepted with the gap
+    still above tolerance because no float lies strictly inside them; it is
+    not serialized.
     """
 
     lower: StepFunction

@@ -19,7 +19,6 @@ from morreylab.experiments import (
     suite_counterexample,
 )
 from morreylab.maxops import (
-    RefinePolicy,
     brute_force_maximal,
     maximal,
     maximal_envelope,

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -57,6 +58,18 @@ class TestMaxfn:
         assert hi >= 1.0 - 1e-9
         assert lo <= hi
 
+    def test_m2_notes_cells_open_at_float_resolution(self, chi01_file, capsys, monkeypatch):
+        argv = ["maxfn", "--input", chi01_file, "--op", "M2", "--at", "0.5", "--tol", "0.05"]
+        assert main(argv) == 0
+        plain = capsys.readouterr()
+        assert plain.err == ""
+        real = cli.iterated_maximal
+        monkeypatch.setattr(cli, "iterated_maximal", lambda *a: dataclasses.replace(real(*a), depth_capped=3))
+        assert main(argv) == 0
+        noted = capsys.readouterr()
+        assert noted.out == plain.out
+        assert noted.err == "note: 3 envelope cells reached float resolution above --tol\n"
+
     def test_m2_bracket_never_inverted(self, tmp_path, capsys):
         # lower and upper close on a plateau near x = -0.8 here, and used
         # to print as [38.74128976866414, 38.74128976866413]
@@ -111,7 +124,7 @@ class TestMaxfn:
         path.write_text(f.to_json())
         assert main(["maxfn", "--input", str(path), "--op", "M2", "--at", "0.5"]) == 2
         err = capsys.readouterr().err
-        assert "budget" in err and "max_depth" not in err
+        assert "budget" in err and "loosen tol" in err
 
     def test_m2_second_level_limit_exit_2(self, tmp_path, capsys):
         # the first envelope of 200 cells at the default tol has over 50,000
@@ -315,6 +328,24 @@ class TestRadialCmd:
         path.write_text(json.dumps({**obj, **field}))
         assert main([argv[0], "--input", str(path), *argv[1:], "--lambda", "0.5"]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    @staticmethod
+    def hardy_at(tmp_path, breakpoints, values, x):
+        obj = {"dimension": 400, "profile": {"breakpoints": breakpoints, "values": values}}
+        path = tmp_path / "profile.json"
+        path.write_text(json.dumps(obj))
+        return main(["radial", "--input", str(path), "--op", "hardy", "--at", x])
+
+    def test_hardy_underflow_on_first_piece(self, tmp_path, capsys):
+        # 0.005^400 underflows to 0; on the first piece, I = 3 t^400 / 400,
+        # the Hardy value is the first cell's
+        assert self.hardy_at(tmp_path, [0.0, 0.01, 1.0], [3.0, 1.0], "0.005") == 0
+        value = float(capsys.readouterr().out.splitlines()[1].split(",")[1])
+        assert value == pytest.approx(3.0, rel=1e-15)
+
+    def test_hardy_underflow_past_first_piece_exit_2(self, tmp_path, capsys):
+        assert self.hardy_at(tmp_path, [0.0, 0.001, 0.01], [3.0, 1.0], "0.005") == 2
+        assert capsys.readouterr().err.startswith("error: floating-point overflow: ")
 
     @pytest.mark.parametrize("argv", [["radial", "--op", "zm"], ["norm", "--kind", "zm-radial"]])
     def test_overflow_exit_2(self, tmp_path, argv, capsys):

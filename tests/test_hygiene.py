@@ -1,8 +1,9 @@
 """Source hygiene of the package, checked with the standard library's ast:
 no module imports a name it never uses, every module-level private name is
 referenced somewhere in the package, and every private or module-qualified
-name that the text cites as ``name`` or :func:`name` exists.  Also, every
-name the traced benchmark run patches still exists."""
+name that the text cites as ``name`` or :func:`name`, or README.md as
+`name`, exists.  Also, every name the traced benchmark run patches still
+exists."""
 
 from __future__ import annotations
 
@@ -15,6 +16,8 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "morreylab"
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 SOURCES = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
 TREES = {name: ast.parse(text, name) for name, text in SOURCES.items()}
+MODULES = {name.removesuffix(".py"): name for name in TREES}
+README = SRC.parents[1] / "README.md"
 
 
 def _read_names(tree: ast.AST) -> set[str]:
@@ -85,28 +88,51 @@ def _bound_names(body: list[ast.stmt]) -> dict[str, ast.stmt]:
     return bound
 
 
+def _resolves(module: str, path: str) -> bool:
+    """Whether the dotted ``path`` is bound in ``module``, through class bodies."""
+    node = TREES[module]
+    for part in path.split(".") if path else []:
+        node = _bound_names(node.body).get(part) if hasattr(node, "body") else None
+        if node is None:
+            return False
+    return True
+
+
 def test_docstring_references_resolve():
     # ``stepfn._pair_max`` in any module, or ``_charge`` in the module that
     # defines it: a cited name that was deleted or renamed misleads the reader
     cited = re.compile(r"``([A-Za-z_][\w.]*)``|:(?:func|class|meth|attr):`([A-Za-z_][\w.]*)`")
-    modules = {name.removesuffix(".py"): name for name in TREES}
     unresolved = []
     for name, text in SOURCES.items():
         for match in cited.finditer(text):
             ref = match.group(1) or match.group(2)
             head, _, rest = ref.partition(".")
-            if head in modules:
-                module, path = modules[head], rest
+            if head in MODULES:
+                ok = _resolves(MODULES[head], rest)
             elif ref.startswith("_") and not ref.startswith("__"):
-                module, path = name, ref
+                ok = _resolves(name, ref)
             else:
                 continue
-            node = TREES[module]
-            for part in path.split(".") if path else []:
-                node = _bound_names(node.body).get(part) if hasattr(node, "body") else None
-                if node is None:
-                    unresolved.append(f"{name}: {ref}")
-                    break
+            if not ok:
+                unresolved.append(f"{name}: {ref}")
+    assert not unresolved
+
+
+def test_readme_references_resolve():
+    # `stepfn._pair_max` (or `morreylab.stepfn`) in the module it names, and
+    # `_pair_max` in some module
+    unresolved = []
+    for ref in re.findall(r"`([A-Za-z_][\w.]*)`", README.read_text()):
+        ref = ref.removeprefix("morreylab.")
+        head, _, rest = ref.partition(".")
+        if head in MODULES:
+            ok = _resolves(MODULES[head], rest)
+        elif ref.startswith("_") and not ref.startswith("__"):
+            ok = any(_resolves(module, ref) for module in TREES)
+        else:
+            continue
+        if not ok:
+            unresolved.append(ref)
     assert not unresolved
 
 

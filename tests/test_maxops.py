@@ -1,4 +1,5 @@
 import bisect
+import dataclasses
 import math
 import time
 import tracemalloc
@@ -11,7 +12,6 @@ from hypothesis import strategies as st
 
 from morreylab import maxops
 from morreylab.maxops import (
-    RefinePolicy,
     _candidate_arrays,
     _cell_floor,
     _side_chords,
@@ -396,7 +396,7 @@ class TestSplit:
             t = rng.uniform(0.05, 0.95, 2)
             hull = Interval(b[0] + t[0] * (b[1] - b[0]), b[-2] + t[1] * (b[-1] - b[-2]))
             self.assert_matches(f, [hull.left, hull.right])
-            env = maximal_envelope(f, RefinePolicy(tol=0.05, max_depth=12), hull)
+            env = maximal_envelope(f, 0.05, hull)
             for x in (hull.left, 0.5 * (hull.left + hull.right)):
                 assert env.upper(x) >= maximal(f, x) * (1.0 - 1e-13)
 
@@ -416,7 +416,7 @@ class TestEnvelopeFloors:
         rng = np.random.default_rng(34)
         for _ in range(25):
             f = random_step(rng, max_cells=10)
-            env = maximal_envelope(f, RefinePolicy(tol=0.05, max_depth=12))
+            env = maximal_envelope(f, 0.05)
             for left, right, lo in env.lower.cells():
                 for x in np.linspace(left, right, 5):
                     assert lo <= maximal(f, float(x)) * (1.0 + 1e-12)
@@ -425,7 +425,7 @@ class TestEnvelopeFloors:
         # P is near 100 on the plateau, where Mf = 2: a floor read through
         # large prefix sums without the charge could come out above 2
         f = StepFunction((-1000.0, -999.0, 0.0, 1.0), (100.0, 0.0, 2.0))
-        env = maximal_envelope(f, RefinePolicy(tol=1e-4, max_depth=30), Interval(-1.0, 2.0))
+        env = maximal_envelope(f, 1e-4, Interval(-1.0, 2.0))
         for left, right, lo in env.lower.cells():
             if left < 1.0 and right > 0.0:
                 assert lo <= 2.0
@@ -435,7 +435,7 @@ class TestEnvelopeFloors:
         # a 1e-14-wide cell: every grid cell must still lie in one cell of f
         b = (0.0, 0.5, 0.5 + 1e-14, 1.0)
         f = StepFunction(b, (1.0, 50.0, 2.0))
-        env = maximal_envelope(f, RefinePolicy(tol=1e-3, max_depth=30), Interval(-0.5, 1.5))
+        env = maximal_envelope(f, 1e-3, Interval(-0.5, 1.5))
         for d in (-1e-3, -1e-13, -1e-15, 2e-15, 5e-15, 1e-14 + 1e-15, 1e-14 + 1e-13, 1e-14 + 1e-3):
             x = 0.5 + d
             mfx = maximal(f, x)
@@ -448,45 +448,55 @@ class TestEnvelopeFloors:
             f = random_step(rng, max_cells=8)
             g = f.translate(0.5)
             hull = default_hull(g)
-            env = maximal_envelope(g, RefinePolicy(tol=0.05, max_depth=12), hull)
+            env = maximal_envelope(g, 0.05, hull)
             for x in rng.uniform(hull.left, hull.right, 20):
                 mfx = maximal(f, float(x) - 0.5)
                 assert env.lower(float(x)) <= mfx * (1.0 + 1e-9)
                 assert env.upper(float(x)) >= mfx * (1.0 - 1e-9)
 
-    def test_depth_cap_count(self):
-        # Mf = 1/(1 - x) left of (0, 1) and 1/x right of it: on a hull out
-        # to -9 and 10, depth 2 leaves (-2.25, 0) and (1, 3.25) open
-        policy = RefinePolicy(tol=0.5, max_depth=2)
-        env = maximal_envelope(CHI01, policy, Interval(-9.0, 10.0))
-        assert env.depth_capped == 2
-        for x in (-1.0, 2.0):
-            assert env.lower(x) == pytest.approx(1.0 / 3.25, rel=1e-14)
-            assert env.upper(x) == 1.0
-        assert maximal_envelope(CHI01, policy).depth_capped == 0
-        assert maximal_envelope(CHI01, RefinePolicy(tol=0.5), Interval(-9.0, 10.0)).depth_capped == 0
+    @staticmethod
+    def accepted_cells(monkeypatch, f, tol, hull=None):
+        # the envelope's sides are canonical, so adjacent cells with equal
+        # values merge; the cells refinement accepted are read from the
+        # arrays maximal_envelope hands to StepFunction
+        made = []
+        monkeypatch.setattr(maxops, "StepFunction", lambda bps, vals: made.append((bps, vals)) or StepFunction(bps, vals))
+        env = maximal_envelope(f, tol, hull)
+        (bps, lo), (_, hi) = made
+        return env, bps[:-1], bps[1:], lo, hi
+
+    def test_depth_cap_count(self, monkeypatch):
+        # every accepted cell meets the stop rule or is one float wide, and
+        # depth_capped counts the open ones; on the tiny cell Mf moves about
+        # 1 % per ulp, so tol 1e-3 is met nowhere near it
+        rng = np.random.default_rng(38)
+        inputs = [(random_step(rng, max_cells=10), None) for _ in range(20)]
+        inputs.append((StepFunction((0.0, 0.5, 0.5 + 1e-14, 1.0), (1.0, 50.0, 2.0)), Interval(-0.5, 1.5)))
+        for f, hull in inputs:
+            env, left, right, lo, hi = self.accepted_cells(monkeypatch, f, 1e-3, hull)
+            closed = (hi - lo <= 1e-3 * hi) | (hi <= 0.0)
+            one_float = np.nextafter(left, np.inf) == right
+            assert np.all(closed | one_float)
+            assert env.depth_capped == np.count_nonzero(~closed & one_float)
+        assert env.depth_capped > 10_000
         assert set(env.to_json_obj()) == {"lower", "upper"}
 
-    def test_depth_cap_count_passed_on(self):
-        policy = RefinePolicy(tol=0.5, max_depth=2)
+    def test_depth_cap_count_passed_on(self, monkeypatch):
+        # the composite envelopes sum the counts of the envelopes they build
         hull = Interval(-9.0, 10.0)
-        # the first level, on the doubled hull (-28, 29), leaves (-7, 0) and
-        # (1, 8) open; the lower second level leaves two more, and the upper
-        # one closes on its tail floor
-        env = iterated_maximal(CHI01, policy, hull)
-        assert env.depth_capped == 4
-        assert env.depth_capped == (
-            maximal_envelope(CHI01, policy, hull.expanded(hull.length)).depth_capped + 2
+        assert iterated_maximal(CHI01, 0.5, hull).depth_capped == 0
+        assert commutator_envelope(CHI01, CHI01, 0.5, hull).depth_capped == 0
+        counts = iter(range(1, 100))
+        real = maxops.maximal_envelope
+        monkeypatch.setattr(
+            maxops, "maximal_envelope", lambda *a, **k: dataclasses.replace(real(*a, **k), depth_capped=next(counts))
         )
-        # b = chi_(0,1) vanishes |beta - b| f on (0, 1); on (-9, 0) and (1, 10)
-        # the piece is Mf of chi_(0,1), with (-2.25, 0) and (1, 3.25) open
-        comm = commutator_envelope(CHI01, CHI01, policy, hull)
-        assert comm.depth_capped == 2
-        assert comm.depth_capped == sum(
-            maximal_envelope(CHI01, policy, Interval(a, b)).depth_capped for a, b in ((-9.0, 0.0), (1.0, 10.0))
-        )
-        assert iterated_maximal(CHI01, RefinePolicy(tol=0.5), hull).depth_capped == 0
-        assert commutator_envelope(CHI01, CHI01, RefinePolicy(tol=0.5), hull).depth_capped == 0
+        # the first level and the two second levels: 1 + 2 + 3
+        env = iterated_maximal(CHI01, 0.5, hull)
+        assert env.depth_capped == 6
+        # one piece on each cell of b's partition of the hull: 4 + 5 + 6
+        comm = commutator_envelope(CHI01, CHI01, 0.5, hull)
+        assert comm.depth_capped == 15
         assert set(env.to_json_obj()) == set(comm.to_json_obj()) == {"lower", "upper"}
 
 
@@ -682,13 +692,15 @@ class TestCommutator:
 
 
 class TestEnvelopes:
-    @pytest.mark.parametrize("bad", [{"tol": 0.0}, {"tol": -1.0}, {"tol": math.nan}, {"tol": math.inf}, {"max_depth": -1}])
-    def test_refine_policy_rejects_bad_settings(self, bad):
-        with pytest.raises(ValueError, match="tol"):
-            RefinePolicy(**bad)
+    @pytest.mark.parametrize("f", [CHI01, StepFunction.zero()], ids=["chi01", "zero"])
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+    def test_envelopes_reject_bad_tol(self, f, tol):
+        for build in (maximal_envelope, iterated_maximal, lambda g, t: commutator_envelope(CHI01, g, t)):
+            with pytest.raises(ValueError, match="tol"):
+                build(f, tol)
 
     def test_upper_cell_is_endpoint_max(self):
-        env = maximal_envelope(CHI01, RefinePolicy(tol=0.5, max_depth=2), Interval(-1.0, 2.0))
+        env = maximal_envelope(CHI01, 0.5, Interval(-1.0, 2.0))
         # on (1, 2): Mf decreases from 1 to 1/2, so the upper value near 1+ is ~1
         assert env.upper(1.0 + 1e-9) <= 1.0 + 1e-12
         assert env.upper(1.5) >= maximal(CHI01, 1.5) - 1e-12
@@ -697,7 +709,7 @@ class TestEnvelopes:
         rng = np.random.default_rng(18)
         for _ in range(100):
             f = random_step(rng, max_cells=6)
-            env = maximal_envelope(f, RefinePolicy(tol=0.08, max_depth=10))
+            env = maximal_envelope(f, 0.08)
             xs = rng.uniform(f.breakpoints[0], f.breakpoints[-1], 20)
             for x in xs:
                 mfx = maximal(f, float(x))
@@ -711,10 +723,10 @@ class TestEnvelopes:
         assert it.lower.is_zero and it.upper.is_zero
 
     def test_iterated_brackets_grow(self):
-        env2 = iterated_maximal(CHI01, RefinePolicy(tol=0.02, max_depth=16))
+        env2 = iterated_maximal(CHI01, 0.02)
         # M^2 f >= Mf pointwise, checked at x = 4 via lower/upper sanity
         # (hull default covers [-1, 2]; use a wider hull for x = 4)
-        env2w = iterated_maximal(CHI01, RefinePolicy(tol=0.02, max_depth=16), Interval(-5.0, 5.0))
+        env2w = iterated_maximal(CHI01, 0.02, Interval(-5.0, 5.0))
         assert env2w.upper(4.0) >= maximal(CHI01, 4.0) - 1e-12
         assert env2.upper(0.5) >= 1.0 - 1e-9
         assert env2.lower(0.5) <= env2.upper(0.5)
@@ -722,7 +734,7 @@ class TestEnvelopes:
     def test_iterated_bracket_contains_truth_samples(self):
         # brute-force M(Mf) lower estimates must sit inside the bracket
         f = StepFunction((0.0, 0.5, 1.0), (2.0, 1.0))
-        env2 = iterated_maximal(f, RefinePolicy(tol=0.02, max_depth=18))
+        env2 = iterated_maximal(f, 0.02)
         grid_pts = np.linspace(-0.4, 1.4, 21)
         mf_grid = Interval(-3.0, 3.0)
         dense = np.linspace(mf_grid.left, mf_grid.right, 2001)
@@ -739,7 +751,7 @@ class TestEnvelopes:
         # M(M chi)(1.9) solved by a 1-D oracle: the best interval is
         # [-a*, 1.9] with (1.9+a)/(1+a) = log(1+a) + 1 + log 1.9; far mass
         # beyond the envelope hull must be absorbed by the tail term
-        env = iterated_maximal(CHI01, RefinePolicy(tol=0.02, max_depth=16))
+        env = iterated_maximal(CHI01, 0.02)
         a = np.linspace(0.0, 3.0, 2_000_001)
         vals = (np.log1p(a) + 1.0 + math.log(1.9)) / (1.9 + a)
         truth = float(np.max(vals))
@@ -765,7 +777,7 @@ class TestEnvelopes:
     def test_commutator_envelope_brackets_pointwise(self):
         b = StepFunction((-0.5, 0.5, 1.5), (1.0, -0.5))
         f = StepFunction((0.0, 1.0, 2.0), (1.0, 0.5))
-        env = commutator_envelope(b, f, RefinePolicy(tol=0.05, max_depth=12))
+        env = commutator_envelope(b, f, 0.05)
         rng = np.random.default_rng(19)
         hull = env.lower.support_hull() or Interval(-1.0, 1.0)
         for x in rng.uniform(hull.left, hull.right, 60):

@@ -1,5 +1,8 @@
+import importlib.util
 import math
+import sys
 import time
+from pathlib import Path
 import tracemalloc
 
 import numpy as np
@@ -8,8 +11,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from morreylab import norms
-from morreylab.families import FamilySpec, resolve_family
-from morreylab.maxops import RefinePolicy, maximal_envelope
+from morreylab.families import FamilySpec, ResolvedFamily, resolve_family
+from morreylab.maxops import maximal_envelope
 from morreylab.experiments import build_counterexample
 from morreylab.norms import (
     NormEstimate,
@@ -28,6 +31,7 @@ from morreylab.orlicz import LLOG, _llog_rows, llog_functional, luxemburg_averag
 from morreylab.stepfn import EnvelopePair, Interval, StepFunction, default_hull
 
 CHI01 = StepFunction.indicator(0.0, 1.0)
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
 
 def random_step(rng, max_cells=10):
@@ -89,6 +93,107 @@ class TestFamilies:
         finally:
             tracemalloc.stop()
         assert peak < 50e6
+
+
+def per_delta_cover_ratio(fam, delta):
+    """cover_ratio_sup as one enumeration of its anchors per delta, the
+    form the suffix maximum replaced; kept as its oracle."""
+    h = fam.hull.length
+    inner = [s for s in fam.ladder_sizes if s < h]
+
+    def ratio(length):
+        best = h / length
+        if fam.grid_gap is not None:
+            best = min(best, (length + 2.0 * fam.grid_gap) / length)
+        bigger = [s for s in inner if s >= length]
+        if bigger:
+            best = min(best, 2.0 * min(bigger) / length)
+        return max(best, 1.0)
+
+    if delta >= h:
+        return 1.0
+    anchors = [delta] + [math.nextafter(s, math.inf) for s in inner if delta < s < h]
+    return max(ratio(a) for a in anchors if a <= h)
+
+
+def per_delta_upper(value, f, lam, fam):
+    """norms._certified_upper_scale_invariant with one cover ratio oracle
+    call per delta."""
+    if value <= 0.0:
+        return 0.0
+    supp = f.support_hull()
+    if not (fam.hull.left < supp.left and supp.right < fam.hull.right):
+        return math.inf
+    h = fam.hull.length
+    best = math.inf
+    for d in np.exp(np.linspace(math.log(h * 1e-9), math.log(h), 60)):
+        small = f.sup_abs() * d**lam
+        shift = value * per_delta_cover_ratio(fam, float(d)) ** (1.0 - lam)
+        best = min(best, max(small, shift))
+    return max(value, _psi_max(lam) * best)
+
+
+class TestCoverRatioSuffixMax:
+    """The suffix maximum gives bitwise the bounds of the per-delta loop."""
+
+    def spied_bounds(self, monkeypatch, runs):
+        calls = []
+        real = norms._certified_upper_scale_invariant
+
+        def spy(value, f, lam, fam):
+            calls.append((real(value, f, lam, fam), (value, f, lam, fam)))
+            return calls[-1][0]
+
+        monkeypatch.setattr(norms, "_certified_upper_scale_invariant", spy)
+        for run in runs:
+            run()
+        assert calls
+        return calls
+
+    def test_norm_bracket_inputs(self, monkeypatch, tmp_path):
+        spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+        workloads = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, workloads)  # dataclasses look their module up
+        spec.loader.exec_module(workloads)
+        inputs = {
+            (tuple(t.bp), tuple(t.vals))
+            for seed in (0, 1)
+            for t in workloads.build("norm-bracket", seed, tmp_path).tasks
+            if t.kind in ("norm:zygmund", "norm:characterization")
+        }
+        fs = [StepFunction(bp, vals) for bp, vals in sorted(inputs)]
+        runs = [lambda f=f, lam=lam, op=op: op(f, lam) for f in fs for lam in (0.25, 0.5, 0.75)
+                for op in (zygmund_morrey_norm, characterization_functional)]
+        for got, args in self.spied_bounds(monkeypatch, runs):
+            assert got == per_delta_upper(*args)
+
+    def test_seeded_corpus(self, monkeypatch):
+        rng = np.random.default_rng(91)
+        fs = [random_step(rng) for _ in range(6)] + [build_counterexample(4)]
+        specs = [
+            FamilySpec(depth=6),
+            FamilySpec(mode="breakpoint_pairs"),
+            FamilySpec(mode="dyadic", depth=8),
+            FamilySpec(mode="dense", resolution=48),
+        ]
+        runs = [lambda f=f, spec=spec, lam=lam: zygmund_morrey_norm(f, lam, spec)
+                for f in fs for spec in specs for lam in (0.1, 0.5, 0.9)]
+        for got, args in self.spied_bounds(monkeypatch, runs):
+            assert got == per_delta_upper(*args)
+            fam = args[3]
+            for delta in fam.hull.length * np.array([1e-12, 1e-6, 1e-3, 0.1, 0.5, 1.0, 2.0]):
+                assert fam.cover_ratio_sup(float(delta)) == per_delta_cover_ratio(fam, float(delta))
+
+    def test_irregular_ladders(self):
+        # on the resolved families above the largest anchor ratio is the
+        # first one past delta; on these ladders later anchors win too
+        rng = np.random.default_rng(92)
+        for _ in range(50):
+            sizes = tuple(rng.uniform(0.0, 1.2, int(rng.integers(1, 8))))
+            gap = None if rng.integers(2) else float(rng.uniform(0.001, 0.2))
+            fam = ResolvedFamily(FamilySpec(), Interval(0.0, 1.0), np.zeros(0), np.zeros(0), gap, sizes)
+            deltas = rng.uniform(1e-3, 1.2, 20).tolist()
+            assert fam.cover_ratio_sups(deltas) == [per_delta_cover_ratio(fam, d) for d in deltas]
 
 
 def tuple_enumeration(spec, f, extra_points=()):
@@ -635,11 +740,11 @@ class TestWeakTypeMorreyCheck:
         assert weak_type_morrey_check(z, 0.5, env) == 0.0
 
     def test_chi_finite_and_scale_invariant(self):
-        env = maximal_envelope(CHI01, RefinePolicy(tol=0.02, max_depth=14))
+        env = maximal_envelope(CHI01, 0.02)
         c1 = weak_type_morrey_check(CHI01, 0.5, env)
         assert c1 > 0.0 and math.isfinite(c1)
         f2 = CHI01.scale(2.0)
-        env2 = maximal_envelope(f2, RefinePolicy(tol=0.02, max_depth=14))
+        env2 = maximal_envelope(f2, 0.02)
         c2 = weak_type_morrey_check(f2, 0.5, env2)
         assert c2 == pytest.approx(c1, rel=1e-9)
 
