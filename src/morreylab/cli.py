@@ -249,7 +249,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=0.0)
     p.add_argument("--at", default=None, help="comma-separated evaluation points")
     p.add_argument("--grid", default=None, help="lo:hi:count uniform grid")
-    p.add_argument("--tol", type=float, default=1e-3, help="envelope tolerance for M2")
+    p.add_argument(
+        "--tol",
+        type=float,
+        default=1e-3,
+        help=(
+            "envelope tolerance for M2: each of its three envelopes closes its cells at "
+            "(upper - lower) <= tol * upper; the printed bracket composes them and can be wider"
+        ),
+    )
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_maxfn)
 

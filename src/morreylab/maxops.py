@@ -62,6 +62,22 @@ interpolates P(x), whose rounding error of about an ulp of max P swamps
 the mass of a short sub-cell next to r.  The rounding of K and of the
 bridge's prefix difference, a few ulps of max P, is charged on the lower
 side.
+
+The tangent query
+-----------------
+K_v / (v - x) + c = (P(v) - P(x)) / (v - x) is the slope from the point
+(x, P(x)) to (v, P(v)), so R(x) - c is the largest such slope over the
+breakpoints v >= r, less c.  The largest slope from a point left of a set
+touches the upper hull of the set, and along the hull's vertices, left to
+right, the slope from the point rises while the next hull edge is steeper
+than it, then falls.  So a step to the next vertex gains exactly while
+K_v / (v - x) + c is below the edge's slope, a test that holds on a prefix
+of the path.  The hulls of all suffixes form one tree, each breakpoint's
+parent the next vertex of its suffix's hull; binary lifting over it finds
+the last vertex that gains in O(log n) per point.  L is the same query on
+the mirror (-b, -P), whose negation is exact, so both sides score in the
+same floats.  The charged value is the query from (x, P(x) + charge).  The
+climb only picks the vertex: the value is K_v / (v - x) in the form above.
 """
 
 from __future__ import annotations
@@ -93,10 +109,6 @@ __all__ = [
     "iterated_maximal",
     "commutator_envelope",
 ]
-
-# float64 entries in any one temporary of the row-blocked passes
-_BLOCK = 16_384
-
 
 def _candidate_arrays(f: StepFunction, left: float, right: float):
     """Endpoint candidates ``ts`` and their |f| prefix integrals ``ps``, and
@@ -237,34 +249,47 @@ def _side_chords(f: StepFunction, xs: np.ndarray, cells: np.ndarray) -> tuple[np
     Returns Mf = max(R, L), clamped to sup |f|, then R with every chord's
     mass charged by :func:`_charge` and the index of the breakpoint where it
     is attained (the cell's end when the 0 attains it), then the same two
-    for L.  Points run in blocks of at most _BLOCK entries."""
+    for L.  All of them come from one tangent query (module docstring) per
+    point, side and charge, on :attr:`stepfn.StepFunction._hull_tree`."""
     b, w, prefix = f._abs_arrays
-    c = np.concatenate(([0.0], w, [0.0]))[cells + 1]
+    hx, hy, up, edge = f._hull_tree
     n, k = len(b), len(xs)
-    xs2, cs = np.tile(xs, 2), np.tile(c, 2)
-    # R from the cell's right end, over v in [j0, n); L from its left end,
-    # over u in [0, j1); a cell end at x itself is no chord
-    ends = np.minimum(np.maximum(np.concatenate((cells + 1, cells)), 0), n - 1)
-    j0 = np.concatenate((cells + 1 + (b[np.minimum(cells + 1, n - 1)] == xs), np.zeros(k, int)))
-    j1 = np.concatenate((np.full(k, n), cells + 1 - (b[np.maximum(cells, 0)] == xs)))
-    # the charge lowers a chord's mass: K on the right, -K on the left
-    charges = np.repeat([_charge(prefix), -_charge(prefix)], k)
-    hi, lo, at = np.zeros(2 * k), np.zeros(2 * k), ends.copy()
-    live = np.flatnonzero(j0 < j1)
-    step = max(1, _BLOCK // n)
-    for s in range(0, live.size, step):
-        r = live[s : s + step]
-        a, z = j0[r].min(), j1[r].max()
-        cols = np.arange(a, z)
-        inside = (cols >= j0[r, None]) & (cols < j1[r, None])
-        den = np.where(inside, b[a:z] - xs2[r, None], 1.0)
-        excess = prefix[a:z] - prefix[ends[r], None] - cs[r, None] * (b[a:z] - b[ends[r], None])
-        hi[r] = np.where(inside, excess / den, 0.0).max(axis=1)
-        charged = np.where(inside, (excess - charges[r, None]) / den, 0.0)
-        best = charged.argmax(axis=1)
-        lo[r] = charged[np.arange(len(r)), best]
-        at[r] = np.where(lo[r] > 0.0, a + best, ends[r])
-    hi, lo = cs + hi, cs + lo
+    c = np.concatenate(([0.0], w, [0.0]))[np.concatenate((cells, cells)) + 1]
+    # R from the cell's right end over the breakpoints from j0 on; L from
+    # its left end over those below j1, which is R of the mirror from node
+    # 2n - j1 on; a cell end at x itself is no chord
+    end_r, end_l = np.minimum(cells + 1, n - 1), np.maximum(cells, 0)
+    j0 = cells + 1 + (b[end_r] == xs)
+    j1 = cells + 1 - (b[end_l] == xs)
+    start = np.concatenate((j0, 2 * n - j1))
+    end = np.concatenate((end_r, 2 * n - 1 - end_l))
+    live = np.flatnonzero(np.concatenate((j0 < n, j1 > 0)))
+    m = len(live)
+    # rows: the live R and L queries, then the same with every chord's mass charged
+    v, e, x, cl = (np.concatenate((a[live], a[live])) for a in (start, end, np.concatenate((xs, -xs)), c))
+    charge = np.repeat([0.0, _charge(prefix)], m)
+    xe, ye = hx[e], hy[e]
+
+    def score(v: np.ndarray) -> np.ndarray:
+        # K_v / (v - x), charged: x enters only through v - x
+        return (hy[v] - ye - cl * (hx[v] - xe) - charge) / (hx[v] - x)
+
+    # along the hull path from the first chord end the slope from the query
+    # point rises, then falls: climb to the last vertex that its successor
+    # beats, then rescore it and the next two, as a rounded comparison can
+    # stop the climb a vertex early or late
+    for table in reversed(up):
+        nxt = table[v]
+        v = np.where(score(nxt) + cl < edge[nxt], nxt, v)
+    cand = np.stack((v, up[0][v], up[0][up[0][v]]))
+    scores = np.stack([score(u) for u in cand])
+    pick = scores.argmax(axis=0)
+    top, node = scores[pick, np.arange(2 * m)], cand[pick, np.arange(2 * m)]
+    hi, lo, at = c.copy(), c.copy(), end.copy()
+    hi[live] += np.maximum(top[:m], 0.0)
+    lo[live] += np.maximum(top[m:], 0.0)
+    at[live] = np.where(top[m:] > 0.0, node[m:], end[live])
+    at[k:] = 2 * n - 1 - at[k:]
     return np.minimum(np.maximum(hi[:k], hi[k:]), f.sup_abs()), lo[:k], at[:k], lo[k:], at[k:]
 
 
@@ -285,7 +310,6 @@ def _cell_floor(
 
 
 _MAX_ENVELOPE_CELLS = 200_000
-_MAX_SECOND_LEVEL_CELLS = 20_000
 
 
 def maximal_envelope(
@@ -388,18 +412,17 @@ def iterated_maximal(
     the only depth cap.  ``depth_capped`` sums the three counts of cells
     accepted open at float resolution.
 
-    The second level costs O(n^2) in the n cells of the first envelope, so
-    it raises ValueError past _MAX_SECOND_LEVEL_CELLS.  At the default tol
-    on a 45-cell input whose first envelope has 20,504 cells, each of the
-    two second-level envelopes took 11-12 s of CPU on a 2-vCPU host.
+    In the n cells of the first envelope, the second level costs one O(n)
+    hull pass and O(log n) per grid point (the tangent query of the module
+    docstring).  At the default tol on a 200-cell input whose first
+    envelope has 51,152 cells, each of the two second-level envelopes took
+    0.5-0.7 s of CPU on a 2-vCPU host, 1.6 s for the whole bracket.
     """
     if f.is_zero:  # the zero pair, once tol is checked
         return maximal_envelope(f, tol)
     inner_hull = hull or default_hull(f)
     outer_hull = inner_hull.expanded(inner_hull.length)
     env1 = maximal_envelope(f, tol, outer_hull)
-    if max(env1.lower.num_cells, env1.upper.num_cells) > _MAX_SECOND_LEVEL_CELLS:
-        raise ValueError(f"the envelope of Mf passed the {_MAX_SECOND_LEVEL_CELLS}-cell limit of M(Mf); loosen tol")
     env2_lo = maximal_envelope(env1.lower, tol, inner_hull)
     supp = f.support_hull()
     assert supp is not None

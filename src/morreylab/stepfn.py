@@ -196,6 +196,37 @@ class StepFunction:
         prefix = np.concatenate(([0.0], np.cumsum(w * np.diff(b)))) if len(w) else np.zeros(1)
         return b, w, prefix
 
+    @cached_property
+    def _hull_tree(self) -> tuple[np.ndarray, np.ndarray, list[np.ndarray], np.ndarray]:
+        """Suffix hulls of the points (b, P), the breakpoints and prefix
+        integrals of |f|, and of their mirror, as (xs, ys, up, edge) over 2n
+        nodes: nodes 0..n-1 are the points (b, P) and nodes n..2n-1 the
+        points (-b, -P) in reverse, so that each half runs left to right.
+        up[0][k] is the next vertex of the upper hull of k's suffix in its
+        half (k itself at the half's last node), up[i] is up[0] applied 2**i
+        times, for 2**len(up) > n - 1, and edge[k] is the slope from k to
+        up[0][k] (-inf at a half's last node).  The hull of the suffix from
+        k is the path k, up[0][k], ..., with falling edge slopes."""
+        b, _, prefix = self._abs_arrays
+        n = len(b)
+        xs, ys = np.concatenate((b, -b[::-1])), np.concatenate((prefix, -prefix[::-1]))
+        x, y = xs.tolist(), ys.tolist()
+        parent, edge = list(range(2 * n)), [-math.inf] * (2 * n)
+        # the monotone chain, right to left: the path from k + 1 is the hull
+        # of its suffix, and a vertex on or below the chord from k past it
+        # leaves the path for good
+        for k in (*range(n - 2, -1, -1), *range(2 * n - 2, n - 1, -1)):
+            top = k + 1
+            slope = (y[top] - y[k]) / (x[top] - x[k])
+            while slope <= edge[top]:
+                top = parent[top]
+                slope = (y[top] - y[k]) / (x[top] - x[k])
+            parent[k], edge[k] = top, slope
+        up = [np.array(parent, dtype=np.int32)]
+        while 1 << len(up) <= n - 1:
+            up.append(up[-1][up[-1]])
+        return xs, ys, up, np.array(edge)
+
     # -- interchange formats -------------------------------------------
 
     def to_json_obj(self) -> dict:

@@ -126,17 +126,19 @@ class TestMaxfn:
         err = capsys.readouterr().err
         assert "budget" in err and "loosen tol" in err
 
-    def test_m2_second_level_limit_exit_2(self, tmp_path, capsys):
+    def test_m2_second_level_on_a_large_first_envelope(self, tmp_path, capsys):
         # the first envelope of 200 cells at the default tol has over 50,000
-        # cells; its second level would run for minutes
+        # cells; the second level takes tangent queries on its suffix hulls
         rng = np.random.default_rng(6)
         f = StepFunction(np.sort(rng.uniform(0.0, 1.0, 201)), np.exp(rng.uniform(-3.0, 3.0, 200)))
         path = tmp_path / "f.json"
         path.write_text(f.to_json())
         start = time.process_time()
-        assert main(["maxfn", "--input", str(path), "--op", "M2", "--at", "0.5"]) == 2
+        assert main(["maxfn", "--input", str(path), "--op", "M2", "--grid=-0.5:1.5:17"]) == 0
         assert time.process_time() - start < 5.0
-        assert "20000-cell limit" in capsys.readouterr().err
+        rows = [[float(t) for t in ln.split(",")] for ln in capsys.readouterr().out.splitlines()[1:]]
+        assert len(rows) == 17
+        assert all(0.0 < lo <= hi for _, lo, hi in rows)
 
     @pytest.mark.parametrize("op", [["--op", "M"], ["--op", "Malpha", "--alpha", "0.5"]])
     @pytest.mark.parametrize("points", [["--at", "nan"], ["--at", "0.5,inf"], ["--grid=-inf:1:3"], ["--grid=0:nan:3"]])

@@ -411,6 +411,130 @@ class TestSplit:
         assert np.all(split_maximal(f, inside) == 3.5)
 
 
+def scan_side_chords(f, xs, cells):
+    """The five outputs of _side_chords by a scan over every chord end of
+    every point, O(points x cells), with R and L at least c as the module
+    docstring defines them; kept as the tangent query's oracle.  Also
+    returns each chord's charged K / (v - x), one row per point and side
+    (R rows, then L rows), -inf where no chord ends."""
+    b, w, prefix = f._abs_arrays
+    n, k = len(b), len(xs)
+    c = np.tile(np.concatenate(([0.0], w, [0.0]))[cells + 1], 2)
+    ends = np.concatenate((np.minimum(cells + 1, n - 1), np.maximum(cells, 0)))
+    j0 = np.concatenate((cells + 1 + (b[ends[:k]] == xs), np.zeros(k, int)))
+    j1 = np.concatenate((np.full(k, n), cells + 1 - (b[ends[k:]] == xs)))
+    cols = np.arange(n)
+    inside = (cols >= j0[:, None]) & (cols < j1[:, None])
+    excess = prefix - prefix[ends, None] - c[:, None] * (b - b[ends, None])
+    den = np.where(inside, b - np.tile(xs, 2)[:, None], 1.0)
+    # the charge lowers a chord's mass: K on the right, -K on the left
+    charges = np.repeat([1.0, -1.0], k)[:, None] * maxops._charge(prefix)
+    plain = np.where(inside, excess / den, -np.inf).max(axis=1)
+    charged = np.where(inside, (excess - charges) / den, -np.inf)
+    top = charged.max(axis=1)
+    hi, lo = c + np.maximum(plain, 0.0), c + np.maximum(top, 0.0)
+    at = np.where(top > 0.0, charged.argmax(axis=1), ends)
+    mf = np.minimum(np.maximum(hi[:k], hi[k:]), f.sup_abs())
+    return (mf, lo[:k], at[:k], lo[k:], at[k:]), charged
+
+
+def assert_matches_scan(f, xs, cells):
+    """Mf and the charged R and L within 2 ulps of the scan's, and each
+    attaining breakpoint's charged chord within 2 ulps of the scan's best."""
+    xs, cells = np.asarray(xs, dtype=float), np.asarray(cells)
+    got = _side_chords(f, xs, cells)
+    want, charged = scan_side_chords(f, xs, cells)
+    for i in (0, 1, 3):
+        g, w = got[i], want[i]
+        assert np.all(np.abs(g - w) <= 2.0 * np.spacing(w)), np.max(np.abs(g - w) / np.spacing(w))
+    c = np.concatenate(([0.0], f._abs_arrays[1], [0.0]))[cells + 1]
+    rows = np.arange(len(xs))
+    for at, lo, side in ((got[2], want[1], charged[: len(xs)]), (got[4], want[3], charged[len(xs) :])):
+        value = c + np.maximum(side[rows, at], 0.0)
+        assert np.all(np.abs(value - lo) <= 2.0 * np.spacing(lo))
+
+
+class TestSideChords:
+    @staticmethod
+    def inputs(seed, count):
+        """Random f with zero cells and |f| from e^-5 to e^5 on scales
+        1e-3 to 1e3, a quarter of them with a few magnitudes of either sign,
+        so that adjacent cells share |f|; points inside and off the support,
+        and every breakpoint seen from both cells it ends."""
+        rng = np.random.default_rng(seed)
+        for i in range(count):
+            m = int(rng.integers(1, 300 if i % 10 == 0 else 40))
+            scale = 10.0 ** rng.uniform(-3.0, 3.0)
+            bp = scale * (rng.uniform(-1.0, 1.0) + np.sort(rng.uniform(-1.0, 1.0, m + 1)))
+            if i % 4 == 0:
+                vals = rng.choice(np.exp(rng.uniform(-5.0, 5.0, 3)), m)
+            else:
+                vals = np.exp(rng.uniform(-5.0, 5.0, m))
+            vals[rng.random(m) < 0.2] = 0.0
+            f = StepFunction(bp, vals * rng.choice([-1.0, 1.0], m))
+            if f.is_zero:
+                continue
+            b = np.asarray(f.breakpoints)
+            span = b[-1] - b[0]
+            xs = rng.uniform(b[0] - span, b[-1] + span, 40)
+            ks = np.arange(len(b))
+            yield f, np.concatenate((xs, b, b)), np.concatenate((extended_cells(f, xs), ks, ks - 1))
+
+    def test_matches_scan(self):
+        rows = 0
+        for f, xs, cells in self.inputs(40, 600):
+            assert_matches_scan(f, xs, cells)
+            rows += len(xs)
+        assert rows > 50_000
+
+    def test_collinear_prefix(self):
+        # |f| = 1 on (0, 1) and (1, 2): the points (0, 0), (1, 1), (2, 2)
+        # are collinear, and (1, 1) leaves the hull of the suffix from 0
+        f = StepFunction((0.0, 1.0, 2.0, 3.0, 4.0), (1.0, -1.0, 0.25, 0.5))
+        _, _, up, edge = f._hull_tree
+        assert up[0][:4].tolist() == [2, 2, 4, 4]
+        assert edge[0] == edge[1] == 1.0
+        xs = np.concatenate((np.linspace(-3.0, 7.0, 41), f.breakpoints, f.breakpoints))
+        ks = np.arange(5)
+        cells = np.concatenate((extended_cells(f, xs[:41]), ks, ks - 1))
+        assert_matches_scan(f, xs, cells)
+        # left of 0 the steepest chord ends at (2, 2), or far off at (4, 2.75)
+        _, _, v, _, _ = _side_chords(f, np.array([-1.0, -10.0]), np.array([-1, -1]))
+        assert v.tolist() == [2, 4]
+
+    def test_charged_sides_never_below_the_cell_value(self):
+        # R and L are c + max(0, .): on the cell holding sup |f| every chord
+        # of either side is below c, and charged further, but the 0 holds
+        rng = np.random.default_rng(41)
+        for m in (10, 300, 1000):
+            f = StepFunction(np.sort(rng.uniform(0.0, 1.0, m + 1)), np.exp(rng.uniform(-3.0, 3.0, m)))
+            b, w, _ = f._abs_arrays
+            top = int(np.argmax(w))
+            xs = np.concatenate((rng.uniform(b[top], b[top + 1], 64), rng.uniform(-0.5, 1.5, 64)))
+            cells = np.concatenate((np.full(64, top), extended_cells(f, xs[64:])))
+            _, r, _, l, _ = _side_chords(f, xs, cells)
+            c = np.concatenate(([0.0], w, [0.0]))[cells + 1]
+            assert np.all(r >= c) and np.all(l >= c)
+            assert np.all(r[:64] == w[top]) and np.all(l[:64] == w[top])
+        for f, xs, cells in self.inputs(42, 100):
+            _, r, _, l, _ = _side_chords(f, xs, cells)
+            c = np.concatenate(([0.0], f._abs_arrays[1], [0.0]))[cells + 1]
+            assert np.all(r >= c) and np.all(l >= c)
+
+    def test_iterated_maximal_cpu_budget(self):
+        """Budget: under 1.5 s of CPU each; about 0.13 s for 1000 cells at
+        tol 0.05 and 0.21 s for 10 cells at tol 1e-3 on a 2-vCPU host."""
+        from morreylab.experiments import LOOSE
+
+        for m, tol in ((1000, LOOSE), (10, 1e-3)):
+            rng = np.random.default_rng(2026)
+            f = StepFunction(np.sort(rng.uniform(0.0, 1.0, m + 1)), np.exp(rng.uniform(-3.0, 3.0, m)))
+            cpu = time.process_time()
+            env = iterated_maximal(f, tol)
+            assert time.process_time() - cpu < 1.5
+            assert env.lower.num_cells > 5_000
+
+
 class TestEnvelopeFloors:
     def test_lower_cells_below_maximal(self):
         rng = np.random.default_rng(34)
