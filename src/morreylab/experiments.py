@@ -38,7 +38,7 @@ from .norms import (
     weak_zygmund_morrey_norm,
     zygmund_morrey_norm,
 )
-from .orlicz import _holder_rows, _llog_summary_rows, log_plus, orlicz_maximal
+from .orlicz import LLOG, _holder_rows, _llog_summary_rows, log_plus, orlicz_maximal
 from .radial import RadialProfile, hardy, hardy_reduction_check, zm_radial_functional
 from .stepfn import (Interval, StepFunction, _values_at, combine, default_hull, distribution, pos_neg_parts,
                      superlevels)
@@ -258,10 +258,8 @@ class ConstantReport:
 def _zygmund_integral(f: StepFunction, t):
     """int |f|/t * (1 + log+(|f|/t)), exact cellwise, at t or at each level of an array t."""
     b, w, _ = f._abs_arrays
-    lens = np.diff(b)
     mask = w > 0
-    scaled = w[mask] / np.asarray(t, dtype=float)[..., None]
-    return np.sum(lens[mask] * scaled * (1.0 + np.maximum(np.log(scaled), 0.0)), axis=-1)
+    return np.sum(np.diff(b)[mask] * LLOG.apply(w[mask] / np.asarray(t, dtype=float)[..., None]), axis=-1)
 
 
 def _best_level_ratio(lower: StepFunction, f: StepFunction, scale: float) -> tuple[float, float]:

@@ -4,23 +4,26 @@ For a radial step profile phi in dimension n, the weighted inner integral
 I(t) = int_0^t |phi(r)| r^(n-1) dr is piecewise polynomial; dividing by t
 and integrating again adds log and log^2 terms, and a third level would
 need log^3, so it is refused.  The n-dimensional Hardy operator, the solid
-average of |phi| over the ball of radius |x|, is n I(|x|) / |x|^n.
+average of |phi| over the ball of radius |x|, is n I(|x|) / |x|^n;
+``hardy`` sums it over the cells without forming I (its docstring).
 
 The functionals take the supremum over x > 0 of h(x) = x^s * P(x),
 s = lam - n < 0, over every piece's ends and critical points.
 
 The shape lemma.  Every piece of I and of its two antiderivatives has the
 shape P(x) = a + c x^n + l1 log x + l2 log^2 x, and the first piece is
-c x^n alone.  ``inner_integral`` writes a cell's piece as
-(acc - |v| cursor^n / n) + (|v| / n) x^n, and a gap or the tail as the
-constant acc; its first piece starts at cursor = acc = 0.
+c x^n alone; a ``PolyLogPiece`` holds n and these four coefficients, so
+no other shape can be written down.  ``inner_integral`` writes a cell's
+piece as (acc - |v| cursor^n / n) + (|v| / n) x^n, and a gap or the tail
+as the constant acc; its first piece starts at cursor = acc = 0.
 ``PiecewiseLogPoly.integrate_div_t`` maps a + c t^n + l1 log t to
 const + (c / n) x^n + a log x + (l1 / 2) log^2 x, refuses l2 != 0, and
 refuses a first piece with a constant or a log term, so its first piece
-is again (c / n) x^n.  The shape is closed under both steps;
-``PolyLogPiece`` refuses any other power and any power on a piece that
-reaches infinity.  On the first piece h = c x^lam rises, so its right
-end is its only candidate, and no piece is searched near 0.
+is again (c / n) x^n.  The shape is closed under both steps; a piece that
+reaches infinity is refused a power term.  On the first piece
+h = c x^lam rises, so its right end is its only candidate, and no piece
+is searched near 0.  Each profile builds each level once
+(``RadialProfile._level1`` and ``RadialProfile._level2``).
 
 The closed-form split.  On any other piece put u = log x and D = d/du.
 Then dh/du = e^(s u) g(u) with
@@ -54,7 +57,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 from .norms import NormEstimate
@@ -95,9 +98,14 @@ class RadialProfile:
                 raise ValueError("nonincreasing profiles must start at radius 0")
 
     @cached_property
-    def _inner(self) -> "PiecewiseLogPoly":
-        """The inner integral, built once per profile by :func:`inner_integral`."""
-        return inner_integral(self)
+    def _level1(self) -> "PiecewiseLogPoly":
+        """int_0^x I(t) / t dt, with I the :func:`inner_integral`."""
+        return inner_integral(self).integrate_div_t()
+
+    @cached_property
+    def _level2(self) -> "PiecewiseLogPoly":
+        """int_0^x F(t) / t dt, with F the first level."""
+        return self._level1.integrate_div_t()
 
     def to_json_obj(self) -> dict:
         return {
@@ -117,30 +125,25 @@ class RadialProfile:
         return cls(StepFunction.from_json_obj(obj["profile"]), dimension, nonincreasing)
 
 
-def _poly(coeffs, t: float) -> float:
-    """sum coeffs[k] t^k, by Horner's rule."""
-    acc = 0.0
-    for c in reversed(coeffs):
-        acc = acc * t + c
-    return acc
-
-
 @dataclass(frozen=True)
 class PolyLogPiece:
+    """a + c t^n + log1 log t + log2 log^2 t on [left, right], the shape of
+    the module docstring's lemma."""
+
     left: float
     right: float  # math.inf on the last piece
-    coeffs: tuple[float, ...]  # ascending powers
+    n: int
+    a: float = 0.0
+    c: float = 0.0
     log1: float = 0.0
     log2: float = 0.0
 
     def __post_init__(self) -> None:
-        # the shape lemma of the module docstring
-        powers = self.coeffs[1:]
-        if not self.coeffs or any(powers[:-1]) or math.isinf(self.right) and any(powers):
-            raise ValueError("a piece is a + c t^n + logs, with c = 0 on a piece reaching infinity")
+        if self.c and math.isinf(self.right):
+            raise ValueError("a piece reaching infinity has no power term")
 
     def __call__(self, t: float) -> float:
-        acc = _poly(self.coeffs, t)
+        acc = self.a + self.c * t**self.n if self.c else self.a
         if self.log1 or self.log2:
             lt = math.log(t)
             acc += self.log1 * lt + self.log2 * lt * lt
@@ -194,22 +197,9 @@ class PiecewiseLogPoly:
         for p in self.pieces:
             if p.log2:
                 raise ValueError("a third nesting level is not supported")
-            n = len(p.coeffs) - 1
-            coeffs = [0.0] * (n + 1)
-            if n:
-                coeffs[n] = p.coeffs[n] / n
-            log1, log2 = p.coeffs[0], 0.5 * p.log1
+            shape = PolyLogPiece(p.left, p.right, p.n, 0.0, p.c / p.n, p.a, 0.5 * p.log1)
             # fix the constant so F is continuous at the left junction
-            if p.left == 0.0:
-                const = 0.0
-            else:
-                lt = math.log(p.left)
-                val = log1 * lt + log2 * lt * lt
-                if n:
-                    val += coeffs[n] * p.left**n
-                const = acc - val
-            coeffs[0] = const
-            piece = PolyLogPiece(p.left, p.right, tuple(coeffs), log1, log2)
+            piece = replace(shape, a=acc - shape(p.left)) if p.left else shape
             out.append(piece)
             if math.isfinite(p.right):
                 acc = piece(p.right)
@@ -218,7 +208,7 @@ class PiecewiseLogPoly:
 
 def _require_power_at_origin(first: PolyLogPiece) -> None:
     """Refuse a first piece with a constant or a log term: it must be c x^n."""
-    if first.coeffs[0] or first.log1 or first.log2:
+    if first.a or first.log1 or first.log2:
         raise ValueError("the first piece must vanish at 0 like c x^n, with no constant or log term")
 
 
@@ -227,23 +217,19 @@ def inner_integral(p: RadialProfile) -> PiecewiseLogPoly:
     and constants on the gaps and the tail, with no log terms."""
     n = p.dimension
     prof = p.profile
-    if not prof.is_zero and any(v < 0 for v in prof.values):
+    if any(v < 0 for v in prof.values):
         warnings.warn("profile has negative values; using |phi|", stacklevel=2)
     pieces: list[PolyLogPiece] = []
     acc = 0.0
     cursor = 0.0
-    cells = [] if prof.is_zero else list(prof.cells())
-    for l, r, v in cells:
+    for l, r, v in prof.cells():
         if l > cursor:
-            pieces.append(PolyLogPiece(cursor, l, (acc,)))
+            pieces.append(PolyLogPiece(cursor, l, n, acc))
             cursor = l
-        coeffs = [0.0] * (n + 1)
-        coeffs[0] = acc - abs(v) * cursor**n / n
-        coeffs[n] += abs(v) / n
-        pieces.append(PolyLogPiece(cursor, r, tuple(coeffs)))
+        pieces.append(PolyLogPiece(cursor, r, n, acc - abs(v) * cursor**n / n, abs(v) / n))
         acc = acc + abs(v) * (r**n - cursor**n) / n
         cursor = r
-    pieces.append(PolyLogPiece(cursor, math.inf, (acc,)))
+    pieces.append(PolyLogPiece(cursor, math.inf, n, acc))
     return PiecewiseLogPoly(tuple(pieces))
 
 
@@ -254,11 +240,13 @@ class HardyOriginWarning(UserWarning):
 def hardy(p: RadialProfile, x: float) -> float:
     """Exact n-dimensional Hardy operator H f(x) = n I(|x|) / |x|^n, the
     solid average of |f| over the ball of radius |x|, with I the inner
-    integral.  x = 0 is a removable limit; the first-cell value is returned
-    under a warning to keep pipelines total.  Where |x|^n underflows to 0
-    (a high dimension), the first piece, I = c t^n, gives n c, the first
-    cell's |value|; past it the quotient cannot be formed in floating point
-    and OverflowError is raised.
+    integral, summed over the cells (l, r) with l < |x|.  With
+    m = min(r, |x|) a cell adds |v| (m / |x|)^n (1 - (l / m)^n), where
+    1 - (l / m)^n = -expm1(n log1p((l - m) / m)), or 1 when l = 0.  Every
+    term is nonnegative and both ratios are at most 1, so no step overflows
+    or cancels, in any dimension; a power that underflows leaves a term
+    below the smallest float.  x = 0 is a removable limit; the first-cell
+    value is returned under a warning to keep pipelines total.
     """
     r = abs(float(x))
     if r == 0.0:
@@ -271,13 +259,13 @@ def hardy(p: RadialProfile, x: float) -> float:
             return 0.0
         return abs(p.profile(p.profile.breakpoints[0])) if p.profile.breakpoints[0] == 0.0 else 0.0
     n = p.dimension
-    rn = r**n
-    if rn == 0.0:
-        first = p._inner.pieces[0]
-        if r > first.right:
-            raise OverflowError(f"n I(|x|) / |x|^n at |x| = {r}: |x|^{n} underflows to 0")
-        return n * first.coeffs[-1]
-    return n * p._inner(r) / rn
+    total = 0.0
+    for l, right, v in p.profile.cells():
+        if l >= r:
+            break
+        m = min(right, r)
+        total += abs(v) * (m / r) ** n * (-math.expm1(n * math.log1p((l - m) / m)) if l else 1.0)
+    return total
 
 
 def _sign_roots(f, df, pts: list[float]) -> list[float]:
@@ -309,9 +297,9 @@ def _piece_critical(piece: PolyLogPiece, shift: float) -> list[float]:
     """Every sign change of g = shift*P + x*P' inside ``piece``, the
     critical points of x^shift * P(x), by the closed-form split in
     u = log x (module docstring); a piece with c = 0 solves g's quadratic."""
-    n = len(piece.coeffs) - 1
-    A = (shift + n) * piece.coeffs[-1] if n else 0.0
-    b2, b1, b0 = shift * piece.log2, shift * piece.log1 + 2.0 * piece.log2, shift * piece.coeffs[0] + piece.log1
+    n = piece.n
+    A = (shift + n) * piece.c
+    b2, b1, b0 = shift * piece.log2, shift * piece.log1 + 2.0 * piece.log2, shift * piece.a + piece.log1
     if A == 0.0:
         # scaled by a power of two (exactly) to unit size, so that
         # b1^2 - 4 b2 b0 cannot underflow or overflow for tiny or huge
@@ -360,16 +348,12 @@ def _sup_weighted(P: PiecewiseLogPoly, lam: float, n: int) -> tuple[float, float
     return best, arg
 
 
-def _radial_sup(p: RadialProfile, lam: float, levels: int) -> NormEstimate:
-    """sup_{x>0} x^(lam - n) * P(x), with P the inner integral divided by t
-    and integrated ``levels`` times; the candidate search is exhaustive, so
-    ``upper_bound`` pads ``value`` by rounding only (module docstring)."""
-    if p.profile.is_zero:
-        return NormEstimate(0.0, 0.0, None, None)
-    P = p._inner
-    for _ in range(levels):
-        P = P.integrate_div_t()
-    value, arg = _sup_weighted(P, lam, p.dimension)
+def _radial_sup(P: PiecewiseLogPoly, lam: float, n: int) -> NormEstimate:
+    """sup_{x>0} x^(lam - n) * P(x) for a level P of a profile; the
+    candidate search is exhaustive, so ``upper_bound`` pads ``value`` by
+    rounding only (module docstring).  A zero profile's levels are 0, and
+    so is the estimate."""
+    value, arg = _sup_weighted(P, lam, n)
     return NormEstimate(value, value * (1.0 + 1e-9), Interval(0.0, arg) if arg > 0 else None, None)
 
 
@@ -378,7 +362,7 @@ def zm_radial_functional(p: RadialProfile, lam: float) -> NormEstimate:
     the radial closed form of the Morrey log-average norm."""
     if not 0.0 < lam < p.dimension:
         raise ValueError("lambda must lie in (0, n)")
-    return _radial_sup(p, lam, 1)
+    return _radial_sup(p._level1, lam, p.dimension)
 
 
 def zm_radial_functional_M(p: RadialProfile, lam: float) -> NormEstimate:
@@ -388,7 +372,7 @@ def zm_radial_functional_M(p: RadialProfile, lam: float) -> NormEstimate:
         raise ValueError("lambda must lie in (0, n)")
     if not p.nonincreasing:
         raise ValueError("the triple-nested functional requires a nonincreasing profile")
-    return _radial_sup(p, lam, 2)
+    return _radial_sup(p._level2, lam, p.dimension)
 
 
 def hardy_reduction_check(p: RadialProfile, lam: float) -> tuple[float, float, float]:
@@ -404,8 +388,6 @@ def hardy_reduction_check(p: RadialProfile, lam: float) -> tuple[float, float, f
         raise ValueError("lambda must lie in (0, n)")
     if not p.nonincreasing:
         raise ValueError("requires a nonincreasing profile")
-    if p.profile.is_zero:
-        return (0.0, 0.0, 0.0)
     lhs = zm_radial_functional_M(p, lam).value
     rhs = zm_radial_functional(p, lam).value
     return lhs, rhs, rhs / (n - lam)

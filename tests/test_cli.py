@@ -298,7 +298,7 @@ class TestRadialCmd:
         line = capsys.readouterr().out.strip().splitlines()[1]
         assert float(line.split(",")[1]) == pytest.approx(0.5, rel=1e-12)
 
-    def test_hardy_grid_builds_the_inner_integral_once(self, tmp_path, monkeypatch, capsys):
+    def test_hardy_grid_builds_no_inner_integral(self, tmp_path, monkeypatch, capsys):
         rng = np.random.default_rng(7)
         bp = np.concatenate(([0.0], np.sort(rng.uniform(0.0, 2.0, 12))))
         p = RadialProfile(StepFunction(bp, rng.uniform(0.5, 4.0, 12)), 2)
@@ -307,10 +307,10 @@ class TestRadialCmd:
         build, builds = radial.inner_integral, []
         monkeypatch.setattr(radial, "inner_integral", lambda q: builds.append(q) or build(q))
         assert main(["radial", "--input", str(path), "--op", "hardy", "--grid=0.1:2:50"]) == 0
-        assert len(builds) == 1
-        # the same bytes as an inner integral built afresh at every point
+        assert not builds
+        # the same bytes as the Hardy operator at each point on its own
         xs = [0.1 + i * ((2.0 - 0.1) / 49) for i in range(50)]
-        want = ["x,value"] + [f"{x:.17g},{2 * build(p)(x) / x**2:.17g}" for x in xs]
+        want = ["x,value"] + [f"{x:.17g},{radial.hardy(p, x):.17g}" for x in xs]
         assert capsys.readouterr().out == "\n".join(want) + "\n"
 
     def test_reduction(self, profile_file, capsys):
@@ -345,9 +345,13 @@ class TestRadialCmd:
         value = float(capsys.readouterr().out.splitlines()[1].split(",")[1])
         assert value == pytest.approx(3.0, rel=1e-15)
 
-    def test_hardy_underflow_past_first_piece_exit_2(self, tmp_path, capsys):
-        assert self.hardy_at(tmp_path, [0.0, 0.001, 0.01], [3.0, 1.0], "0.005") == 2
-        assert capsys.readouterr().err.startswith("error: floating-point overflow: ")
+    def test_hardy_underflow_past_first_piece(self, tmp_path, capsys):
+        # 0.005^400 underflows to 0; summed over the cells, the first adds
+        # 3 (0.001 / 0.005)^400, about 8e-280, and the second 1 - 0.2^400,
+        # which rounds to 1
+        assert self.hardy_at(tmp_path, [0.0, 0.001, 0.01], [3.0, 1.0], "0.005") == 0
+        value = float(capsys.readouterr().out.splitlines()[1].split(",")[1])
+        assert value == pytest.approx(1.0, rel=1e-15)
 
     @pytest.mark.parametrize("argv", [["radial", "--op", "zm"], ["norm", "--kind", "zm-radial"]])
     def test_overflow_exit_2(self, tmp_path, argv, capsys):

@@ -1,9 +1,9 @@
 """Source hygiene of the package, checked with the standard library's ast:
-no module imports a name it never uses, every module-level private name is
-referenced somewhere in the package, and every private or module-qualified
-name that the text cites as ``name`` or :func:`name`, or README.md as
-`name`, exists.  Also, every name the traced benchmark run patches still
-exists."""
+no module imports a name it never uses, every private name that a module
+or class body binds is referenced somewhere in the package, and every
+private or module-qualified name that the text cites as ``name`` or
+:func:`name`, or README.md as `name`, exists.  Also, every name the traced
+benchmark run patches still exists."""
 
 from __future__ import annotations
 
@@ -60,15 +60,9 @@ def test_no_unreferenced_private_name():
                 referenced.update(alias.name for alias in node.names)
     unreferenced = []
     for name, tree in TREES.items():
-        for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                defined = [node.name]
-            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-                defined = [t.id for t in targets if isinstance(t, ast.Name)]
-            else:
-                continue
-            for private in defined:
+        classes = [node.body for node in tree.body if isinstance(node, ast.ClassDef)]
+        for body in (tree.body, *classes):  # methods and cached properties too
+            for private in _bound_names(body):
                 if private.startswith("_") and not private.startswith("__") and private not in referenced:
                     unreferenced.append(f"{name}: {private}")
     assert not unreferenced

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from morreylab.radial import (
     RadialProfile,
     _piece_critical,
     _sup_weighted,
+    hardy,
     hardy_reduction_check,
     inner_integral,
     zm_radial_functional,
@@ -226,10 +228,8 @@ class TestRadialFunctionals:
             A, B, C, D = -A, -B, -C, -D  # g > 0 below 1.98
         log2 = float(B) / shift
         log1 = (float(C) - 2.0 * log2) / shift
-        mid = PolyLogPiece(1.0, 2.0, ((float(D) - log1) / shift, 0.0, 0.0, float(A) / (shift + 3)), log1, log2)
-        P = PiecewiseLogPoly(
-            (PolyLogPiece(0.0, 1.0, (0.0,)), mid, PolyLogPiece(2.0, math.inf, (mid(2.0),)))
-        )
+        mid = PolyLogPiece(1.0, 2.0, 3, (float(D) - log1) / shift, float(A) / (shift + 3), log1, log2)
+        P = PiecewiseLogPoly((PolyLogPiece(0.0, 1.0, 3), mid, PolyLogPiece(2.0, math.inf, 3, mid(2.0))))
         peak = 1.98**shift * mid(1.98)
         value, arg = _sup_weighted(P, 1.5, 3)
         assert value >= peak * (1.0 - 1e-15)
@@ -252,19 +252,18 @@ class TestRadialFunctionals:
 def _g(piece, shift, u):
     """g = shift P + DP at u = log x (an array or a float), from the
     piece's coefficients."""
-    n, c = len(piece.coeffs) - 1, piece.coeffs[-1]
-    A = (shift + n) * c if n else 0.0
-    return (A * np.exp(n * u) + shift * piece.log2 * u * u
-            + (shift * piece.log1 + 2.0 * piece.log2) * u + shift * piece.coeffs[0] + piece.log1)
+    A = (shift + piece.n) * piece.c
+    return (A * np.exp(piece.n * u) + shift * piece.log2 * u * u
+            + (shift * piece.log1 + 2.0 * piece.log2) * u + shift * piece.a + piece.log1)
 
 
 class TestPieceShape:
-    def test_middle_coefficient_refused(self):
+    def test_power_reaching_infinity_refused(self):
         with pytest.raises(ValueError):
-            PolyLogPiece(1.0, 2.0, (1.0, 0.5, 0.0, 2.0))
+            PolyLogPiece(1.0, math.inf, 2, 1.0, 2.0)
 
     def test_first_piece_constant_refused(self):
-        P = PiecewiseLogPoly((PolyLogPiece(0.0, 1.0, (1.0, 0.0, 2.0)), PolyLogPiece(1.0, math.inf, (3.0,))))
+        P = PiecewiseLogPoly((PolyLogPiece(0.0, 1.0, 2, 1.0, 2.0), PolyLogPiece(1.0, math.inf, 2, 3.0)))
         with pytest.raises(ValueError):
             _sup_weighted(P, 1.0, 2)
 
@@ -276,10 +275,8 @@ class TestPieceShape:
                 F = I.integrate_div_t()
                 for P in (I, F, F.integrate_div_t()):
                     first = P.pieces[0]
-                    assert first.coeffs[0] == first.log1 == first.log2 == 0.0
+                    assert first.a == first.log1 == first.log2 == 0.0
                     for piece in P.pieces:
-                        assert len(piece.coeffs) in (1, n + 1)
-                        assert not any(piece.coeffs[1:-1])
                         if P is I:
                             assert piece.log1 == piece.log2 == 0.0
 
@@ -308,8 +305,7 @@ class TestPieceShape:
                 A, B, C, D = np.linalg.svd([[math.exp(n * u), u * u, u, 1.0] for u in zeros])[2][-1]
             log2 = float(B) / shift
             log1 = (float(C) - 2.0 * log2) / shift
-            coeffs = ((float(D) - log1) / shift, *[0.0] * (n - 1), float(A) / (shift + n))
-            piece = PolyLogPiece(left, right, coeffs, log1, log2)
+            piece = PolyLogPiece(left, right, n, (float(D) - log1) / shift, float(A) / (shift + n), log1, log2)
             got = _piece_critical(piece, shift)
             found.append(len(got))
             us = np.linspace(ua, ub, 20001)
@@ -350,6 +346,40 @@ class TestRadialProperties:
             assert functional(scaled, lam).value == pytest.approx(c * est.value, rel=1e-12)
 
 
+def _hardy_exact(p, x):
+    """n I(x) / x^n in rational arithmetic on the float inputs."""
+    r, n = Fraction(x), p.dimension
+    total = Fraction(0)
+    for l, right, v in p.profile.cells():
+        if l < r:
+            total += abs(Fraction(v)) * (min(Fraction(right), r) ** n - Fraction(l) ** n)
+    return total / r**n
+
+
+class TestHardyExact:
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 20])
+    def test_against_rational_arithmetic(self, n):
+        # profiles from 0 and from above 0, with cells narrow against their
+        # radius, where n I / x^n as a difference of powers would cancel; x
+        # below the support, inside cells, at breakpoints and past the support
+        rng = np.random.default_rng(60 + n)
+        for start in (0.0, 0.3, 2.0):
+            for _ in range(10):
+                k = int(rng.integers(1, 7))
+                bp = np.concatenate(([start], start + np.sort(rng.uniform(0.001, 0.1, k))))
+                p = RadialProfile(StepFunction(bp, np.exp(rng.uniform(-2.0, 2.0, k))), n)
+                xs = [*rng.uniform(0.5 * bp[0], bp[-1], 8), *bp[bp > 0.0], 1.7 * bp[-1]]
+                for x in map(float, xs):
+                    want = _hardy_exact(p, x)
+                    assert abs(Fraction(hardy(p, x)) - want) <= Fraction(1e-14) * want
+
+    def test_high_dimension_past_first_breakpoint(self):
+        # 0.005^400 underflows, yet the single cell covers the whole ball
+        # but the one of radius 0.001, and (0.001 / 0.005)^400 rounds away
+        p = RadialProfile(StepFunction([0.001, 0.01], [3.0]), 400)
+        assert hardy(p, 0.005) == 3.0
+
+
 class TestHardyReduction:
     def test_chi(self):
         p = RadialProfile(CHI01, 1, nonincreasing=True)
@@ -361,6 +391,16 @@ class TestHardyReduction:
     def test_zero(self):
         z = RadialProfile(StepFunction.zero(), 1, nonincreasing=True)
         assert hardy_reduction_check(z, 0.5) == (0.0, 0.0, 0.0)
+
+    def test_each_level_built_once(self, monkeypatch):
+        integrate, calls = PiecewiseLogPoly.integrate_div_t, []
+        monkeypatch.setattr(PiecewiseLogPoly, "integrate_div_t", lambda P: calls.append(P) or integrate(P))
+        p = RadialProfile(decreasing_profile(np.random.default_rng(50)), 2, nonincreasing=True)
+        hardy_reduction_check(p, 1.0)
+        assert len(calls) == 2
+        zm_radial_functional(p, 1.0)
+        zm_radial_functional_M(p, 1.0)
+        assert len(calls) == 2
 
     def test_random_suite(self):
         rng = np.random.default_rng(45)
@@ -377,11 +417,11 @@ class TestHardyReduction:
 class TestPieceValidation:
     def test_contiguity_enforced(self):
         with pytest.raises(ValueError):
-            PiecewiseLogPoly((PolyLogPiece(0.0, 1.0, (0.0, 1.0)),))
+            PiecewiseLogPoly((PolyLogPiece(0.0, 1.0, 1, 0.0, 1.0),))
         with pytest.raises(ValueError):
             PiecewiseLogPoly(
                 (
-                    PolyLogPiece(0.0, 1.0, (0.0, 1.0)),
-                    PolyLogPiece(2.0, math.inf, (1.0,)),
+                    PolyLogPiece(0.0, 1.0, 1, 0.0, 1.0),
+                    PolyLogPiece(2.0, math.inf, 1, 1.0),
                 )
             )
