@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from . import experiments
-from .maxops import iterated_maximal, maximal, maximal_commutator
+from .maxops import iterated_maximal_at, maximal, maximal_commutator
 from .maxops import commutator as bracket_commutator
 from .maxops import fractional_maximal
 from .norms import (
@@ -127,11 +127,11 @@ def cmd_maxfn(args) -> int:
         if hull is not None:
             lo_hull = min(lo_hull, hull.left - hull.length)
             hi_hull = max(hi_hull, hull.right + hull.length)
-        env = iterated_maximal(f, args.tol, Interval(lo_hull, hi_hull))
-        if env.depth_capped:
-            print(f"note: {env.depth_capped} envelope cells reached float resolution above --tol", file=sys.stderr)
+        lower, upper, capped = iterated_maximal_at(f, pts, args.tol, Interval(lo_hull, hi_hull))
+        if capped:
+            print(f"note: {capped} envelope cells reached float resolution above --tol", file=sys.stderr)
         rows.append("x,lower,upper")
-        rows += [f"{_fmt(x)},{_fmt(env.lower(x))},{_fmt(env.upper(x))}" for x in pts]
+        rows += [f"{_fmt(x)},{_fmt(lo)},{_fmt(hi)}" for x, lo, hi in zip(pts, lower, upper)]
     else:  # pragma: no cover - argparse limits choices
         raise UsageError(f"unknown op {args.op!r}")
     _emit("\n".join(rows) + "\n", args.out)
@@ -254,8 +254,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=1e-3,
         help=(
-            "envelope tolerance for M2: each of its three envelopes closes its cells at "
-            "(upper - lower) <= tol * upper; the printed bracket composes them and can be wider"
+            "tolerance for M2: each printed bracket has (upper - lower) <= tol * upper "
+            "unless a note on stderr counts envelope cells left open at float resolution"
         ),
     )
     p.add_argument("--out", default=None)

@@ -107,6 +107,7 @@ __all__ = [
     "brute_force_maximal",
     "maximal_envelope",
     "iterated_maximal",
+    "iterated_maximal_at",
     "commutator_envelope",
 ]
 
@@ -392,6 +393,37 @@ def maximal_envelope(
     )
 
 
+def _first_level(f: StepFunction, tol: float, hull: Interval) -> tuple[EnvelopePair, float]:
+    """The first level of M(Mf) for points of ``hull``: the envelope of Mf
+    on the outer hull, ``hull`` expanded by its length on each side, and the
+    tail, a bound of Mf past the outer hull.
+
+    The tail: with A = int |f|, an interval that reaches a point t right of
+    the support has |Q| >= t - sup(supp f) wherever it holds mass, so
+    Mf(t) <= A / dist(t, supp f).  When the support lies inside the outer
+    hull, that is at most ``tail``, the larger of A / dist over the outer
+    hull's two ends, at every t past it; otherwise ``tail`` is sup |f|,
+    which bounds Mf everywhere.  So for x in ``hull`` and an interval Q
+    containing x, the mediant inequality splits Q into its part in the
+    outer hull, which holds x and where Mf is below the first envelope's
+    upper side, and at most two parts past it, where Mf is below the tail:
+    the average of Mf over Q is at most the larger of M(upper side)(x) and
+    the tail.
+    """
+    outer_hull = hull.expanded(hull.length)
+    env1 = maximal_envelope(f, tol, outer_hull)
+    supp = f.support_hull()
+    assert supp is not None
+    if not (outer_hull.left < supp.left and supp.right < outer_hull.right):
+        return env1, f.sup_abs()
+    mass = integrate(f.abs(), supp)
+    tail = max(
+        mass / (outer_hull.right - supp.right),
+        mass / (supp.left - outer_hull.left),
+    )
+    return env1, tail
+
+
 def iterated_maximal(
     f: StepFunction,
     tol: float = 1e-3,
@@ -399,18 +431,24 @@ def iterated_maximal(
 ) -> EnvelopePair:
     """Certified bracket of the iterated maximal function M(Mf) on ``hull``.
 
-    The upper side evaluates M on the (truncated) upper envelope of Mf, built
-    on a hull expanded once more; mass of Mf beyond that outer hull is
-    dominated by A / dist(t, supp f) with A = int |f|, and any interval
-    poking outside contributes at most the constant A / margin by the
-    mediant inequality, which is folded in as ``upper_floor``.  The lower
-    side applies the certified envelope machinery to the lower envelope of
-    Mf, a genuine global minorant, and is capped pointwise by the upper side.
-    Each of the three envelopes, both levels, bisects its cells until every
-    cell has (upper - lower) <= tol * upper, an upper value of 0 or at most
-    its ``upper_floor``, or no float strictly inside it: the float grid is
-    the only depth cap.  ``depth_capped`` sums the three counts of cells
+    The upper side evaluates M on the upper side of the first envelope, the
+    envelope of Mf on an outer hull, with the tail of :func:`_first_level`
+    folded in as ``upper_floor``.  The lower side applies the certified
+    envelope machinery to the first envelope's lower side, a genuine global
+    minorant of Mf, and is capped pointwise by the upper side.  Each of the
+    three envelopes, both levels, bisects its cells until every cell has
+    (upper - lower) <= tol * upper, an upper value of 0 or at most its
+    ``upper_floor``, or no float strictly inside it: the float grid is the
+    only depth cap.  ``depth_capped`` sums the three counts of cells
     accepted open at float resolution.
+
+    tol bounds each envelope, not the composed bracket, which can be wider:
+    on the 16 ten-cell functions of the ``m2-bracket`` benchmark at its 17
+    points, 79 of the 272 brackets exceed tol 0.05, and 90 exceed tol 1e-3.
+    Where M(Mf) is needed at given points, :func:`iterated_maximal_at` gives
+    a bracket within tol from the first envelope alone; this function stays
+    for the callers that need the whole bracket, such as the distribution of
+    its lower side.
 
     In the n cells of the first envelope, the second level costs one O(n)
     hull pass and O(log n) per grid point (the tangent query of the module
@@ -421,22 +459,69 @@ def iterated_maximal(
     if f.is_zero:  # the zero pair, once tol is checked
         return maximal_envelope(f, tol)
     inner_hull = hull or default_hull(f)
-    outer_hull = inner_hull.expanded(inner_hull.length)
-    env1 = maximal_envelope(f, tol, outer_hull)
+    env1, tail = _first_level(f, tol, inner_hull)
     env2_lo = maximal_envelope(env1.lower, tol, inner_hull)
-    supp = f.support_hull()
-    assert supp is not None
-    mass = integrate(f.abs(), supp)
-    tail = max(
-        mass / (outer_hull.right - supp.right),
-        mass / (supp.left - outer_hull.left),
-    )
     env2_hi = maximal_envelope(env1.upper, tol, inner_hull, upper_floor=tail)
     upper2 = env2_hi.upper
     # the two sides are rounded separately and can cross by an ulp where
     # they close on a plateau; lowering a lower bound keeps it certified
     capped = env1.depth_capped + env2_lo.depth_capped + env2_hi.depth_capped
     return EnvelopePair(combine(env2_lo.lower, upper2, min), upper2, depth_capped=capped)
+
+
+def iterated_maximal_at(
+    f: StepFunction,
+    xs: np.ndarray | list[float],
+    tol: float = 1e-3,
+    hull: Interval | None = None,
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Certified bracket of M(Mf) at each point of xs in ``hull``: the
+    arrays ``lower`` and ``upper`` over xs, and the first envelope's
+    ``depth_capped``.  A point outside ``hull`` raises ValueError, as does a
+    tol that is not finite and positive (also for the zero function, whose
+    bracket is 0).
+
+    Only the first envelope is built, as in :func:`iterated_maximal`: the
+    envelope of Mf on the outer hull, refined to tol, with lower side g and
+    upper side h.  Then one :func:`_side_chords` query per side of it gives
+    the one-sided maxima of g and of h at every point of xs.  ``upper`` is
+    max(Mh(x), tail); ``lower`` is the larger of g's charged R(x) and L(x),
+    clamped to sup g and capped by ``upper``.
+
+    Why the bracket holds.  g <= Mf everywhere, since the first envelope's
+    lower side vanishes off its hull, and M is monotone, so
+    Mg(x) <= M(Mf)(x); the charged R and L are at most the one-sided maxima
+    of g, whose larger one is Mg(x) by the mediant inequality (module
+    docstring).  On the outer hull Mf <= h, and past it Mf <= tail, so the
+    split of :func:`_first_level` at x gives M(Mf)(x) <= max(Mh(x), tail).
+
+    Why the gap is at most tol.  Every cell of the first envelope that is
+    not depth-capped has g >= (1 - tol) h: it closed on the gap, or on an
+    upper value of 0.  M is monotone and positively homogeneous, so
+    Mg >= (1 - tol) Mh when ``depth_capped`` is 0.  When ``hull`` holds
+    the support of f, as the default hull does, the tail never binds: the
+    outer hull reaches at least |hull| past the support on each side, so
+    tail <= int |f| / |hull| <= Mf(x) <= h(x) <= Mh(x) for x in ``hull``.
+    So upper - lower <= tol * upper, up to the rounding of the floats and
+    the charge.
+    """
+    xs = np.asarray(xs, dtype=float)
+    inner_hull = hull or default_hull(f)
+    if not np.all((inner_hull.left <= xs) & (xs <= inner_hull.right)):
+        raise ValueError(f"points must lie in the hull {inner_hull.as_tuple()}")
+    if f.is_zero:  # zeros, once tol is checked
+        maximal_envelope(f, tol)
+        return np.zeros(len(xs)), np.zeros(len(xs)), 0
+    env1, tail = _first_level(f, tol, inner_hull)
+
+    def sides(g: StepFunction) -> tuple[np.ndarray, ...]:
+        cells = g._abs_arrays[0].searchsorted(xs, side="right") - 1
+        return _side_chords(g, xs, cells)
+
+    upper = np.maximum(sides(env1.upper)[0], tail)
+    _, r, _, l, _ = sides(env1.lower)
+    lower = np.minimum(np.minimum(np.maximum(r, l), env1.lower.sup_abs()), upper)
+    return lower, upper, env1.depth_capped
 
 
 def commutator_envelope(

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 import os
@@ -63,12 +62,25 @@ class TestMaxfn:
         assert main(argv) == 0
         plain = capsys.readouterr()
         assert plain.err == ""
-        real = cli.iterated_maximal
-        monkeypatch.setattr(cli, "iterated_maximal", lambda *a: dataclasses.replace(real(*a), depth_capped=3))
+        real = cli.iterated_maximal_at
+        monkeypatch.setattr(cli, "iterated_maximal_at", lambda *a: (*real(*a)[:2], 3))
         assert main(argv) == 0
         noted = capsys.readouterr()
         assert noted.out == plain.out
         assert noted.err == "note: 3 envelope cells reached float resolution above --tol\n"
+
+    def test_m2_brackets_within_tol(self, m2_corpus, tmp_path, capsys):
+        # the m2-bracket corpus at its grid: every printed bracket meets
+        # --tol, and no cell is left open, so no note is printed
+        for i, f in enumerate(m2_corpus):
+            path = tmp_path / f"f{i:02d}.json"
+            path.write_text(f.to_json())
+            assert main(["maxfn", "--input", str(path), "--op", "M2", "--tol", "0.05", "--grid=-0.5:1.5:17"]) == 0
+            out = capsys.readouterr()
+            assert out.err == ""
+            rows = [[float(t) for t in ln.split(",")] for ln in out.out.splitlines()[1:]]
+            assert len(rows) == 17
+            assert all(0.0 < lo <= hi and hi - lo <= 0.05 * hi for _, lo, hi in rows)
 
     def test_m2_bracket_never_inverted(self, tmp_path, capsys):
         # lower and upper close on a plateau near x = -0.8 here, and used

@@ -20,6 +20,7 @@ from morreylab.maxops import (
     commutator_envelope,
     fractional_maximal,
     iterated_maximal,
+    iterated_maximal_at,
     maximal,
     maximal_commutator,
     maximal_envelope,
@@ -815,11 +816,93 @@ class TestCommutator:
             assert abs(commutator(b, f, x)) <= maximal_commutator(b, f, x) + 1e-10
 
 
+def iterated_brackets(f, tol, xs, hull=None):
+    """The bracket of M(Mf) at xs from the whole envelope and from the
+    point query, as (lower, upper) arrays."""
+    env = iterated_maximal(f, tol, hull)
+    whole = ([env.lower(float(x)) for x in xs], [env.upper(float(x)) for x in xs])
+    return [whole, iterated_maximal_at(f, xs, tol, hull)[:2]]
+
+
+M2_GRID = [-0.5 + 0.125 * i for i in range(17)]
+
+
+def cli_hull(f, pts):
+    """The hull ``maxfn --op M2`` brackets points on."""
+    supp = f.support_hull()
+    lo, hi = min(pts + [0.0]) - 1.0, max(pts + [0.0]) + 1.0
+    return Interval(min(lo, supp.left - supp.length), max(hi, supp.right + supp.length))
+
+
+def mirror(f):
+    return StepFunction([-b for b in reversed(f.breakpoints)], f.values[::-1])
+
+
+class TestIteratedMaximalAt:
+    def test_inside_the_envelope_bracket(self, m2_corpus):
+        for f in m2_corpus:
+            hull = cli_hull(f, M2_GRID)
+            env = iterated_maximal(f, 0.05, hull)
+            lower, upper, capped = iterated_maximal_at(f, M2_GRID, 0.05, hull)
+            assert capped == 0
+            for x, lo, hi in zip(M2_GRID, lower, upper):
+                assert env.lower(x) <= lo * (1 + 1e-15)
+                assert hi <= env.upper(x) * (1 + 1e-15)
+
+    @pytest.mark.parametrize("tol", [0.05, 1e-3])
+    def test_gap_within_tol_and_mirror_invariant(self, m2_corpus, tol):
+        # the first envelope of f and of its mirror can close different
+        # cells, as their last bits differ, yet M of either side moves
+        # only by rounding
+        for f in m2_corpus:
+            lower, upper, capped = iterated_maximal_at(f, M2_GRID, tol, cli_hull(f, M2_GRID))
+            assert capped == 0
+            assert np.all(upper - lower <= tol * upper * (1 + 1e-12))
+            g, mirrored = mirror(f), [-x for x in M2_GRID]
+            m_lower, m_upper, _ = iterated_maximal_at(g, mirrored, tol, cli_hull(g, mirrored))
+            np.testing.assert_allclose(m_lower, lower, rtol=1e-12, atol=0.0)
+            np.testing.assert_allclose(m_upper, upper, rtol=1e-12, atol=0.0)
+
+    def test_support_past_the_outer_hull(self):
+        # the outer hull (0.3, 0.6) stops short of the tall cell (0.9, 1),
+        # yet M(Mf)(0.45) is at least the average of Mf over [0.45, 0.95];
+        # A / dist past the outer hull bounds nothing here, sup |f| does
+        f = StepFunction((0.0, 0.9, 1.0), (1.0, 100.0))
+        t = np.linspace(0.45, 0.95, 5001)
+        mf = np.array([maximal(f, float(x)) for x in t])
+        m2_under = float(np.mean(np.minimum(mf[:-1], mf[1:])))
+        assert m2_under > 40.0
+        for (lo,), (hi,) in iterated_brackets(f, 0.05, [0.45], Interval(0.4, 0.5)):
+            assert lo <= hi
+            assert hi >= m2_under
+
+    def test_zero(self):
+        lower, upper, capped = iterated_maximal_at(StepFunction.zero(), [-1.0, 0.0, 0.5])
+        assert lower.tolist() == upper.tolist() == [0.0] * 3
+        assert capped == 0
+
+    @pytest.mark.parametrize("f", [CHI01, StepFunction.zero()], ids=["chi01", "zero"])
+    def test_point_outside_hull(self, f):
+        hull = Interval(-2.0, 3.0)
+        assert iterated_maximal_at(f, [-2.0, 3.0], 0.05, hull)[0].shape == (2,)
+        for xs in ([3.0 + 1e-12], [0.5, -2.5]):
+            with pytest.raises(ValueError, match="hull"):
+                iterated_maximal_at(f, xs, 0.05, hull)
+        with pytest.raises(ValueError, match="hull"):
+            iterated_maximal_at(f, [2.5], 0.05)
+
+
 class TestEnvelopes:
     @pytest.mark.parametrize("f", [CHI01, StepFunction.zero()], ids=["chi01", "zero"])
     @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
     def test_envelopes_reject_bad_tol(self, f, tol):
-        for build in (maximal_envelope, iterated_maximal, lambda g, t: commutator_envelope(CHI01, g, t)):
+        builds = (
+            maximal_envelope,
+            iterated_maximal,
+            lambda g, t: commutator_envelope(CHI01, g, t),
+            lambda g, t: iterated_maximal_at(g, [0.5], t),
+        )
+        for build in builds:
             with pytest.raises(ValueError, match="tol"):
                 build(f, tol)
 
@@ -858,30 +941,30 @@ class TestEnvelopes:
     def test_iterated_bracket_contains_truth_samples(self):
         # brute-force M(Mf) lower estimates must sit inside the bracket
         f = StepFunction((0.0, 0.5, 1.0), (2.0, 1.0))
-        env2 = iterated_maximal(f, 0.02)
         grid_pts = np.linspace(-0.4, 1.4, 21)
         mf_grid = Interval(-3.0, 3.0)
         dense = np.linspace(mf_grid.left, mf_grid.right, 2001)
         mf_vals = np.array([maximal(f, float(t)) for t in dense])
         mf_step = StepFunction(dense, np.minimum(mf_vals[:-1], mf_vals[1:]))
-        for x in grid_pts:
-            # mf_step under-approximates Mf at grid resolution, so allow a
-            # small slack on both comparisons
-            m2_under = maximal(mf_step, float(x))
-            assert env2.upper(float(x)) >= m2_under - 2e-2 * m2_under
-            assert env2.lower(float(x)) <= m2_under * (1 + 2e-2) + 1e-12
+        for lower, upper in iterated_brackets(f, 0.02, grid_pts):
+            for x, lo, hi in zip(grid_pts, lower, upper):
+                # mf_step under-approximates Mf at grid resolution, so allow a
+                # small slack on both comparisons
+                m2_under = maximal(mf_step, float(x))
+                assert hi >= m2_under - 2e-2 * m2_under
+                assert lo <= m2_under * (1 + 2e-2) + 1e-12
 
     def test_iterated_bracket_at_hull_edge(self):
         # M(M chi)(1.9) solved by a 1-D oracle: the best interval is
         # [-a*, 1.9] with (1.9+a)/(1+a) = log(1+a) + 1 + log 1.9; far mass
         # beyond the envelope hull must be absorbed by the tail term
-        env = iterated_maximal(CHI01, 0.02)
         a = np.linspace(0.0, 3.0, 2_000_001)
         vals = (np.log1p(a) + 1.0 + math.log(1.9)) / (1.9 + a)
         truth = float(np.max(vals))
         assert truth == pytest.approx(0.869, abs=2e-3)
-        assert env.lower(1.9) <= truth + 1e-9
-        assert env.upper(1.9) >= truth - 1e-9
+        for (lo,), (hi,) in iterated_brackets(CHI01, 0.02, [1.9]):
+            assert lo <= truth + 1e-9
+            assert hi >= truth - 1e-9
 
     def test_abs_commutator_lower_is_certified(self):
         from morreylab.experiments import _abs_commutator_lower
