@@ -24,6 +24,7 @@ from .maxops import (
     commutator,
     commutator_envelope,
     iterated_maximal,
+    iterated_maximal_at,
     maximal,
     maximal_commutator,
     maximal_envelope,
@@ -401,8 +402,9 @@ def pointwise_domination_suite(
     """Checks the exact pointwise dominations of the commutator by the
     maximal commutator at each point: |[M,b]f| <= C_b f + 2 b^- Mf always,
     strengthened to |[M,b]f| <= C_b f when b is nonnegative.  Also records
-    the best observed constant of C_b f <= c ||b||_* M^2 f using the
-    ``LOOSE`` upper envelope on the right (a valid sufficient witness)."""
+    the best observed constant of C_b f <= c ||b||_* M^2 f over the points
+    in ``default_hull(f)``, with the ``LOOSE`` upper side of
+    ``iterated_maximal_at`` on the right (a valid sufficient witness)."""
     _, minus = pos_neg_parts(b)
     nonneg = minus.is_zero
     violations: list[dict] = []
@@ -422,17 +424,12 @@ def pointwise_domination_suite(
     if with_c16:
         bmo = bmo_seminorm(b).value
         if bmo > 0.0 and not f.is_zero:
-            env2 = iterated_maximal(f, LOOSE)
-            hull = env2.upper.support_hull()
-            for x in points:
-                if hull is None or not hull.contains(x):
-                    continue
-                denom = bmo * env2.upper(x)
-                if denom > 0.0:
-                    ratio = cb_vals[x] / denom
-                    if c16 is None or ratio > c16:
-                        c16 = ratio
-                        c16_witness = {"x": x}
+            hull = default_hull(f)
+            xs = [x for x in points if hull.contains(x)]
+            for x, up in zip(xs, iterated_maximal_at(f, xs, LOOSE, hull)[1]):
+                denom = bmo * float(up)
+                if denom > 0.0 and (c16 is None or cb_vals[x] / denom > c16):
+                    c16, c16_witness = float(cb_vals[x] / denom), {"x": x}
     return DominationResult(len(points), violations, c16, c16_witness)
 
 

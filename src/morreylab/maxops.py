@@ -126,8 +126,11 @@ def _candidate_arrays(f: StepFunction, left: float, right: float):
 
 def maximal(f: StepFunction, x: float) -> float:
     """Exact Hardy-Littlewood maximal function of a step function at x: the
-    larger of R(x) and L(x) (module docstring), one pass over each side."""
+    larger of R(x) and L(x) (module docstring), one pass over each side.  A
+    non-finite x raises ValueError."""
     x = float(x)
+    if not math.isfinite(x):
+        raise ValueError(f"need a finite point, got x={x}")
     if f.is_zero:
         return 0.0
     b, w, prefix = f._abs_arrays
@@ -143,12 +146,15 @@ def maximal(f: StepFunction, x: float) -> float:
 
 
 def fractional_maximal(f: StepFunction, alpha: float, x: float) -> float:
-    """Exact fractional maximal function sup |Q|^(alpha-1) * int_Q |f|."""
+    """Exact fractional maximal function sup |Q|^(alpha-1) * int_Q |f|; a
+    non-finite x raises ValueError."""
     if not 0.0 <= alpha < 1.0:
         raise ValueError("alpha must lie in [0, 1)")
     if alpha == 0.0:
         return maximal(f, x)
     x = float(x)
+    if not math.isfinite(x):
+        raise ValueError(f"need a finite point, got x={x}")
     if f.is_zero:
         return 0.0
     ts, ps, k = _candidate_arrays(f, x, x)
@@ -317,7 +323,6 @@ def maximal_envelope(
     f: StepFunction,
     tol: float = 1e-3,
     hull: Interval | None = None,
-    upper_floor: float = 0.0,
 ) -> EnvelopePair:
     """Certified step-function bracket of Mf on ``hull``.
 
@@ -331,19 +336,17 @@ def maximal_envelope(
 
     Cells are bisected level by level until no open cell can be split.  A
     cell closes when (upper - lower) <= tol * upper, when its upper value is
-    0 or at most ``upper_floor``, or when no float lies strictly inside it
-    (its midpoint rounds to an end).  The float grid is the only depth cap:
-    ``depth_capped`` on the result counts the cells accepted open at float
-    resolution, and a tol that needs more than _MAX_ENVELOPE_CELLS cells
-    raises ValueError.  ``tol`` must be finite and positive, also for the
+    0, or when no float lies strictly inside it (its midpoint rounds to an
+    end).  The float grid is the only depth cap: ``depth_capped`` on the
+    result counts the cells accepted open at float resolution, and a tol
+    that needs more than _MAX_ENVELOPE_CELLS cells raises ValueError.  ``tol`` must be finite and positive, also for the
     zero function.  The lower envelope is a valid global lower bound
     (it vanishes off the hull, and Mf >= 0); the upper envelope bounds Mf
-    on the hull only.  ``upper_floor`` is max-ed into every upper cell;
-    iterated application uses it to absorb tail mass of truncated inputs.
+    on the hull only.
     """
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"need a finite tol > 0, got tol={tol}")
-    if f.is_zero and upper_floor == 0.0:
+    if f.is_zero:
         z = StepFunction.zero()
         return EnvelopePair(z, z)
     hull = hull or default_hull(f)
@@ -365,10 +368,9 @@ def maximal_envelope(
     done: list[tuple[np.ndarray, ...]] = []
     kept = capped = 0
     while True:
-        hi_ends = np.maximum(mf_l, mf_r)
-        hi = np.maximum(hi_ends, upper_floor)
+        hi = np.maximum(mf_l, mf_r)
         lo = _cell_floor(f, cells, r_lo, v, l_lo, u)
-        open_ = ~((hi - lo <= tol * hi) | (hi <= 0.0) | (upper_floor >= hi_ends))
+        open_ = ~((hi - lo <= tol * hi) | (hi <= 0.0))
         mid = 0.5 * (left + right)
         divide = open_ & (left < mid) & (mid < right)
         capped += int(np.count_nonzero(open_ & ~divide))
@@ -408,7 +410,8 @@ def _first_level(f: StepFunction, tol: float, hull: Interval) -> tuple[EnvelopeP
     outer hull, which holds x and where Mf is below the first envelope's
     upper side, and at most two parts past it, where Mf is below the tail:
     the average of Mf over Q is at most the larger of M(upper side)(x) and
-    the tail.
+    the tail.  When ``hull`` holds the support, the outer hull reaches
+    |hull| past it, so the tail is at most A / |hull| <= Mf on ``hull``.
     """
     outer_hull = hull.expanded(hull.length)
     env1 = maximal_envelope(f, tol, outer_hull)
@@ -424,6 +427,18 @@ def _first_level(f: StepFunction, tol: float, hull: Interval) -> tuple[EnvelopeP
     return env1, tail
 
 
+def _sides(g: StepFunction, xs: np.ndarray) -> tuple[np.ndarray, ...]:
+    """:func:`_side_chords` of g at xs, each point in the cell to its right."""
+    return _side_chords(g, xs, g._abs_arrays[0].searchsorted(xs, side="right") - 1)
+
+
+def _m2_upper(h: StepFunction, xs: np.ndarray, tail: float) -> np.ndarray:
+    """The upper side of M(Mf) at points xs of the hull, max(Mh(x), tail),
+    from the first envelope's upper side h and the tail of
+    :func:`_first_level`."""
+    return np.maximum(_sides(h, xs)[0], tail)
+
+
 def iterated_maximal(
     f: StepFunction,
     tol: float = 1e-3,
@@ -431,42 +446,44 @@ def iterated_maximal(
 ) -> EnvelopePair:
     """Certified bracket of the iterated maximal function M(Mf) on ``hull``.
 
-    The upper side evaluates M on the upper side of the first envelope, the
-    envelope of Mf on an outer hull, with the tail of :func:`_first_level`
-    folded in as ``upper_floor``.  The lower side applies the certified
-    envelope machinery to the first envelope's lower side, a genuine global
-    minorant of Mf, and is capped pointwise by the upper side.  Each of the
-    three envelopes, both levels, bisects its cells until every cell has
-    (upper - lower) <= tol * upper, an upper value of 0 or at most its
-    ``upper_floor``, or no float strictly inside it: the float grid is the
-    only depth cap.  ``depth_capped`` sums the three counts of cells
-    accepted open at float resolution.
+    The first envelope (:func:`_first_level`) brackets Mf on an outer hull
+    between g and h.  The lower side is that of the envelope of Mg on
+    ``hull``.  The upper side takes :func:`_m2_upper` at the grid G, the
+    hull's ends and the breakpoints of the lower side and of h inside it,
+    and on each cell of G the larger value of its ends.  Both sides end at
+    the hull and read 0 at its right end; :func:`iterated_maximal_at`
+    brackets M(Mf) at given points.
 
-    tol bounds each envelope, not the composed bracket, which can be wider:
-    on the 16 ten-cell functions of the ``m2-bracket`` benchmark at its 17
-    points, 79 of the 272 brackets exceed tol 0.05, and 90 exceed tol 1e-3.
-    Where M(Mf) is needed at given points, :func:`iterated_maximal_at` gives
-    a bracket within tol from the first envelope alone; this function stays
-    for the callers that need the whole bracket, such as the distribution of
-    its lower side.
+    Soundness.  g <= Mf and M is monotone, so the lower side, below Mg, is
+    below M(Mf).  Each cell [a, b] of G lies in one cell of h, where R rises
+    and L falls (module docstring), so max(Mh(a), Mh(b)) is the supremum of
+    Mh on it; the tail split of :func:`_first_level` then bounds M(Mf).
 
-    In the n cells of the first envelope, the second level costs one O(n)
-    hull pass and O(log n) per grid point (the tangent query of the module
-    docstring).  At the default tol on a 200-cell input whose first
-    envelope has 51,152 cells, each of the two second-level envelopes took
-    0.5-0.7 s of CPU on a 2-vCPU host, 1.6 s for the whole bracket.
+    Gap.  A first-envelope cell that is not depth-capped has
+    g >= (1 - tol) h, so Mh <= Mg / (1 - tol) (M is monotone and
+    homogeneous).  Each cell of G lies in one cell of the lower side, of
+    value L, and every accepted cell of the second envelope closed with
+    L >= (1 - tol) sup Mg on it, or on an upper value of 0.  When ``hull``
+    holds the support of f, as the default hull does, the tail is at most
+    Mf <= Mg / (1 - tol) (:func:`_first_level`).  So upper <= L / (1 - tol)^2
+    and upper - lower <= tol (2 - tol) upper when ``depth_capped``, both
+    envelopes' counts of cells left open at float resolution, is 0, up to
+    rounding and the charge.
+
+    On a 2-vCPU host, random 1000- and 200-cell inputs took 0.11 and
+    0.86 s of CPU at tol 0.05 and 1e-3 (medians of 5 runs).
     """
     if f.is_zero:  # the zero pair, once tol is checked
         return maximal_envelope(f, tol)
     inner_hull = hull or default_hull(f)
     env1, tail = _first_level(f, tol, inner_hull)
-    env2_lo = maximal_envelope(env1.lower, tol, inner_hull)
-    env2_hi = maximal_envelope(env1.upper, tol, inner_hull, upper_floor=tail)
-    upper2 = env2_hi.upper
-    # the two sides are rounded separately and can cross by an ulp where
-    # they close on a plateau; lowering a lower bound keeps it certified
-    capped = env1.depth_capped + env2_lo.depth_capped + env2_hi.depth_capped
-    return EnvelopePair(combine(env2_lo.lower, upper2, min), upper2, depth_capped=capped)
+    env2 = maximal_envelope(env1.lower, tol, inner_hull)
+    inside = np.union1d(env2.lower.breakpoints, env1.upper.breakpoints)
+    inside = inside[(inner_hull.left < inside) & (inside < inner_hull.right)]
+    grid = np.concatenate(([inner_hull.left], inside, [inner_hull.right]))
+    up = _m2_upper(env1.upper, grid, tail)
+    upper = StepFunction(grid, np.maximum(up[:-1], up[1:]))
+    return EnvelopePair(env2.lower, upper, depth_capped=env1.depth_capped + env2.depth_capped)
 
 
 def iterated_maximal_at(
@@ -481,29 +498,19 @@ def iterated_maximal_at(
     tol that is not finite and positive (also for the zero function, whose
     bracket is 0).
 
-    Only the first envelope is built, as in :func:`iterated_maximal`: the
-    envelope of Mf on the outer hull, refined to tol, with lower side g and
-    upper side h.  Then one :func:`_side_chords` query per side of it gives
-    the one-sided maxima of g and of h at every point of xs.  ``upper`` is
-    max(Mh(x), tail); ``lower`` is the larger of g's charged R(x) and L(x),
-    clamped to sup g and capped by ``upper``.
+    Only the first envelope of :func:`iterated_maximal` is built, with
+    lower side g and upper side h.  ``upper`` is :func:`_m2_upper`, sound by
+    the split of :func:`_first_level`; ``lower`` is the larger of g's
+    charged R(x) and L(x), clamped to sup g and capped by ``upper``.  As
+    g <= Mf and M is monotone, Mg(x) <= M(Mf)(x), and by the mediant
+    inequality the larger one-sided maximum of g is Mg(x).
 
-    Why the bracket holds.  g <= Mf everywhere, since the first envelope's
-    lower side vanishes off its hull, and M is monotone, so
-    Mg(x) <= M(Mf)(x); the charged R and L are at most the one-sided maxima
-    of g, whose larger one is Mg(x) by the mediant inequality (module
-    docstring).  On the outer hull Mf <= h, and past it Mf <= tail, so the
-    split of :func:`_first_level` at x gives M(Mf)(x) <= max(Mh(x), tail).
-
-    Why the gap is at most tol.  Every cell of the first envelope that is
-    not depth-capped has g >= (1 - tol) h: it closed on the gap, or on an
-    upper value of 0.  M is monotone and positively homogeneous, so
-    Mg >= (1 - tol) Mh when ``depth_capped`` is 0.  When ``hull`` holds
-    the support of f, as the default hull does, the tail never binds: the
-    outer hull reaches at least |hull| past the support on each side, so
-    tail <= int |f| / |hull| <= Mf(x) <= h(x) <= Mh(x) for x in ``hull``.
-    So upper - lower <= tol * upper, up to the rounding of the floats and
-    the charge.
+    Why the gap is at most tol.  Every first-envelope cell that is not
+    depth-capped has g >= (1 - tol) h, so Mg >= (1 - tol) Mh when
+    ``depth_capped`` is 0, as M is monotone and positively homogeneous, and
+    the tail is at most Mf(x) <= Mh(x) when ``hull`` holds the support of f
+    (:func:`_first_level`).  So upper - lower <= tol * upper, up to the
+    rounding of the floats and the charge.
     """
     xs = np.asarray(xs, dtype=float)
     inner_hull = hull or default_hull(f)
@@ -513,13 +520,8 @@ def iterated_maximal_at(
         maximal_envelope(f, tol)
         return np.zeros(len(xs)), np.zeros(len(xs)), 0
     env1, tail = _first_level(f, tol, inner_hull)
-
-    def sides(g: StepFunction) -> tuple[np.ndarray, ...]:
-        cells = g._abs_arrays[0].searchsorted(xs, side="right") - 1
-        return _side_chords(g, xs, cells)
-
-    upper = np.maximum(sides(env1.upper)[0], tail)
-    _, r, _, l, _ = sides(env1.lower)
+    upper = _m2_upper(env1.upper, xs, tail)
+    _, r, _, l, _ = _sides(env1.lower, xs)
     lower = np.minimum(np.minimum(np.maximum(r, l), env1.lower.sup_abs()), upper)
     return lower, upper, env1.depth_capped
 

@@ -181,6 +181,16 @@ class TestDominations:
         res = pointwise_domination_suite(b, f, [0.2, 0.5, 0.8])
         assert res.c16 is None or math.isfinite(res.c16)
 
+    def test_c16_at_the_hull_right_end(self):
+        # the upper side of M^2 f at default_hull(f).right = 2 is read at
+        # the point, not off a step function that ends there
+        f = StepFunction.indicator(0.0, 1.0)
+        b = StepFunction((0.0, 0.5, 1.0), (1.0, -1.0))
+        res = pointwise_domination_suite(b, f, [2.0])
+        assert type(res.c16) is float
+        assert res.c16 == pytest.approx(0.58174, rel=1e-5)
+        assert res.c16_witness == {"x": 2.0}
+
 
 class TestCbChiLower:
     def test_constant_symbol(self):

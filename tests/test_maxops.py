@@ -26,7 +26,9 @@ from morreylab.maxops import (
     maximal_envelope,
 )
 from morreylab.radial import HardyOriginWarning, RadialProfile, hardy
-from morreylab.stepfn import Interval, StepFunction, _pair_max, average, combine, default_hull, integrate, prefix_at
+from morreylab.stepfn import (
+    Interval, StepFunction, _pair_max, _values_at, average, combine, default_hull, integrate, prefix_at,
+)
 
 CHI01 = StepFunction.indicator(0.0, 1.0)
 
@@ -208,6 +210,20 @@ class TestMaximal:
             exact = maximal(f, x)
             dense = brute_force_maximal(f, x, samples=200_000, seed=5, zoom_rounds=14)
             assert abs(exact - dense) <= 1e-6 * max(1.0, exact)
+
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+    def test_non_finite_point_rejected(self, x):
+        # commutator and maximal_commutator reach the check through maximal
+        ops = (
+            lambda: maximal(CHI01, x),
+            lambda: maximal(StepFunction.zero(), x),
+            lambda: fractional_maximal(CHI01, 0.5, x),
+            lambda: maximal_commutator(CHI01, CHI01, x),
+            lambda: commutator(CHI01, CHI01, x),
+        )
+        for op in ops:
+            with pytest.raises(ValueError, match="finite point"):
+                op()
 
 
 def extended_cells(f, xs):
@@ -523,8 +539,9 @@ class TestSideChords:
             assert np.all(r >= c) and np.all(l >= c)
 
     def test_iterated_maximal_cpu_budget(self):
-        """Budget: under 1.5 s of CPU each; about 0.13 s for 1000 cells at
-        tol 0.05 and 0.21 s for 10 cells at tol 1e-3 on a 2-vCPU host."""
+        """Budget: under 1.5 s of CPU each; about 0.11 s for 1000 cells at
+        tol 0.05 and 0.15 s for 10 cells at tol 1e-3 on a 2-vCPU host
+        (medians of 5 runs)."""
         from morreylab.experiments import LOOSE
 
         for m, tol in ((1000, LOOSE), (10, 1e-3)):
@@ -616,12 +633,12 @@ class TestEnvelopeFloors:
         monkeypatch.setattr(
             maxops, "maximal_envelope", lambda *a, **k: dataclasses.replace(real(*a, **k), depth_capped=next(counts))
         )
-        # the first level and the two second levels: 1 + 2 + 3
+        # the first level and the second: 1 + 2
         env = iterated_maximal(CHI01, 0.5, hull)
-        assert env.depth_capped == 6
-        # one piece on each cell of b's partition of the hull: 4 + 5 + 6
+        assert env.depth_capped == 3
+        # one piece on each cell of b's partition of the hull: 3 + 4 + 5
         comm = commutator_envelope(CHI01, CHI01, 0.5, hull)
-        assert comm.depth_capped == 15
+        assert comm.depth_capped == 12
         assert set(env.to_json_obj()) == set(comm.to_json_obj()) == {"lower", "upper"}
 
 
@@ -937,6 +954,18 @@ class TestEnvelopes:
         assert env2w.upper(4.0) >= maximal(CHI01, 4.0) - 1e-12
         assert env2.upper(0.5) >= 1.0 - 1e-9
         assert env2.lower(0.5) <= env2.upper(0.5)
+
+    @pytest.mark.parametrize("tol", [0.05, 1e-3])
+    def test_iterated_whole_hull_gap(self, m2_corpus, tol):
+        # the upper side is at most L / (1 - tol)^2 over the whole hull,
+        # L the lower side (iterated_maximal's docstring)
+        for f in m2_corpus:
+            env = iterated_maximal(f, tol)
+            assert env.depth_capped == 0
+            pts = np.union1d(env.lower.breakpoints, env.upper.breakpoints)
+            mids = 0.5 * (pts[:-1] + pts[1:])
+            lower, upper = _values_at(env.lower, mids), _values_at(env.upper, mids)
+            assert np.all(upper - lower <= tol * (2.0 - tol) * upper * (1 + 1e-12))
 
     def test_iterated_bracket_contains_truth_samples(self):
         # brute-force M(Mf) lower estimates must sit inside the bracket
