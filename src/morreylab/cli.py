@@ -69,16 +69,8 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _family_from_args(args) -> FamilySpec | None:
-    if args.family is None and args.depth is None and args.cap is None:
-        return None
-    kwargs = {}
-    if args.family is not None:
-        kwargs["mode"] = args.family
-    if args.depth is not None:
-        kwargs["depth"] = args.depth
-    if args.cap is not None:
-        kwargs["cap"] = args.cap
-    return FamilySpec(**kwargs)
+    kwargs = {k: v for k, v in (("mode", args.family), ("depth", args.depth), ("cap", args.cap)) if v is not None}
+    return FamilySpec(**kwargs) if kwargs else None
 
 
 def _points_from_args(args) -> list[float]:
@@ -140,9 +132,8 @@ def cmd_maxfn(args) -> int:
 
 def cmd_norm(args) -> int:
     fam = _family_from_args(args)
-    family_kinds = ("zygmund", "bmo", "bmo-p", "characterization")
-    if fam is not None and args.kind not in family_kinds:
-        raise UsageError(f"--family, --depth and --cap apply only to --kind {', '.join(family_kinds)}")
+    if fam is not None and args.kind not in ("bmo", "bmo-p"):
+        raise UsageError("--family, --depth and --cap apply only to --kind bmo, bmo-p")
     if args.kind in ("zm-radial", "zm-radial-m"):
         p = _load_profile(args.input)
         if args.kind == "zm-radial":
@@ -154,7 +145,7 @@ def cmd_norm(args) -> int:
         if args.kind == "morrey":
             est = morrey_norm(f, args.p, args.lam)
         elif args.kind == "zygmund":
-            est = zygmund_morrey_norm(f, args.lam, fam)
+            est = zygmund_morrey_norm(f, args.lam)
         elif args.kind == "weak-zygmund":
             est = weak_zygmund_morrey_norm(f, args.lam)
         elif args.kind == "bmo":
@@ -162,7 +153,7 @@ def cmd_norm(args) -> int:
         elif args.kind == "bmo-p":
             est = bmo_p_seminorm(f, args.p, fam)
         elif args.kind == "characterization":
-            est = characterization_functional(f, args.lam, fam)
+            est = characterization_functional(f, args.lam)
         else:  # pragma: no cover
             raise UsageError(f"unknown norm kind {args.kind!r}")
     _emit(json.dumps(est.to_json_obj(), sort_keys=True) + "\n", args.out)

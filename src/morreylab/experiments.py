@@ -32,7 +32,6 @@ from .maxops import (
 from .families import resolve_family
 from .norms import (
     FamilySpec,
-    NormEstimate,
     _oscillation_rows,
     bmo_seminorm,
     weak_type_morrey_check,
@@ -51,7 +50,6 @@ __all__ = [
     "random_step_function",
     "corpus",
     "build_counterexample",
-    "counterexample_upper",
     "m2_lower_bound",
     "counterexample_mf_window_deviation",
     "weak_type_constant",
@@ -160,17 +158,6 @@ def build_counterexample(K: int) -> StepFunction:
         vals.append(1.0)
         bp.append(r)
     return StepFunction(bp, vals)
-
-
-def counterexample_upper(K: int, lam: float = 0.5, family: FamilySpec | None = None) -> NormEstimate:
-    """Bracketed log-average Morrey norm of the K-bump function.
-
-    The default family pairs every bump endpoint (the dyadic-only ladder
-    provably misses the unit bumps once the gaps grow), plus the usual
-    ladder over the expanded hull.
-    """
-    f = build_counterexample(K)
-    return zygmund_morrey_norm(f, lam, family)
 
 
 def m2_lower_bound(K: int, lam: float = 0.5) -> float:
@@ -724,7 +711,7 @@ def suite_counterexample(ks: tuple[int, ...] = (8, 16, 32, 64), lam: float = 0.5
     maximal function: the desk-scale unboundedness contrast."""
     rows = []
     for K in ks:
-        est = counterexample_upper(K, lam)
+        est = zygmund_morrey_norm(build_counterexample(K), lam)
         lower = m2_lower_bound(K, lam)
         rows.append(
             {
@@ -736,14 +723,9 @@ def suite_counterexample(ks: tuple[int, ...] = (8, 16, 32, 64), lam: float = 0.5
             }
         )
     checks: list[dict] = []
-    values = [r["f_norm_lo"] for r in rows]
-    checks.append(
-        _check(
-            "input_norms_stable",
-            max(values) / min(values) <= 1.5,
-            spread=max(values) / min(values),
-        )
-    )
+    # certified: every input norm lies in [min f_norm_lo, max f_norm_hi]
+    spread = max(r["f_norm_hi"] for r in rows) / min(r["f_norm_lo"] for r in rows)
+    checks.append(_check("input_norms_stable", spread <= 1.5, spread=spread))
     lowers = [r["Mf_lower_bound"] for r in rows]
     checks.append(
         _check(

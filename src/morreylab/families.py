@@ -12,9 +12,11 @@ A :class:`FamilySpec` describes how candidate intervals are enumerated:
 - ``auto`` (default): breakpoint pairs over a grid enriched with uniform
   points, union the dyadic ladder.
 
-A resolved family is two endpoint arrays, ``lefts`` and ``rights``, sorted
-by (left, right) without repeats, so reductions over a family are
-reproducible.  Objectives read the arrays whole (the level sweep of
+Families serve the BMO seminorms (``norms.bmo_p_seminorm``, whose upper
+bound also reads the covering ratio) and ``orlicz.orlicz_maximal``; the
+Morrey-type norms need none.  A resolved family is two endpoint arrays,
+``lefts`` and ``rights``, sorted by (left, right) without repeats, so
+reductions over a family are reproducible.  Objectives read the arrays whole (the level sweep of
 ``stepfn.level_measures``); no per-interval object is built.  Exceeding
 ``cap`` raises, before any pair is built when the grid alone has too many;
 raise the cap or coarsen the depth rather than subsample silently.
@@ -76,21 +78,16 @@ class ResolvedFamily:
         return len(self.lefts)
 
     def cover_ratio_sup(self, delta: float) -> float:
-        """The one-delta case of :meth:`cover_ratio_sups`."""
-        return self.cover_ratio_sups([delta])[0]
+        """sup over lengths l in [delta, |hull|] of |Q'| / l, Q' the shortest
+        family interval sure to contain any length-l subinterval of the hull.
 
-    def cover_ratio_sups(self, deltas: list[float]) -> list[float]:
-        """For each delta, sup over lengths l in [delta, |hull|] of |Q'| / l,
-        where Q' is the shortest family interval guaranteed to contain an
-        arbitrary length-l subinterval of the hull.
-
-        Grid pairs cover with l + 2*gap; a dyadic double at level d >= 1
-        covers any l <= s_d with length 2*s_d; the hull itself covers
-        everything.  Each cover form is decreasing in l between ladder
-        sizes, so the supremum is attained at delta or just above a ladder
-        size s > delta.  The ratio just above each ladder size is computed
-        once, and a suffix maximum over them serves every delta.
+        Grid pairs cover with l + 2*gap, a dyadic double at level d >= 1
+        covers any l <= s_d with length 2*s_d, and the hull covers all.  Each
+        form decreases in l between ladder sizes, so the supremum is at delta
+        or just above a ladder size s > delta.
         """
+        if delta <= 0:
+            raise ValueError("delta must be positive")
         h = self.hull.length
         inner = sorted(s for s in self.ladder_sizes if s < h)
 
@@ -103,16 +100,9 @@ class ResolvedFamily:
                 best = min(best, 2.0 * inner[k] / length)
             return max(best, 1.0)
 
-        # above[k]: the largest ratio just above inner[k], inner[k + 1], ...
-        above = [ratio(math.nextafter(s, math.inf)) for s in inner] + [1.0]
-        for k in range(len(inner) - 2, -1, -1):
-            above[k] = max(above[k], above[k + 1])
-        out = []
-        for delta in deltas:
-            if delta <= 0:
-                raise ValueError("delta must be positive")
-            out.append(1.0 if delta >= h else max(ratio(delta), above[bisect.bisect_right(inner, delta)]))
-        return out
+        if delta >= h:
+            return 1.0
+        return max(ratio(x) for x in [delta] + [math.nextafter(s, math.inf) for s in inner if s > delta])
 
 
 def _over_cap(count: int, spec: FamilySpec, at_least: str = "") -> None:

@@ -2,12 +2,12 @@
 
 Every norm returns a :class:`NormEstimate`: ``value`` is attained at
 ``argmax_interval`` and ``upper_bound`` holds for every interval.  The
-Morrey and weak Zygmund-Morrey norms are exact, ``value == upper_bound``,
-and take no family.  The other norms read a family's endpoint arrays
-whole: per distinct value v of f, the level sweep
-(``stepfn.level_measures``) gives |{f = v} cap Q| on every member Q, and
-the Luxemburg root, the llog functional and the p-oscillation are folds
-over it (``orlicz._llog_rows``, ``_oscillation_rows``).
+Morrey and weak Zygmund-Morrey norms are exact; the Zygmund-Morrey norm
+and the characterization functional are bracketed by the anchored search
+below; only the BMO seminorms read a family.  Batches of intervals are
+scored by the level sweep (``stepfn.level_measures``), folded into the
+Luxemburg root, the llog functional and the p-oscillation
+(``orlicz._llog_rows``, ``_oscillation_rows``).
 
 Exact norms
 -----------
@@ -26,19 +26,37 @@ set, walked by the same kernel over the component ends of E_k
 scanned in decreasing order of v_k |E_k|^lam until that cannot win, each
 walk starting from the best of the levels before.
 
-Certified upper bounds
-----------------------
-The Luxemburg-based objectives |Q|^lam * avg(f, Q) need three lemmas, each
-a consequence of convexity and the submultiplicative bound
-1 + log+(ab) <= (1 + log+ a)(1 + log+ b):
+The anchored search
+-------------------
+For obj(Q) = |Q|^lam t_Q, t_Q the llog Luxemburg average of f over Q, four
+lemmas follow from convexity and 1 + log+(ab) <= (1 + log+ a)(1 + log+ b):
 
-- containment: Q inside Q' gives obj(Q) <= obj(Q') * (|Q'|/|Q|)^(1-lam);
-- small intervals: obj(Q) <= sup|f| * |Q|^lam;
-- mass-preserving extension: if Q1 is the interval hull of (Q cap supp f)
-  then obj(Q) <= obj(Q1) * psi(|Q|/|Q1|) with psi(c) = c^lam / k(c),
-  k(1 + log k) = c, bounded by :func:`_psi_max`.  This reduces every
-  interval, however large or far, to one inside the support hull, which
-  the family covers up to the covering ratio.
+- sliding: for Q of length L, G(a) = int_a^(a+L) Phi(|f|/t_Q) is piecewise
+  linear in a, with kinks only where a or a + L is a breakpoint, and 0 far
+  out; so some kink a' has G(a') >= G(a) = L, and t_Q' >= t_Q for
+  Q' = (a', a' + L).  The supremum is thus over intervals with one end,
+  the anchor, at a breakpoint;
+- containment: Q inside Q' gives obj(Q) <= obj(Q') (|Q'|/|Q|)^(1-lam);
+- one cell: inside the anchor's first cell t_Q is its |value|, so obj rises
+  with |Q|;
+- extension: if f = 0 on Q minus Q1, obj(Q) <= obj(Q1) psi(|Q|/|Q1|) with
+  psi(c) = c^lam / k, k (1 + log k) = c.  In s = 1 + log k, log psi =
+  (lam-1)(s-1) + lam log s is concave and 0 at s = 1, so psi <= 1 past the
+  reach c* (:func:`_reach`), and psi <= :func:`_psi_max` everywhere.
+
+A region is an anchor, a side and a range (lo, d] of the free end's
+distance, scored at d and bounded by score (d/lo)^(1-lam).  First cells
+are scored once.  Each anchor and side then has the region (first cell,
+D], D the distance to the far end of the support, and the tail (D, D c*],
+bounded also by psi_max times the score at D; past D c* the score at D
+bounds every interval.  Where D c* overflows a float (lam above about
+0.99), psi_max times the best score bounds every tail instead.  Regions
+bounded above (1 + 1e-3) times the best score are cut into eight geometric
+pieces until none is.  Of the regions still bounded above the best, the 64
+highest are zoomed onto their best points, and the breakpoints inside
+each are scored.  ``upper_bound`` is the largest bound left.  A batch
+costs its intervals times the distinct levels of |f|, and one that would
+take the total past ``_SEARCH_BUDGET`` raises first.
 """
 
 from __future__ import annotations
@@ -68,12 +86,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class NormEstimate:
-    """Supremum with a certified two-sided bracket.
-
-    ``value`` is the maximum over ``family`` (attained at
-    ``argmax_interval``), or the exact supremum when ``family`` is None;
-    ``upper_bound`` holds for every interval.
-    """
+    """Supremum with a certified two-sided bracket: ``upper_bound`` holds for
+    every interval, and ``value`` is attained at ``argmax_interval``: the
+    maximum over ``family`` (BMO), the exact supremum (Morrey, weak), or, with
+    no family, the best interval the anchored search found (module docstring)."""
 
     value: float
     upper_bound: float
@@ -95,55 +111,95 @@ class NormEstimate:
         }
 
 
-def _family_max(objective: np.ndarray, fam: ResolvedFamily) -> tuple[float, Interval | None]:
-    """First maximum of a per-member objective and its interval, or (0.0, None)."""
-    k = int(np.argmax(objective))
-    if not objective[k] > 0.0:
-        return 0.0, None
-    return float(objective[k]), Interval(fam.lefts[k], fam.rights[k])
-
-
 # ---------------------------------------------------------------------------
-# psi factor for the mass-preserving extension lemma
+# the anchored search (module docstring)
 
 
 def _psi_max(lam: float) -> float:
-    """sup over c >= 1 of c^lam / k(c) with k (1 + log k) = c.
-
-    In s = 1 + log k >= 1 the ratio is e^((lam-1)(s-1)) s^lam, log-concave
-    with its stationary point at s = lam/(1-lam), which lies in s >= 1 iff
-    lam >= 1/2.  So the supremum is 1 (at c = 1) for lam <= 1/2 and
-    e^(1-2 lam) (lam/(1-lam))^lam above.
-    """
+    """sup over c >= 1 of psi(c) (module docstring): log psi is stationary
+    at s = lam/(1-lam), in s >= 1 iff lam >= 1/2, so the supremum is 1 (at
+    c = 1) for lam <= 1/2 and e^(1-2 lam) (lam/(1-lam))^lam above."""
     if lam <= 0.5:
         return 1.0
     return math.exp(1.0 - 2.0 * lam) * (lam / (1.0 - lam)) ** lam
 
 
-def _certified_upper_scale_invariant(
-    value: float, f: StepFunction, lam: float, fam: ResolvedFamily
-) -> float:
-    """Certified upper bound for |Q|^lam * (average over Q) objectives that
-    obey the three lemmas in the module docstring.
+def _reach(lam: float) -> float:
+    """The reach c* = s e^(s-1) past which psi <= 1, s > 1 the root of the
+    concave log psi (module docstring), by Newton from above the root, which
+    falls onto it; 1 for lam <= 1/2, inf where c* overflows a float."""
+    if lam <= 0.5:
+        return 1.0
+    s = 4.0 * (lam / (1.0 - lam)) ** 2  # past the root: log s <= 2 (sqrt s - 1)
+    while (new := s - ((lam - 1.0) * (s - 1.0) + lam * math.log(s)) / (lam / s + lam - 1.0)) < s:
+        s = new
+    return s * math.exp(s - 1.0) if s < 700.0 else math.inf
 
-    The reduction of far/large intervals lands inside the support hull, so
-    the family hull must contain the support strictly; otherwise no finite
-    certificate is available and inf is returned.
-    """
-    if value <= 0.0:
-        return 0.0
-    supp = f.support_hull()
-    if not (fam.hull.left < supp.left and supp.right < fam.hull.right):
-        return math.inf
-    supnorm = f.sup_abs()
-    h = fam.hull.length
-    deltas = np.exp(np.linspace(math.log(h * 1e-9), math.log(h), 60))
-    best = math.inf
-    for d, ratio in zip(deltas, fam.cover_ratio_sups(deltas.tolist())):
-        small = supnorm * d**lam
-        shift = value * ratio ** (1.0 - lam)
-        best = min(best, max(small, shift))
-    return max(value, _psi_max(lam) * best)
+
+_SEARCH_BUDGET = 2e8  # intervals scored times distinct levels of |f|
+
+
+def _anchored_search(f: StepFunction, lam: float) -> tuple[float, Interval, float, float, Interval]:
+    """(best score, its interval, certified upper bound) of the Zygmund-Morrey
+    norm, then (best score, its interval) of the characterization functional."""
+    if not 0.0 < lam < 1.0:
+        raise ValueError("lambda must lie in (0, 1)")
+    if f.is_zero:
+        return 0.0, None, 0.0, 0.0, None
+    b, w, _ = f._abs_arrays
+    levels, charged, found = len(np.unique(w)), 0, [(0.0, None), (0.0, None)]
+
+    def score(e: np.ndarray, v: np.ndarray) -> np.ndarray:
+        nonlocal charged
+        if not len(e):
+            return np.zeros(0)
+        charged += len(e) * levels
+        if charged > _SEARCH_BUDGET:
+            raise ValueError(f"the anchored search would score {charged:.3g} interval-levels, "
+                             f"over its budget of {_SEARCH_BUDGET:.3g}")
+        lefts, rights = np.minimum(e, v), np.maximum(e, v)
+        rows = [(rights - lefts) ** lam * r for r in _llog_rows(f, lefts, rights)]
+        for k, row in enumerate(rows):
+            i = int(np.argmax(row))
+            if row[i] > found[k][0]:
+                found[k] = (float(row[i]), Interval(lefts[i], rights[i]))
+        return rows[0]
+
+    # anchors b[:-1] look right, b[1:] left: first cells end at near, the support at far
+    m, reach = len(w), _reach(lam)
+    E, near, far = np.concatenate((b[:-1], b[1:])), np.concatenate((b[1:], b[:-1])), np.repeat(b[[-1, 0]], m)
+    S = score(np.concatenate((E, E)), np.concatenate((near, far)))[m * 2:]  # one-cell lemma: first cells done
+    # regions (near, far], scored, and (far, far c*], unscored (inf) and capped by psi_max times the score at far
+    LO, HI, C = near, far, np.full(2 * m, np.inf)
+    fits = reach * (b[-1] - b[0]) + np.abs(b).max() < 1e300  # a reach of 1 (no tail) always fits
+    if 1.0 < reach and fits:
+        E, LO, HI, C = (np.concatenate(x) for x in ((E, E), (LO, far), (HI, E + (far - E) * reach),
+                                                    (C, _psi_max(lam) * S)))
+        S = np.concatenate((S, np.full(2 * m, np.inf)))
+    while True:
+        bound = np.minimum(S * (np.abs(HI - E) / np.abs(LO - E)) ** (1.0 - lam), C)
+        cut = bound > (1.0 + 1e-3) * found[0][0]
+        if not cut.any():
+            break
+        e, lo, hi = E[cut], LO[cut], HI[cut]
+        steps = (np.abs(hi - e) / np.abs(lo - e))[:, None] ** (np.arange(1, 8) / 8.0)
+        ends = np.column_stack((lo, e[:, None] + (lo - e)[:, None] * steps, hi))
+        e, lo, hi, c = np.repeat(e, 8), ends[:, :-1].ravel(), ends[:, 1:].ravel(), np.repeat(C[cut], 8)
+        E, LO, HI, C = (np.concatenate((x[~cut], y)) for x, y in ((E, e), (LO, lo), (HI, hi), (C, c)))
+        S = np.concatenate((S[~cut], score(e, hi)))
+    hot = bound > found[0][0]
+    top = np.argsort(-bound, kind="stable")[:min(np.count_nonzero(hot), 64)]
+    e, lo, hi, at = E[top], LO[top], HI[top], np.arange(len(top))
+    for _ in range(3):  # zoom the 64 highest hot regions each onto the best of 15 points inside it
+        grid = lo[:, None] + (hi - lo)[:, None] * np.linspace(0.0, 1.0, 17)
+        j = score(np.repeat(e, 15), grid[:, 1:-1].ravel()).reshape(-1, 15).argmax(axis=1) + 1
+        lo, hi = grid[at, j - 1], grid[at, j + 1]
+    start = b.searchsorted(np.minimum(LO[hot], HI[hot]), side="right")  # the breakpoints inside each
+    count = b.searchsorted(np.maximum(LO[hot], HI[hot])) - start
+    at = np.repeat(np.arange(len(count)), count)
+    score(E[hot][at], b[np.arange(len(at)) - np.repeat(np.cumsum(count) - count, count) + start[at]])
+    tails = 1.0 if fits else _psi_max(lam)  # past a float's reach psi_max bounds the tails
+    return *found[0], max(tails * found[0][0], float(bound.max(initial=0.0))), *found[1]
 
 
 # ---------------------------------------------------------------------------
@@ -171,21 +227,11 @@ def morrey_norm(f: StepFunction, p: float, lam: float) -> NormEstimate:
 # Zygmund-Morrey scale
 
 
-def zygmund_morrey_norm(
-    f: StepFunction,
-    lam: float,
-    family: FamilySpec | None = None,
-) -> NormEstimate:
-    """sup_Q |Q|^lam * (Luxemburg llog average of f over Q), n = 1."""
-    if not 0.0 < lam < 1.0:
-        raise ValueError("lambda must lie in (0, 1)")
-    if f.is_zero:
-        return NormEstimate(0.0, 0.0, None, family)
-    fam = resolve_family(family, f)
-    lux = _llog_rows(f, fam.lefts, fam.rights)[0]
-    value, arg = _family_max((fam.rights - fam.lefts) ** lam * lux, fam)
-    upper = _certified_upper_scale_invariant(value, f, lam, fam)
-    return NormEstimate(value, upper, arg, fam.spec)
+def zygmund_morrey_norm(f: StepFunction, lam: float) -> NormEstimate:
+    """sup_Q |Q|^lam * (Luxemburg llog average of f over Q), n = 1, bracketed
+    by the anchored search (module docstring)."""
+    value, arg, upper = _anchored_search(f, lam)[:3]
+    return NormEstimate(value, upper, arg, None)
 
 
 def _superlevel_max(g: StepFunction, lam: float, strict: bool = False) -> tuple[float, Interval | None]:
@@ -227,28 +273,15 @@ def weak_zygmund_morrey_norm(f: StepFunction, lam: float) -> NormEstimate:
     return NormEstimate(exact, exact, pair, None)
 
 
-def characterization_functional(
-    f: StepFunction,
-    lam: float,
-    family: FamilySpec | None = None,
-) -> NormEstimate:
+def characterization_functional(f: StepFunction, lam: float) -> NormEstimate:
     """sup_Q |Q|^lam * (1/|Q|) int_Q |f| (1 + log+(|f| / mean_Q |f|)).
 
     Per interval the functional sits between the Luxemburg average and
-    twice it, so the certified upper bound is twice the Zygmund-Morrey one,
-    whose family maximum comes from the same level sweep.
+    twice it, so its value is the best over the intervals the anchored
+    search scores and its upper bound twice the Zygmund-Morrey one.
     """
-    if not 0.0 < lam < 1.0:
-        raise ValueError("lambda must lie in (0, 1)")
-    if f.is_zero:
-        return NormEstimate(0.0, 0.0, None, family)
-    fam = resolve_family(family, f)
-    lux, func = _llog_rows(f, fam.lefts, fam.rights)
-    scale = (fam.rights - fam.lefts) ** lam
-    value, arg = _family_max(scale * func, fam)
-    lux_value = float(np.max(scale * lux))
-    upper = 2.0 * _certified_upper_scale_invariant(lux_value, f, lam, fam)
-    return NormEstimate(value, max(value, upper), arg, fam.spec)
+    _, _, upper, value, arg = _anchored_search(f, lam)
+    return NormEstimate(value, max(value, 2.0 * upper), arg, None)
 
 
 # ---------------------------------------------------------------------------
@@ -309,12 +342,14 @@ def bmo_p_seminorm(
     b: StepFunction, p: float, family: FamilySpec | None = None
 ) -> NormEstimate:
     """p-mean oscillation sup_Q ((1/|Q|) int_Q |b - mean_Q b|^p)^(1/p)."""
-    if p < 1:
-        raise ValueError("p must be >= 1")
+    if p < 1 or not math.isfinite(p):
+        raise ValueError("p must satisfy 1 <= p < inf")
     if b.is_zero:
         return NormEstimate(0.0, 0.0, None, family)
     fam = resolve_family(family, b)
-    value, arg = _family_max(_oscillation_rows(b, fam.lefts, fam.rights, p), fam)
+    osc = _oscillation_rows(b, fam.lefts, fam.rights, p)
+    k = int(np.argmax(osc))
+    value, arg = (float(osc[k]), Interval(fam.lefts[k], fam.rights[k])) if osc[k] > 0.0 else (0.0, None)
     upper = _bmo_upper(value, b, p, fam)
     return NormEstimate(value, upper, arg, fam.spec)
 

@@ -213,12 +213,24 @@ class TestNorm:
         path = profile_file if kind == "zm-radial" else chi01_file
         assert main(["norm", "--input", path, "--kind", kind, *flag]) == 2
         err = capsys.readouterr().err
-        assert "zygmund, bmo, bmo-p, characterization" in err
+        assert "apply only to --kind bmo, bmo-p" in err
+
+    @pytest.mark.parametrize("kind", ["zygmund", "characterization"])
+    def test_family_flags_rejected_on_searched_kinds(self, chi01_file, kind, capsys):
+        assert main(["norm", "--input", chi01_file, "--kind", kind, "--family", "dyadic"]) == 2
+        assert "apply only to --kind bmo, bmo-p" in capsys.readouterr().err
+        assert main(["norm", "--input", chi01_file, "--kind", kind]) == 0
+        assert json.loads(capsys.readouterr().out)["family"] is None
 
     def test_family_flags_accepted_on_family_kinds(self, chi01_file, capsys):
-        assert main(["norm", "--input", chi01_file, "--kind", "zygmund", "--family", "dyadic"]) == 0
+        assert main(["norm", "--input", chi01_file, "--kind", "bmo", "--family", "dyadic"]) == 0
         obj = json.loads(capsys.readouterr().out)
         assert obj["family"]["mode"] == "dyadic"
+
+    @pytest.mark.parametrize("p", ["nan", "inf", "-inf", "0.5"])
+    def test_bmo_p_rejects_p_outside_one_to_inf(self, chi01_file, p, capsys):
+        assert main(["norm", "--input", chi01_file, "--kind", "bmo-p", f"--p={p}"]) == 2
+        assert "p must satisfy 1 <= p < inf" in capsys.readouterr().err
 
 
 class TestParser:

@@ -11,7 +11,6 @@ from morreylab.experiments import (
     cb_chi_lower_check,
     corpus,
     counterexample_mf_window_deviation,
-    counterexample_upper,
     m2_lower_bound,
     pointwise_domination_suite,
     random_step_function,
@@ -25,6 +24,7 @@ from morreylab.experiments import (
     weak_morrey_M2_constant,
     weak_type_constant,
 )
+from morreylab.norms import zygmund_morrey_norm
 from morreylab.stepfn import Interval, StepFunction
 
 EXPECTED = json.loads((Path(__file__).parent / "expected_constants.json").read_text())
@@ -52,14 +52,14 @@ class TestCounterexampleConstruction:
         assert mass == pytest.approx(2.0 * 64, rel=1e-12)
 
     def test_upper_monotone_in_k(self):
-        a = counterexample_upper(2).value
-        b = counterexample_upper(4).value
+        a = zygmund_morrey_norm(build_counterexample(2), 0.5).value
+        b = zygmund_morrey_norm(build_counterexample(4), 0.5).value
         assert b >= a - 1e-9
 
     def test_k1_bracket_near_sqrt2(self):
         # single bump on [-1, 1]: the interval itself contributes
         # |Q0|^(1/2) * 1 = sqrt 2, the indicator calibration scale
-        est = counterexample_upper(1)
+        est = zygmund_morrey_norm(build_counterexample(1), 0.5)
         assert est.value >= math.sqrt(2.0) - 1e-6
         assert est.upper_bound >= est.value
         assert est.value <= 2.0 * math.sqrt(2.0)

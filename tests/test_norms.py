@@ -96,8 +96,8 @@ class TestFamilies:
 
 
 def per_delta_cover_ratio(fam, delta):
-    """cover_ratio_sup as one enumeration of its anchors per delta, the
-    form the suffix maximum replaced; kept as its oracle."""
+    """cover_ratio_sup as one enumeration of its anchors per delta, with a
+    linear scan for the ladder size above each length; its oracle."""
     h = fam.hull.length
     inner = [s for s in fam.ladder_sizes if s < h]
 
@@ -116,58 +116,11 @@ def per_delta_cover_ratio(fam, delta):
     return max(ratio(a) for a in anchors if a <= h)
 
 
-def per_delta_upper(value, f, lam, fam):
-    """norms._certified_upper_scale_invariant with one cover ratio oracle
-    call per delta."""
-    if value <= 0.0:
-        return 0.0
-    supp = f.support_hull()
-    if not (fam.hull.left < supp.left and supp.right < fam.hull.right):
-        return math.inf
-    h = fam.hull.length
-    best = math.inf
-    for d in np.exp(np.linspace(math.log(h * 1e-9), math.log(h), 60)):
-        small = f.sup_abs() * d**lam
-        shift = value * per_delta_cover_ratio(fam, float(d)) ** (1.0 - lam)
-        best = min(best, max(small, shift))
-    return max(value, _psi_max(lam) * best)
+class TestCoverRatio:
+    """cover_ratio_sup, which BMO's upper bound reads, against one
+    enumeration of its anchors."""
 
-
-class TestCoverRatioSuffixMax:
-    """The suffix maximum gives bitwise the bounds of the per-delta loop."""
-
-    def spied_bounds(self, monkeypatch, runs):
-        calls = []
-        real = norms._certified_upper_scale_invariant
-
-        def spy(value, f, lam, fam):
-            calls.append((real(value, f, lam, fam), (value, f, lam, fam)))
-            return calls[-1][0]
-
-        monkeypatch.setattr(norms, "_certified_upper_scale_invariant", spy)
-        for run in runs:
-            run()
-        assert calls
-        return calls
-
-    def test_norm_bracket_inputs(self, monkeypatch, tmp_path):
-        spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
-        workloads = importlib.util.module_from_spec(spec)
-        monkeypatch.setitem(sys.modules, spec.name, workloads)  # dataclasses look their module up
-        spec.loader.exec_module(workloads)
-        inputs = {
-            (tuple(t.bp), tuple(t.vals))
-            for seed in (0, 1)
-            for t in workloads.build("norm-bracket", seed, tmp_path).tasks
-            if t.kind in ("norm:zygmund", "norm:characterization")
-        }
-        fs = [StepFunction(bp, vals) for bp, vals in sorted(inputs)]
-        runs = [lambda f=f, lam=lam, op=op: op(f, lam) for f in fs for lam in (0.25, 0.5, 0.75)
-                for op in (zygmund_morrey_norm, characterization_functional)]
-        for got, args in self.spied_bounds(monkeypatch, runs):
-            assert got == per_delta_upper(*args)
-
-    def test_seeded_corpus(self, monkeypatch):
+    def test_seeded_corpus(self):
         rng = np.random.default_rng(91)
         fs = [random_step(rng) for _ in range(6)] + [build_counterexample(4)]
         specs = [
@@ -176,24 +129,22 @@ class TestCoverRatioSuffixMax:
             FamilySpec(mode="dyadic", depth=8),
             FamilySpec(mode="dense", resolution=48),
         ]
-        runs = [lambda f=f, spec=spec, lam=lam: zygmund_morrey_norm(f, lam, spec)
-                for f in fs for spec in specs for lam in (0.1, 0.5, 0.9)]
-        for got, args in self.spied_bounds(monkeypatch, runs):
-            assert got == per_delta_upper(*args)
-            fam = args[3]
-            for delta in fam.hull.length * np.array([1e-12, 1e-6, 1e-3, 0.1, 0.5, 1.0, 2.0]):
-                assert fam.cover_ratio_sup(float(delta)) == per_delta_cover_ratio(fam, float(delta))
+        for f in fs:
+            for spec in specs:
+                fam = resolve_family(spec, f)
+                for delta in fam.hull.length * np.array([1e-12, 1e-6, 1e-3, 0.1, 0.5, 1.0, 2.0]):
+                    assert fam.cover_ratio_sup(float(delta)) == per_delta_cover_ratio(fam, float(delta))
 
     def test_irregular_ladders(self):
-        # on the resolved families above the largest anchor ratio is the
-        # first one past delta; on these ladders later anchors win too
+        # on resolved families the largest anchor ratio is the first one
+        # past delta; on these ladders later anchors win too
         rng = np.random.default_rng(92)
         for _ in range(50):
             sizes = tuple(rng.uniform(0.0, 1.2, int(rng.integers(1, 8))))
             gap = None if rng.integers(2) else float(rng.uniform(0.001, 0.2))
             fam = ResolvedFamily(FamilySpec(), Interval(0.0, 1.0), np.zeros(0), np.zeros(0), gap, sizes)
-            deltas = rng.uniform(1e-3, 1.2, 20).tolist()
-            assert fam.cover_ratio_sups(deltas) == [per_delta_cover_ratio(fam, d) for d in deltas]
+            for delta in rng.uniform(1e-3, 1.2, 20):
+                assert fam.cover_ratio_sup(float(delta)) == per_delta_cover_ratio(fam, float(delta))
 
 
 def tuple_enumeration(spec, f, extra_points=()):
@@ -467,37 +418,34 @@ class TestZygmundMorrey:
         assert est.value == 0.0 and est.upper_bound == 0.0
 
     def test_weak_leq_strong(self):
+        # per interval the weak average is at most the Luxemburg one
         rng = np.random.default_rng(31)
-        fam = FamilySpec(depth=6)
         for _ in range(8):
             f = random_step(rng, max_cells=6)
-            s = zygmund_morrey_norm(f, 0.5, fam)
-            assert weak_family_max(f, 0.5, fam) <= s.value * (1 + 1e-6)
+            s = zygmund_morrey_norm(f, 0.5)
+            assert weak_zygmund_morrey_norm(f, 0.5).value <= s.upper_bound * (1 + 1e-12)
 
     def test_weak_chi(self):
         est = weak_zygmund_morrey_norm(CHI01, 0.5)
         assert est.value >= 1.0 - 1e-7
 
-    def test_family_refinement_monotone(self):
-        rng = np.random.default_rng(32)
-        f = random_step(rng, max_cells=5)
-        small = zygmund_morrey_norm(f, 0.5, FamilySpec(depth=3))
-        big = zygmund_morrey_norm(f, 0.5, FamilySpec(depth=6))
-        assert big.value >= small.value - 1e-9
-
     def test_homogeneity(self):
+        # |Q|^lam t_Q scales by c under f -> c f and by s^lam under x -> x / s
         rng = np.random.default_rng(33)
-        f = random_step(rng, max_cells=5)
-        fam = FamilySpec(depth=5)
-        base = zygmund_morrey_norm(f, 0.5, fam)
-        scaled = zygmund_morrey_norm(f.scale(5.0), 0.5, fam)
-        assert scaled.value == pytest.approx(5.0 * base.value, rel=1e-6)
+        for _ in range(6):
+            f = random_step(rng, max_cells=6)
+            for lam in (0.25, 0.5, 0.75):
+                base = zygmund_morrey_norm(f, lam)
+                for g, c in ((f.scale(5.0), 5.0), (f.dilate(4.0), 4.0**lam), (f.dilate(0.3), 0.3**lam)):
+                    est = zygmund_morrey_norm(g, lam)
+                    assert est.value == pytest.approx(c * base.value, rel=1e-6)
+                    assert est.upper_bound == pytest.approx(c * base.upper_bound, rel=1e-6)
 
     def test_argmax_reattains_value(self):
         rng = np.random.default_rng(36)
         for _ in range(5):
             f = random_step(rng, max_cells=6)
-            est = zygmund_morrey_norm(f, 0.5, FamilySpec(depth=5))
+            est = zygmund_morrey_norm(f, 0.5)
             q = est.argmax_interval
             again = q.length**0.5 * luxemburg_average(f, q, LLOG)
             assert again == pytest.approx(est.value, rel=1e-9)
@@ -507,6 +455,105 @@ class TestZygmundMorrey:
             zygmund_morrey_norm(CHI01, 0.0)
         with pytest.raises(ValueError):
             weak_zygmund_morrey_norm(CHI01, 1.0)
+
+
+def zm_family_max(f, lam, spec):
+    """The largest Zygmund-Morrey objective over the members of a resolved
+    family, from one level sweep."""
+    fam = resolve_family(spec, f)
+    return float(np.max((fam.rights - fam.lefts) ** lam * _llog_rows(f, fam.lefts, fam.rights)[0]))
+
+
+def zm_objective(f, lam, lefts, rights):
+    return (rights - lefts) ** lam * _llog_rows(f, lefts, rights)[0]
+
+
+class TestAnchoredSearch:
+    """The search's bracket: sound against random intervals, within 1e-3,
+    and at least the family maximum it replaced."""
+
+    def test_upper_dominates_random_intervals(self):
+        # lengths up to 1e12 hull lengths reach the far tails that win as lam nears 1
+        rng = np.random.default_rng(64)
+        for _ in range(40):
+            f = random_step(rng, max_cells=12)
+            hull = f.support_hull()
+            lengths = hull.length * np.exp(rng.uniform(np.log(1e-6), np.log(1e12), 5000))
+            lefts = hull.left - lengths * rng.uniform(0.0, 1.0, 5000) + hull.length * rng.uniform(0.0, 1.0, 5000)
+            for lam in (0.2, 0.5, 0.8, 0.95, 0.995):
+                est = zygmund_morrey_norm(f, lam)
+                assert math.isfinite(est.upper_bound)
+                assert np.all(zm_objective(f, lam, lefts, lefts + lengths) <= est.upper_bound)
+
+    def test_value_dominates_auto_family_and_bracket_within_tol(self):
+        rng = np.random.default_rng(65)
+        cases = 0
+        for k in range(15):
+            f = random_step(rng, max_cells=12)
+            if k % 3 == 0 and f.num_cells >= 3:  # an interior zero cell
+                f = StepFunction(f.breakpoints, [0.0 if i == len(f.values) // 2 else v for i, v in enumerate(f.values)])
+            for lam in (0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.98):
+                est = zygmund_morrey_norm(f, lam)
+                assert est.value >= zm_family_max(f, lam, FamilySpec())
+                assert est.upper_bound <= (1 + 1e-3) * est.value
+                cases += 1
+        assert cases == 165
+
+    def test_norm_bracket_inputs(self, monkeypatch, tmp_path):
+        spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+        workloads = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, workloads)  # dataclasses look their module up
+        spec.loader.exec_module(workloads)
+        inputs = {
+            (tuple(t.bp), tuple(t.vals))
+            for seed in (0, 1)
+            for t in workloads.build("norm-bracket", seed, tmp_path).tasks
+            if t.kind == "norm:zygmund"
+        }
+        for bp, vals in sorted(inputs):
+            f = StepFunction(bp, vals)
+            for lam in (0.25, 0.5, 0.75):
+                est = zygmund_morrey_norm(f, lam)
+                assert est.value >= zm_family_max(f, lam, FamilySpec())
+                assert est.upper_bound <= (1 + 1e-3) * est.value
+                ch = characterization_functional(f, lam)
+                assert ch.upper_bound == 2.0 * est.upper_bound
+
+    def test_lambda_near_one_keeps_a_finite_bracket(self):
+        # past lam of about 0.9907 the reach overflows and the tail takes psi_max
+        f = StepFunction((0.0, 0.4, 1.0, 1.3), (3.0, 0.5, 2.0))
+        for lam in (0.99, 0.995, 0.999, 1.0 - 1e-9):
+            est = zygmund_morrey_norm(f, lam)
+            assert 0.0 < est.value <= est.upper_bound < math.inf
+            if lam <= 0.99:
+                assert est.upper_bound <= (1 + 1e-3) * est.value
+            else:
+                assert est.upper_bound <= _psi_max(lam) * est.value * (1 + 1e-12)
+
+    def test_counterexample_certified_past_the_old_cap(self):
+        # the family-based upper bound was 298 % above the value at K = 128 and raised at K = 256
+        for K in (128, 256):
+            est = zygmund_morrey_norm(build_counterexample(K), 0.5)
+            assert est.value == pytest.approx(2.336366743416113, rel=1e-12)
+            assert est.upper_bound <= 1.01 * est.value
+
+    def test_thousand_cells(self):
+        """Budget: about 1 s of CPU on a 2-vCPU host, under the search's own."""
+        rng = np.random.default_rng(66)
+        f = StepFunction(np.sort(rng.uniform(0.0, 1.0, 1001)), np.exp(rng.uniform(-3.0, 3.0, 1000)))
+        est = zygmund_morrey_norm(f, 0.5)
+        assert est.upper_bound <= (1 + 1e-3) * est.value
+        q = est.argmax_interval
+        assert q.length**0.5 * luxemburg_average(f, q, LLOG) == pytest.approx(est.value, rel=1e-9)
+
+    def test_ten_thousand_cells_raise_on_the_budget(self):
+        rng = np.random.default_rng(67)
+        f = StepFunction(np.sort(rng.uniform(0.0, 1.0, 10_001)), np.exp(rng.uniform(-3.0, 3.0, 10_000)))
+        cpu = time.process_time()
+        for op in (zygmund_morrey_norm, characterization_functional):
+            with pytest.raises(ValueError, match="budget"):
+                op(f, 0.5)
+        assert time.process_time() - cpu < 2.0
 
 
 def weak_pair_oracle(f, lam):
@@ -666,6 +713,17 @@ class TestPsiMax:
             assert psi.max() <= want * (1 + 1e-12)
             assert psi.max() >= want * (1 - 1e-7)
 
+    def test_at_most_one_past_the_reach(self):
+        for lam in (0.55, 0.6, 0.75, 0.9, 0.95, 0.98, 0.99):
+            reach = norms._reach(lam)
+            s = np.exp(np.linspace(0.0, np.log(705.0), 600_001))
+            past = np.log(s) + s - 1.0 >= math.log(reach)  # c = s e^(s-1) at or past the reach
+            assert past.any() and not past.all()
+            assert psi_on_grid(lam, s[past]).max() <= 1.0
+            assert psi_on_grid(lam, s[~past]).max() > 1.0
+        assert norms._reach(0.5) == norms._reach(0.2) == 1.0
+        assert norms._reach(0.995) == math.inf
+
     def test_one_at_most_half(self):
         for lam in (0.1, 0.25, 0.5):
             assert _psi_max(lam) == 1.0
@@ -683,12 +741,13 @@ class TestCharacterization:
         assert est.value == 0.0
 
     def test_sandwich_with_zygmund(self):
+        # both are bests over the same scored intervals, on each of which
+        # the functional lies between the Luxemburg average and twice it
         rng = np.random.default_rng(34)
-        fam = FamilySpec(depth=6)
         for _ in range(8):
             f = random_step(rng, max_cells=6)
-            zm = zygmund_morrey_norm(f, 0.5, fam)
-            ch = characterization_functional(f, 0.5, fam)
+            zm = zygmund_morrey_norm(f, 0.5)
+            ch = characterization_functional(f, 0.5)
             assert zm.value <= ch.value * (1 + 1e-6)
             assert ch.value <= 2.0 * zm.value * (1 + 1e-6)
 
@@ -729,6 +788,11 @@ class TestBMO:
     def test_domain(self):
         with pytest.raises(ValueError):
             bmo_p_seminorm(CHI01, 0.5)
+
+    @pytest.mark.parametrize("p", [math.nan, math.inf, -math.inf])
+    def test_non_finite_p_rejected(self, p):
+        with pytest.raises(ValueError, match="1 <= p < inf"):
+            bmo_p_seminorm(CHI01, p)
 
 
 class TestWeakTypeMorreyCheck:
@@ -777,12 +841,10 @@ class TestUpperBoundSoundness:
         rng = np.random.default_rng(60)
         for _ in range(4):
             f = random_step(rng, max_cells=5)
-            est = zygmund_morrey_norm(f, 0.5, FamilySpec(depth=6))
+            est = zygmund_morrey_norm(f, 0.5)
             hull = f.support_hull().expanded(3.0 * f.support_hull().length)
-            rich = zygmund_morrey_norm(
-                f, 0.5, FamilySpec(mode="dense", resolution=150, hull=hull)
-            )
-            assert rich.value <= est.upper_bound * (1 + 1e-9)
+            rich = zm_family_max(f, 0.5, FamilySpec(mode="dense", resolution=150, hull=hull))
+            assert rich <= est.upper_bound * (1 + 1e-9)
 
     def test_weak_upper_dominates_rich_family(self):
         rng = np.random.default_rng(61)
@@ -802,8 +864,9 @@ class TestUpperBoundSoundness:
             assert rich.value <= est.upper_bound * (1 + 1e-9)
 
     def test_truncated_hull_gives_infinite_upper(self):
+        # only BMO still reads a family, whose hull must hold the support
         f = StepFunction.indicator(0.0, 1.0, 2.0)
-        est = zygmund_morrey_norm(f, 0.5, FamilySpec(hull=Interval(0.2, 0.8)))
+        est = bmo_seminorm(f, FamilySpec(hull=Interval(0.2, 0.8)))
         assert est.upper_bound == math.inf
 
 
