@@ -340,10 +340,10 @@ def weak_type_constant(op_id: str, corpus_spec: dict, symbols: dict | None = Non
 
 
 def weak_morrey_M2_constant(corpus_spec: dict, lam: float) -> ConstantReport:
-    """Best observed ratio of the weak log-average Morrey norm of the
-    iterated maximal function (its ``LOOSE`` lower envelope) against the
-    log-average Morrey norm of the input, over a seeded corpus; reported and
-    regression-locked."""
+    """Best ratio, over a seeded corpus, of the weak log-average Morrey norm
+    of the iterated maximal function (exact, on its ``LOOSE`` lower envelope)
+    to the certified upper bound of the input's log-average Morrey norm: a
+    certified lower bound of the best constant; reported and regression-locked."""
     if not 0.0 < lam < 1.0:
         raise ValueError("lambda must lie in (0, 1)")
     fs = corpus(**corpus_spec)
@@ -355,7 +355,7 @@ def weak_morrey_M2_constant(corpus_spec: dict, lam: float) -> ConstantReport:
         if lower.is_zero:
             continue
         num = weak_zygmund_morrey_norm(lower, lam).value
-        den = zygmund_morrey_norm(f, lam).value
+        den = zygmund_morrey_norm(f, lam).upper_bound
         if den > 0.0 and num / den > best:
             best = num / den
             witness = {"index": i}
