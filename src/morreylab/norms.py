@@ -52,9 +52,9 @@ bounded also by psi_max times the score at D; past D c* the score at D
 bounds every interval.  Where D c* overflows a float (lam above about
 0.99), psi_max times the best score bounds every tail instead.  Regions
 bounded above (1 + 1e-3) times the best score are cut into eight geometric
-pieces until none is.  Of the regions still bounded above the best, the 64
-highest are zoomed onto their best points, and the breakpoints inside
-each are scored.  ``upper_bound`` is the largest bound left.  A batch
+pieces until none is.  A last batch scores the breakpoints inside every
+region still bounded above the best, and 63 evenly spaced points inside
+the 64 highest of them.  ``upper_bound`` is the largest bound left.  A batch
 costs its intervals times the distinct levels of |f|, and one that would
 take the total past ``_SEARCH_BUDGET`` raises first.
 """
@@ -187,17 +187,13 @@ def _anchored_search(f: StepFunction, lam: float) -> tuple[float, Interval, floa
         e, lo, hi, c = np.repeat(e, 8), ends[:, :-1].ravel(), ends[:, 1:].ravel(), np.repeat(C[cut], 8)
         E, LO, HI, C = (np.concatenate((x[~cut], y)) for x, y in ((E, e), (LO, lo), (HI, hi), (C, c)))
         S = np.concatenate((S[~cut], score(e, hi)))
-    hot = bound > found[0][0]
-    top = np.argsort(-bound, kind="stable")[:min(np.count_nonzero(hot), 64)]
-    e, lo, hi, at = E[top], LO[top], HI[top], np.arange(len(top))
-    for _ in range(3):  # zoom the 64 highest hot regions each onto the best of 15 points inside it
-        grid = lo[:, None] + (hi - lo)[:, None] * np.linspace(0.0, 1.0, 17)
-        j = score(np.repeat(e, 15), grid[:, 1:-1].ravel()).reshape(-1, 15).argmax(axis=1) + 1
-        lo, hi = grid[at, j - 1], grid[at, j + 1]
-    start = b.searchsorted(np.minimum(LO[hot], HI[hot]), side="right")  # the breakpoints inside each
+    hot = bound > found[0][0]  # polish: the breakpoints inside each, 63 points inside the 64 highest
+    start = b.searchsorted(np.minimum(LO[hot], HI[hot]), side="right")
     count = b.searchsorted(np.maximum(LO[hot], HI[hot])) - start
-    at = np.repeat(np.arange(len(count)), count)
-    score(E[hot][at], b[np.arange(len(at)) - np.repeat(np.cumsum(count) - count, count) + start[at]])
+    at, top = np.repeat(np.arange(len(count)), count), np.argsort(-bound, kind="stable")[:min(count.size, 64)]
+    grid = LO[top, None] + (HI - LO)[top, None] * np.linspace(0.0, 1.0, 65)[1:-1]
+    score(np.concatenate((E[hot][at], np.repeat(E[top], 63))),
+          np.concatenate((b[np.arange(len(at)) - np.repeat(np.cumsum(count) - count, count) + start[at]], grid.ravel())))
     tails = 1.0 if fits else _psi_max(lam)  # past a float's reach psi_max bounds the tails
     return *found[0], max(tails * found[0][0], float(bound.max(initial=0.0))), *found[1]
 
