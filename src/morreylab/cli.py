@@ -69,8 +69,16 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _family_from_args(args) -> FamilySpec | None:
-    kwargs = {k: v for k, v in (("mode", args.family), ("depth", args.depth), ("cap", args.cap)) if v is not None}
-    return FamilySpec(**kwargs) if kwargs else None
+    if args.family is None and args.depth is None and args.cap is None:
+        return None
+    kwargs = {}
+    if args.family is not None:
+        kwargs["mode"] = args.family
+    if args.depth is not None:
+        kwargs["depth"] = args.depth
+    if args.cap is not None:
+        kwargs["cap"] = args.cap
+    return FamilySpec(**kwargs)
 
 
 def _points_from_args(args) -> list[float]:

@@ -12,14 +12,14 @@ A :class:`FamilySpec` describes how candidate intervals are enumerated:
 - ``auto`` (default): breakpoint pairs over a grid enriched with uniform
   points, union the dyadic ladder.
 
-Families serve the BMO seminorms (``norms.bmo_p_seminorm``, whose upper
-bound also reads the covering ratio) and ``orlicz.orlicz_maximal``; the
+Only the BMO seminorms and ``orlicz.orlicz_maximal`` use families; the
 Morrey-type norms need none.  A resolved family is two endpoint arrays,
 ``lefts`` and ``rights``, sorted by (left, right) without repeats, so
-reductions over a family are reproducible.  Objectives read the arrays whole (the level sweep of
-``stepfn.level_measures``); no per-interval object is built.  Exceeding
-``cap`` raises, before any pair is built when the grid alone has too many;
-raise the cap or coarsen the depth rather than subsample silently.
+reductions over a family are reproducible.  Objectives read the arrays
+whole (the level sweep of ``stepfn.level_measures``); no per-interval
+object is built.  Exceeding ``cap`` raises, before any pair is built when
+the grid alone has too many; raise the cap or coarsen the depth rather
+than subsample silently.
 """
 
 from __future__ import annotations
@@ -100,8 +100,6 @@ class ResolvedFamily:
                 best = min(best, 2.0 * inner[k] / length)
             return max(best, 1.0)
 
-        if delta >= h:
-            return 1.0
         return max(ratio(x) for x in [delta] + [math.nextafter(s, math.inf) for s in inner if s > delta])
 
 

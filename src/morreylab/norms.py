@@ -49,8 +49,8 @@ distance, scored at d and bounded by score (d/lo)^(1-lam).  First cells
 are scored once.  Each anchor and side then has the region (first cell,
 D], D the distance to the far end of the support, and the tail (D, D c*],
 bounded also by psi_max times the score at D; past D c* the score at D
-bounds every interval.  Where D c* overflows a float (lam above about
-0.99), psi_max times the best score bounds every tail instead.  Regions
+bounds every interval.  Where the tail would leave float range (lam above
+about 0.99, or extreme scales), psi_max times the best score bounds it.  Regions
 bounded above (1 + 1e-3) times the best score are cut into eight geometric
 pieces until none is.  A last batch scores the breakpoints inside every
 region still bounded above the best, and 63 evenly spaced points inside
@@ -139,20 +139,18 @@ def _reach(lam: float) -> float:
 _SEARCH_BUDGET = 2e8  # intervals scored times distinct levels of |f|
 
 
-def _anchored_search(f: StepFunction, lam: float) -> tuple[float, Interval, float, float, Interval]:
-    """(best score, its interval, certified upper bound) of the Zygmund-Morrey
-    norm, then (best score, its interval) of the characterization functional."""
+def _anchored_search(f: StepFunction, lam: float) -> tuple[NormEstimate, NormEstimate]:
+    """The brackets of the Zygmund-Morrey norm and of the characterization
+    functional (module docstring)."""
     if not 0.0 < lam < 1.0:
         raise ValueError("lambda must lie in (0, 1)")
     if f.is_zero:
-        return 0.0, None, 0.0, 0.0, None
+        return NormEstimate(0.0, 0.0, None, None), NormEstimate(0.0, 0.0, None, None)
     b, w, _ = f._abs_arrays
     levels, charged, found = len(np.unique(w)), 0, [(0.0, None), (0.0, None)]
 
     def score(e: np.ndarray, v: np.ndarray) -> np.ndarray:
         nonlocal charged
-        if not len(e):
-            return np.zeros(0)
         charged += len(e) * levels
         if charged > _SEARCH_BUDGET:
             raise ValueError(f"the anchored search would score {charged:.3g} interval-levels, "
@@ -171,7 +169,10 @@ def _anchored_search(f: StepFunction, lam: float) -> tuple[float, Interval, floa
     S = score(np.concatenate((E, E)), np.concatenate((near, far)))[m * 2:]  # one-cell lemma: first cells done
     # regions (near, far], scored, and (far, far c*], unscored (inf) and capped by psi_max times the score at far
     LO, HI, C = near, far, np.full(2 * m, np.inf)
-    fits = reach * (b[-1] - b[0]) + np.abs(b).max() < 1e300  # a reach of 1 (no tail) always fits
+    # a tail window holds a boundary cell and spans <= reach * width: in float range while these logs sum < 700
+    lw, lv = math.log(b[-1] - b[0]), math.log(w.max())
+    lm = min(math.log(w[0]) + math.log(b[1] - b[0]), math.log(w[-1]) + math.log(b[-1] - b[-2]))
+    fits = math.log(reach) + abs(lw) + abs(lv) + lw + lv - lm < 700.0
     if 1.0 < reach and fits:
         E, LO, HI, C = (np.concatenate(x) for x in ((E, E), (LO, far), (HI, E + (far - E) * reach),
                                                     (C, _psi_max(lam) * S)))
@@ -190,12 +191,13 @@ def _anchored_search(f: StepFunction, lam: float) -> tuple[float, Interval, floa
     hot = bound > found[0][0]  # polish: the breakpoints inside each, 63 points inside the 64 highest
     start = b.searchsorted(np.minimum(LO[hot], HI[hot]), side="right")
     count = b.searchsorted(np.maximum(LO[hot], HI[hot])) - start
-    at, top = np.repeat(np.arange(len(count)), count), np.argsort(-bound, kind="stable")[:min(count.size, 64)]
+    at, top = np.repeat(np.arange(len(count)), count), np.argsort(-bound, kind="stable")[:min(count.size, 64) or 1]
     grid = LO[top, None] + (HI - LO)[top, None] * np.linspace(0.0, 1.0, 65)[1:-1]
     score(np.concatenate((E[hot][at], np.repeat(E[top], 63))),
           np.concatenate((b[np.arange(len(at)) - np.repeat(np.cumsum(count) - count, count) + start[at]], grid.ravel())))
-    tails = 1.0 if fits else _psi_max(lam)  # past a float's reach psi_max bounds the tails
-    return *found[0], max(tails * found[0][0], float(bound.max(initial=0.0))), *found[1]
+    upper = max((1.0 if fits else _psi_max(lam)) * found[0][0], float(bound.max(initial=0.0)))
+    (value, arg), (func, func_arg) = found
+    return NormEstimate(value, upper, arg, None), NormEstimate(func, max(func, 2.0 * upper), func_arg, None)
 
 
 # ---------------------------------------------------------------------------
@@ -226,8 +228,7 @@ def morrey_norm(f: StepFunction, p: float, lam: float) -> NormEstimate:
 def zygmund_morrey_norm(f: StepFunction, lam: float) -> NormEstimate:
     """sup_Q |Q|^lam * (Luxemburg llog average of f over Q), n = 1, bracketed
     by the anchored search (module docstring)."""
-    value, arg, upper = _anchored_search(f, lam)[:3]
-    return NormEstimate(value, upper, arg, None)
+    return _anchored_search(f, lam)[0]
 
 
 def _superlevel_max(g: StepFunction, lam: float, strict: bool = False) -> tuple[float, Interval | None]:
@@ -276,8 +277,7 @@ def characterization_functional(f: StepFunction, lam: float) -> NormEstimate:
     twice it, so its value is the best over the intervals the anchored
     search scores and its upper bound twice the Zygmund-Morrey one.
     """
-    _, _, upper, value, arg = _anchored_search(f, lam)
-    return NormEstimate(value, max(value, 2.0 * upper), arg, None)
+    return _anchored_search(f, lam)[1]
 
 
 # ---------------------------------------------------------------------------

@@ -520,15 +520,19 @@ class TestAnchoredSearch:
                 assert ch.upper_bound == 2.0 * est.upper_bound
 
     def test_lambda_near_one_keeps_a_finite_bracket(self):
-        # past lam of about 0.9907 the reach overflows and the tail takes psi_max
+        # past lam of about 0.9907 the reach overflows, and at extreme scales the
+        # tail windows would leave float range: the tail then takes psi_max
         f = StepFunction((0.0, 0.4, 1.0, 1.3), (3.0, 0.5, 2.0))
-        for lam in (0.99, 0.995, 0.999, 1.0 - 1e-9):
-            est = zygmund_morrey_norm(f, lam)
-            assert 0.0 < est.value <= est.upper_bound < math.inf
-            if lam <= 0.99:
-                assert est.upper_bound <= (1 + 1e-3) * est.value
-            else:
-                assert est.upper_bound <= _psi_max(lam) * est.value * (1 + 1e-12)
+        tiny = StepFunction((0.0, 1e-150), (1e-150,))
+        for lam in (0.9, 0.99, 0.995, 0.999, 1.0 - 1e-9):
+            for g in (f, tiny):
+                est, ch = zygmund_morrey_norm(g, lam), characterization_functional(g, lam)
+                assert 0.0 < est.value <= est.upper_bound < math.inf
+                assert 0.0 < ch.value <= ch.upper_bound == 2.0 * est.upper_bound
+                if g is f and lam <= 0.99:
+                    assert est.upper_bound <= (1 + 1e-3) * est.value
+                else:
+                    assert est.upper_bound <= _psi_max(lam) * est.value * (1 + 1e-12)
 
     def test_counterexample_certified_past_the_old_cap(self):
         # the family-based upper bound was 298 % above the value at K = 128 and raised at K = 256
