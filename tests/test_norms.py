@@ -430,12 +430,15 @@ class TestZygmundMorrey:
         assert est.value >= 1.0 - 1e-7
 
     def test_homogeneity(self):
-        # |Q|^lam t_Q scales by c under f -> c f and by s^lam under x -> x / s
+        # |Q|^lam t_Q scales by c under f -> c f and by s^lam under x -> x / s;
+        # a reflection keeps the norm, so the two brackets overlap
         rng = np.random.default_rng(33)
-        for _ in range(6):
-            f = random_step(rng, max_cells=6)
+        spike = StepFunction((0.0, 10.0, 10.01), (1.0, 100.0))  # the best left end is inside a cell
+        for f in [spike] + [random_step(rng, max_cells=6) for _ in range(6)]:
+            mirror = StepFunction(-np.array(f.breakpoints[::-1]), f.values[::-1])
             for lam in (0.25, 0.5, 0.75):
-                base = zygmund_morrey_norm(f, lam)
+                base, flip = zygmund_morrey_norm(f, lam), zygmund_morrey_norm(mirror, lam)
+                assert flip.value <= base.upper_bound and base.value <= flip.upper_bound
                 for g, c in ((f.scale(5.0), 5.0), (f.dilate(4.0), 4.0**lam), (f.dilate(0.3), 0.3**lam)):
                     est = zygmund_morrey_norm(g, lam)
                     assert est.value == pytest.approx(c * base.value, rel=1e-6)
