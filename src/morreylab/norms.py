@@ -188,7 +188,7 @@ def _anchored_search(f: StepFunction, lam: float) -> tuple[NormEstimate, NormEst
         e, lo, hi, c = np.repeat(e, 8), ends[:, :-1].ravel(), ends[:, 1:].ravel(), np.repeat(C[cut], 8)
         E, LO, HI, C = (np.concatenate((x[~cut], y)) for x, y in ((E, e), (LO, lo), (HI, hi), (C, c)))
         S = np.concatenate((S[~cut], score(e, hi)))
-    hot = bound > found[0][0]  # polish: the breakpoints inside each, 63 points inside the 64 highest
+    hot = bound > found[0][0]  # polish: the breakpoints inside each, 63 points in the 64 highest (one at least)
     start = b.searchsorted(np.minimum(LO[hot], HI[hot]), side="right")
     count = b.searchsorted(np.maximum(LO[hot], HI[hot])) - start
     at, top = np.repeat(np.arange(len(count)), count), np.argsort(-bound, kind="stable")[:min(count.size, 64) or 1]
