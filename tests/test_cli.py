@@ -379,9 +379,11 @@ class TestRadialCmd:
 
     @pytest.mark.parametrize("argv", [["radial", "--op", "zm"], ["norm", "--kind", "zm-radial"]])
     def test_overflow_exit_2(self, tmp_path, argv, capsys):
-        # 0.01^(0.5 - 400) is out of floating-point range
-        obj = {"dimension": 400, "profile": {"breakpoints": [0.0, 0.01], "values": [1.0]}, "nonincreasing": True}
-        path = tmp_path / "profile.json"
-        path.write_text(json.dumps(obj))
-        assert main([argv[0], "--input", str(path), *argv[1:], "--lambda", "0.5"]) == 2
-        assert capsys.readouterr().err.startswith("error:")
+        # at radius 0.01, 0.01^(0.5 - 400) is out of floating-point range; at
+        # radius 10, the inner integral's 10^400 is
+        for radius in (0.01, 10.0):
+            obj = {"dimension": 400, "profile": {"breakpoints": [0.0, radius], "values": [1.0]}, "nonincreasing": True}
+            path = tmp_path / "profile.json"
+            path.write_text(json.dumps(obj))
+            assert main([argv[0], "--input", str(path), *argv[1:], "--lambda", "0.5"]) == 2
+            assert capsys.readouterr().err.startswith("error:")

@@ -224,6 +224,26 @@ class TestRegressionLocks:
             want = EXPECTED[key]["constant"]
             assert rep.constant == pytest.approx(want, rel=1e-9), key
 
+    @pytest.mark.parametrize("signed", [False, True])
+    def test_draws_keep_their_stream(self, signed):
+        # the corpora and every locked constant read these bits: the draws
+        # equal the array-sorted formula below, value for value
+        def formula(rng, max_cells):
+            n = int(rng.integers(1, max_cells + 1))
+            bp = np.sort(rng.uniform(0.0, 1.0, n + 1))
+            while not (np.diff(bp) > 0).all():
+                bp = np.sort(rng.uniform(0.0, 1.0, n + 1))
+            vals = np.exp(rng.uniform(math.log(2.0**-8), math.log(2.0**8), n))
+            if signed:
+                vals = vals * rng.choice([-1.0, 1.0], n)
+            return StepFunction(bp.tolist(), vals.tolist())
+
+        for seed in range(20):
+            got, want = np.random.default_rng(seed), np.random.default_rng(seed)
+            for max_cells in (1, 5, 12, 24) * 8:
+                f, g = random_step_function(got, max_cells, signed), formula(want, max_cells)
+                assert (f.breakpoints, f.values) == (g.breakpoints, g.values)
+
     def test_expected_file_structure(self):
         for key, obj in EXPECTED.items():
             assert {"inequality", "corpus", "constant", "witness"} <= set(obj)

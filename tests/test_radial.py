@@ -6,14 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from morreylab import experiments, radial
 from morreylab.radial import (
     PiecewiseLogPoly,
-    PolyLogPiece,
     RadialProfile,
     _piece_critical,
+    _reduction,
     _sup_weighted,
     hardy,
     hardy_reduction_check,
+    hardy_reduction_rows,
     inner_integral,
     zm_radial_functional,
     zm_radial_functional_M,
@@ -21,6 +23,19 @@ from morreylab.radial import (
 from morreylab.stepfn import StepFunction
 
 CHI01 = StepFunction.indicator(0.0, 1.0)
+
+
+def one_row(n, *pieces):
+    """A level of one row from its (left, right, a, c, log1, log2) pieces."""
+    cols = np.array(pieces, dtype=float).T[:, :, None]
+    return PiecewiseLogPoly(np.array([n]), *cols)
+
+
+def piece_value(piece, n, x):
+    """a + c x^n + log1 log x + log2 log^2 x of one (left, right, a, c,
+    log1, log2) piece."""
+    _, _, a, c, log1, log2 = piece
+    return a + c * x**n + log1 * math.log(x) + log2 * math.log(x) ** 2
 
 
 def decreasing_profile(rng, max_cells=6, max_radius=3.0):
@@ -211,7 +226,7 @@ class TestRadialFunctionals:
             F = inner_integral(p).integrate_div_t()
             est = zm_radial_functional(p, lam)
             xs = np.exp(np.linspace(math.log(1e-3), math.log(1e6), 200001))
-            dense = max(x ** (lam - n) * F(float(x)) for x in xs)
+            dense = float(np.max(xs ** (lam - n) * F(xs)))
             assert est.value >= dense - 1e-9 * dense
             assert est.value <= dense * (1.0 + 1e-4)
 
@@ -228,10 +243,10 @@ class TestRadialFunctionals:
             A, B, C, D = -A, -B, -C, -D  # g > 0 below 1.98
         log2 = float(B) / shift
         log1 = (float(C) - 2.0 * log2) / shift
-        mid = PolyLogPiece(1.0, 2.0, 3, (float(D) - log1) / shift, float(A) / (shift + 3), log1, log2)
-        P = PiecewiseLogPoly((PolyLogPiece(0.0, 1.0, 3), mid, PolyLogPiece(2.0, math.inf, 3, mid(2.0))))
-        peak = 1.98**shift * mid(1.98)
-        value, arg = _sup_weighted(P, 1.5, 3)
+        mid = (1.0, 2.0, (float(D) - log1) / shift, float(A) / (shift + 3), log1, log2)
+        P = one_row(3, (0.0, 1.0, 0.0, 0.0, 0.0, 0.0), mid, (2.0, math.inf, piece_value(mid, 3, 2.0), 0.0, 0.0, 0.0))
+        peak = 1.98**shift * piece_value(mid, 3, 1.98)
+        (value,), (arg,) = _sup_weighted(P, np.array([1.5]))
         assert value >= peak * (1.0 - 1e-15)
         assert abs(arg - 1.98) <= 1e-12
 
@@ -244,28 +259,27 @@ class TestRadialFunctionals:
         xs = np.exp(np.linspace(math.log(0.05), math.log(1e3), 20001))
         for functional, G in ((zm_radial_functional, F), (zm_radial_functional_M, F.integrate_div_t())):
             value = functional(p, 0.5).value
-            dense = max(x ** (0.5 - n) * G(float(x)) for x in xs)
+            dense = float(np.max(xs ** (0.5 - n) * G(xs)))
             assert math.isfinite(value)
             assert value >= dense - 1e-9 * dense
 
 
-def _g(piece, shift, u):
-    """g = shift P + DP at u = log x (an array or a float), from the
-    piece's coefficients."""
-    A = (shift + piece.n) * piece.c
-    return (A * np.exp(piece.n * u) + shift * piece.log2 * u * u
-            + (shift * piece.log1 + 2.0 * piece.log2) * u + shift * piece.a + piece.log1)
+def _g(n, a, c, log1, log2, shift, u):
+    """g = shift P + DP at u = log x (an array or a float), from a piece's
+    coefficients."""
+    A = (shift + n) * c
+    return A * np.exp(n * u) + shift * log2 * u * u + (shift * log1 + 2.0 * log2) * u + shift * a + log1
 
 
 class TestPieceShape:
     def test_power_reaching_infinity_refused(self):
         with pytest.raises(ValueError):
-            PolyLogPiece(1.0, math.inf, 2, 1.0, 2.0)
+            one_row(2, (0.0, 1.0, 0.0, 1.0, 0.0, 0.0), (1.0, math.inf, 1.0, 2.0, 0.0, 0.0))
 
     def test_first_piece_constant_refused(self):
-        P = PiecewiseLogPoly((PolyLogPiece(0.0, 1.0, 2, 1.0, 2.0), PolyLogPiece(1.0, math.inf, 2, 3.0)))
+        P = one_row(2, (0.0, 1.0, 1.0, 2.0, 0.0, 0.0), (1.0, math.inf, 3.0, 0.0, 0.0, 0.0))
         with pytest.raises(ValueError):
-            _sup_weighted(P, 1.0, 2)
+            _sup_weighted(P, np.array([1.0]))
 
     def test_every_level_has_the_shape(self):
         rng = np.random.default_rng(47)
@@ -274,11 +288,9 @@ class TestPieceShape:
                 I = inner_integral(RadialProfile(decreasing_profile(rng), n, nonincreasing=True))
                 F = I.integrate_div_t()
                 for P in (I, F, F.integrate_div_t()):
-                    first = P.pieces[0]
-                    assert first.a == first.log1 == first.log2 == 0.0
-                    for piece in P.pieces:
-                        if P is I:
-                            assert piece.log1 == piece.log2 == 0.0
+                    assert (P.a[0] == 0.0).all() and (P.log1[0] == 0.0).all() and (P.log2[0] == 0.0).all()
+                    if P is I:
+                        assert (P.log1 == 0.0).all() and (P.log2 == 0.0).all()
 
     def test_critical_points_against_dense_sign_scan(self):
         # random sparse pieces with g = A x^n + B u^2 + C u + D built from
@@ -287,7 +299,7 @@ class TestPieceShape:
         # u* of D^2 g lies between them), two inside and one past the
         # right end, and a random piece
         rng = np.random.default_rng(48)
-        found = []
+        lanes = []
         for trial in range(400):
             n = int(rng.integers(1, 7))
             shift = n * float(rng.uniform(0.05, 0.95)) - n
@@ -305,17 +317,22 @@ class TestPieceShape:
                 A, B, C, D = np.linalg.svd([[math.exp(n * u), u * u, u, 1.0] for u in zeros])[2][-1]
             log2 = float(B) / shift
             log1 = (float(C) - 2.0 * log2) / shift
-            piece = PolyLogPiece(left, right, n, (float(D) - log1) / shift, float(A) / (shift + n), log1, log2)
-            got = _piece_critical(piece, shift)
+            lanes.append((n, left, right, (float(D) - log1) / shift, float(A) / (shift + n), log1, log2, shift))
+        # the 400 pieces are one batch of lanes
+        xs, hit = _piece_critical(*(np.array(col) for col in zip(*lanes)))
+        found = []
+        for i, (n, left, right, *coef) in enumerate(lanes):
+            got = xs[hit[:, i], i]
             found.append(len(got))
+            ua, ub = math.log(left), math.log(right)
             us = np.linspace(ua, ub, 20001)
-            signs = np.sign(_g(piece, shift, us))
-            for i in np.flatnonzero(signs[:-1] * signs[1:] < 0):  # every scanned sign change is a root
-                assert any(math.exp(us[i]) * (1 - 1e-9) <= x <= math.exp(us[i + 1]) * (1 + 1e-9) for x in got)
+            signs = np.sign(_g(n, *coef, us))
+            for j in np.flatnonzero(signs[:-1] * signs[1:] < 0):  # every scanned sign change is a root
+                assert any(math.exp(us[j]) * (1 - 1e-9) <= x <= math.exp(us[j + 1]) * (1 + 1e-9) for x in got)
             for x in got:  # and every root is a zero of g
                 assert left <= x <= right
-                scale = max(abs(_g(piece, shift, math.log(x) + d)) for d in (-1e-3, 1e-3))
-                assert abs(_g(piece, shift, math.log(x))) <= 1e-6 * scale
+                scale = max(abs(_g(n, *coef, math.log(x) + d)) for d in (-1e-3, 1e-3))
+                assert abs(_g(n, *coef, math.log(x))) <= 1e-6 * scale
         assert found.count(3) >= 50 and found.count(2) >= 100
 
 
@@ -402,6 +419,48 @@ class TestHardyReduction:
         zm_radial_functional_M(p, 1.0)
         assert len(calls) == 2
 
+    def test_suite_builds_each_level_once(self, monkeypatch):
+        # one build of each level serves all of the suite's reductions; the
+        # closed-form calibration adds one profile and its first level
+        integrate, calls = PiecewiseLogPoly.integrate_div_t, []
+        build, builds = radial.inner_integral, []
+        monkeypatch.setattr(PiecewiseLogPoly, "integrate_div_t", lambda P: calls.append(P) or integrate(P))
+        monkeypatch.setattr(radial, "inner_integral", lambda *ps: builds.append(ps) or build(*ps))
+        assert experiments.suite_radial(seed=3, count=100)["ok"]
+        assert [len(ps) for ps in builds] == [100, 1]
+        assert [P.n.size for P in calls] == [100, 100, 1]
+
+    def test_rows_solve_independently(self):
+        # a mixed batch: the zero profile, single cells, a leading gap,
+        # six cells, n = 1..8 and lam / n from 0.05 to 0.95; each row's
+        # (lhs, rhs, bound) equals, bitwise, the same profile solved alone
+        rng = np.random.default_rng(51)
+        profs = [
+            StepFunction.zero(),
+            CHI01,
+            StepFunction([0.0, 0.4], [2.5]),
+            StepFunction([0.3, 0.5, 1.7], [2.0, 0.5]),
+            StepFunction(np.linspace(0.0, 2.5, 7), np.linspace(3.0, 0.5, 6)),
+        ]
+        profs += [decreasing_profile(rng) for _ in range(11)]
+        ps = [RadialProfile(f, 1 + i % 8) for i, f in enumerate(profs)]
+        lams = np.array([p.dimension * frac for p, frac in zip(ps, np.linspace(0.05, 0.95, len(ps)))])
+
+        def solve(rows, lam):
+            F = inner_integral(*rows).integrate_div_t()
+            return np.stack(_reduction(F, F.integrate_div_t(), lam))
+
+        batch = solve(ps, lams)
+        for i, (p, lam) in enumerate(zip(ps, lams)):
+            assert np.array_equal(batch[:, i], solve([p], lams[i : i + 1])[:, 0])
+        mono = [i for i, f in enumerate(profs) if f.is_zero or f.breakpoints[0] == 0.0 and
+                all(a >= b for a, b in zip(f.values, f.values[1:]))]
+        rows = hardy_reduction_rows([RadialProfile(profs[i], ps[i].dimension, True) for i in mono], lams[mono])
+        for r, i in enumerate(mono):
+            alone = hardy_reduction_check(RadialProfile(profs[i], ps[i].dimension, True), lams[i])
+            assert tuple(float(x[r]) for x in rows) == alone == tuple(batch[:, i])
+        assert len(mono) >= 13
+
     def test_random_suite(self):
         rng = np.random.default_rng(45)
         for n in (1, 2, 3):
@@ -417,11 +476,19 @@ class TestHardyReduction:
 class TestPieceValidation:
     def test_contiguity_enforced(self):
         with pytest.raises(ValueError):
-            PiecewiseLogPoly((PolyLogPiece(0.0, 1.0, 1, 0.0, 1.0),))
+            one_row(1, (0.0, 1.0, 0.0, 1.0, 0.0, 0.0))
         with pytest.raises(ValueError):
-            PiecewiseLogPoly(
-                (
-                    PolyLogPiece(0.0, 1.0, 1, 0.0, 1.0),
-                    PolyLogPiece(2.0, math.inf, 1, 1.0),
-                )
-            )
+            one_row(1, (0.0, 1.0, 0.0, 1.0, 0.0, 0.0), (2.0, math.inf, 1.0, 0.0, 0.0, 0.0))
+
+    def test_padding_repeats_the_tail(self):
+        # row 0 has three pieces; row 1 is the zero level, padded with copies
+        # of its tail, and a copy that differs is refused
+        def level(pad_a):
+            rows = [[(0.0, 1.0, 0.0, 1.0), (1.0, math.inf, 1.0, 0.0), (1.0, math.inf, 1.0, 0.0)],
+                    [(0.0, math.inf, 0.0, 0.0), (0.0, math.inf, 0.0, 0.0), (0.0, math.inf, pad_a, 0.0)]]
+            left, right, a, c = np.array(rows).transpose(2, 1, 0)
+            return PiecewiseLogPoly(np.array([1, 1]), left, right, a, c, 0.0 * a, 0.0 * a)
+
+        assert level(0.0)(2.0).tolist() == [1.0, 0.0]
+        with pytest.raises(ValueError):
+            level(1.0)
