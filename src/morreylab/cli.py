@@ -109,17 +109,17 @@ def cmd_maxfn(args) -> int:
     rows: list[str] = []
     if args.op == "M":
         rows.append("x,value")
-        rows += [f"{_fmt(x)},{_fmt(maximal(f, x))}" for x in pts]
+        rows += [f"{_fmt(x)},{_fmt(v)}" for x, v in zip(pts, maximal(f, pts))]
     elif args.op == "Malpha":
         rows.append("x,value")
-        rows += [f"{_fmt(x)},{_fmt(fractional_maximal(f, args.alpha, x))}" for x in pts]
+        rows += [f"{_fmt(x)},{_fmt(v)}" for x, v in zip(pts, fractional_maximal(f, args.alpha, pts))]
     elif args.op in ("Cb", "bracket"):
         if not args.symbol:
             raise UsageError(f"--op {args.op} requires --symbol")
         b = _load_step(args.symbol)
         op = maximal_commutator if args.op == "Cb" else bracket_commutator
         rows.append("x,value")
-        rows += [f"{_fmt(x)},{_fmt(op(b, f, x))}" for x in pts]
+        rows += [f"{_fmt(x)},{_fmt(v)}" for x, v in zip(pts, op(b, f, pts))]
     elif args.op == "M2":
         lo_hull = min(pts + [0.0]) - 1.0
         hi_hull = max(pts + [0.0]) + 1.0
@@ -218,7 +218,7 @@ def cmd_radial(args) -> int:
     p = _load_profile(args.input)
     if args.op == "hardy":
         pts = _points_from_args(args)
-        rows = ["x,value"] + [f"{_fmt(x)},{_fmt(hardy(p, x))}" for x in pts]
+        rows = ["x,value"] + [f"{_fmt(x)},{_fmt(v)}" for x, v in zip(pts, hardy(p, pts))]
         _emit("\n".join(rows) + "\n", args.out)
         return 0
     if args.op == "reduction":

@@ -21,6 +21,11 @@ inequality), so one of them averages at least as much.  Mf(x) is therefore
 the larger one-sided maximum (Sawyer, Trans. AMS 297, 1986), each one pass
 over the breakpoints on its side: no pair is searched.
 
+Every pointwise operator here takes xs, a point (for a float) or a 1-D
+array of points (for an array), by one code path, and a non-finite point
+raises ValueError.  :func:`maximal` runs both passes for a block of points
+at once.
+
 The same scan for the fractional variant |Q|^(a-1) * int_Q |f| gives the
 derivative sign (a-1)(A + c*d) + c(L + d), which is nondecreasing in d
 (a, c >= 0), so any interior critical point is a minimum along the scan
@@ -89,6 +94,8 @@ import numpy as np
 
 from .stepfn import (
     _pair_max,
+    _points,
+    _shaped,
     _values_at,
     EnvelopePair,
     Interval,
@@ -104,7 +111,6 @@ __all__ = [
     "fractional_maximal",
     "maximal_commutator",
     "commutator",
-    "brute_force_maximal",
     "maximal_envelope",
     "iterated_maximal",
     "iterated_maximal_at",
@@ -124,117 +130,79 @@ def _candidate_arrays(f: StepFunction, left: float, right: float):
     return ts, ps, k + 1
 
 
-def maximal(f: StepFunction, x: float) -> float:
-    """Exact Hardy-Littlewood maximal function of a step function at x: the
-    larger of R(x) and L(x) (module docstring), one pass over each side.  A
-    non-finite x raises ValueError."""
-    x = float(x)
-    if not math.isfinite(x):
-        raise ValueError(f"need a finite point, got x={x}")
-    if f.is_zero:
-        return 0.0
+_BLOCK = 1 << 14  # scores per block in :func:`maximal`: 16 points x 1000 cells, 128 KB
+
+
+def maximal(f: StepFunction, xs: float | np.ndarray) -> float | np.ndarray:
+    """Exact Hardy-Littlewood maximal function of a step function at xs
+    (module docstring): the larger of R(x) and L(x), one pass over each
+    side, in blocks of about ``_BLOCK`` (point, breakpoint) pairs, so memory
+    stays O(_BLOCK + points + cells).  With x in [b[j - 1], b[j]), where
+    |f| = c, the pair (x, b[t]) scores
+    ((P(b[t]) - P(b[a])) - c (b[t] - b[a])) / (b[t] - x), with a = j right
+    of x (t >= j) and a = j - 1 left of it, where it is the exact mirror of
+    K_u / (x - u), as negation is exact.  A breakpoint at x scores 0."""
+    pts, scalar = _points(xs)
     b, w, prefix = f._abs_arrays
-    # x lies in [b[j - 1], b[j]), where |f| = c, and the first i breakpoints are below it
-    j = int(b.searchsorted(x, side="right"))
-    i = j - 1 if j and b[j - 1] == x else j
-    c = float(w[j - 1]) if 0 < j < len(b) else 0.0
-    r = ((prefix[j:] - prefix[j] - c * (b[j:] - b[j])) / (b[j:] - x)).max() if j < len(b) else 0.0
-    l = ((prefix[j - 1] - prefix[:i] - c * (b[j - 1] - b[:i])) / (x - b[:i])).max() if i else 0.0
+    n = len(b)
+    j = b.searchsorted(pts, side="right")
+    c = np.concatenate(([0.0], w, [0.0]))[j]
+    best = np.empty(len(pts))
+    cols = np.arange(n)
+    step = max(1, _BLOCK // n)
+    for s in range(0, len(pts), step):
+        jb, x, cb = j[s : s + step, None], pts[s : s + step, None], c[s : s + step, None]
+        a = jb - (cols < jb)
+        dist = b - x
+        num = (prefix - prefix[a]) - cb * (b - b[a])
+        score = np.divide(num, dist, out=np.zeros(dist.shape), where=dist != 0.0)
+        best[s : s + step] = score.max(axis=1)
     # averages of |f| never exceed sup |f|; the clamp also guards the
     # cancellation noise of prefix differences over near-degenerate pairs
-    return min(float(c + max(r, l, 0.0)), f.sup_abs())
+    return _shaped(np.minimum(c + np.maximum(best, 0.0), f.sup_abs()), scalar)
 
 
-def fractional_maximal(f: StepFunction, alpha: float, x: float) -> float:
-    """Exact fractional maximal function sup |Q|^(alpha-1) * int_Q |f|; a
-    non-finite x raises ValueError."""
+def fractional_maximal(f: StepFunction, alpha: float, xs: float | np.ndarray) -> float | np.ndarray:
+    """Exact fractional maximal function sup |Q|^(alpha-1) * int_Q |f| at xs
+    (module docstring).  Each point has its own candidate set, so the hull
+    walk ``stepfn._pair_max`` runs once per point."""
     if not 0.0 <= alpha < 1.0:
         raise ValueError("alpha must lie in [0, 1)")
     if alpha == 0.0:
-        return maximal(f, x)
-    x = float(x)
-    if not math.isfinite(x):
-        raise ValueError(f"need a finite point, got x={x}")
-    if f.is_zero:
-        return 0.0
-    ts, ps, k = _candidate_arrays(f, x, x)
-    return _pair_max(ts[:k], ps[:k], ts[k:], ps[k:], alpha - 1.0, 1.0, f.sup_abs())[0]
+        return maximal(f, xs)
+    pts, scalar = _points(xs)
+    vals = np.zeros(len(pts))
+    if not f.is_zero:
+        for i, x in enumerate(pts.tolist()):
+            ts, ps, k = _candidate_arrays(f, x, x)
+            vals[i] = _pair_max(ts[:k], ps[:k], ts[k:], ps[k:], alpha - 1.0, 1.0, f.sup_abs())[0]
+    return _shaped(vals, scalar)
 
 
-def maximal_commutator(b: StepFunction, f: StepFunction, x: float) -> float:
-    """Exact C_b(f)(x) = sup over Q containing x of avg |b(x) - b(.)| |f(.)|.
+def maximal_commutator(b: StepFunction, f: StepFunction, xs: float | np.ndarray) -> float | np.ndarray:
+    """Exact C_b(f)(x) = sup over Q containing x of avg |b(x) - b(.)| |f(.)|
+    at xs (module docstring).
 
-    For fixed x the integrand is itself a step function, so the
-    candidate-endpoint lemma applies verbatim.
+    For fixed x the integrand g is itself a step function, so the
+    candidate-endpoint lemma applies verbatim.  g depends on x only through
+    b(x), so each value of b(x) takes one g and one :func:`maximal` call.
     """
-    x = float(x)
-    bx = b(x)
-    g = combine(b, f, lambda bv, fv: abs(bx - bv) * abs(fv))
-    return maximal(g, x)
+    pts, scalar = _points(xs)
+    levels, group = np.unique(_values_at(b, pts), return_inverse=True)
+    vals = np.empty(len(pts))
+    for k, beta in enumerate(levels):
+        g = combine(b, f, lambda bv, fv: np.abs(beta - bv) * np.abs(fv))
+        on = group == k
+        vals[on] = maximal(g, pts[on])
+    return _shaped(vals, scalar)
 
 
-def commutator(b: StepFunction, f: StepFunction, x: float) -> float:
-    """Exact commutator [M, b]f(x) = M(bf)(x) - b(x) * Mf(x)."""
-    x = float(x)
+def commutator(b: StepFunction, f: StepFunction, xs: float | np.ndarray) -> float | np.ndarray:
+    """Exact commutator [M, b]f(x) = M(bf)(x) - b(x) * Mf(x) at xs (module
+    docstring)."""
+    pts, scalar = _points(xs)
     bf = combine(b, f, lambda bv, fv: bv * fv)
-    return maximal(bf, x) - b(x) * maximal(f, x)
-
-
-def brute_force_maximal(
-    f: StepFunction,
-    x: float,
-    samples: int = 10_000,
-    seed: int = 0,
-    zoom_rounds: int = 1,
-) -> float:
-    """Monte-Carlo lower estimate of Mf(x), independent of the exact path.
-
-    Draws random intervals [u, v] containing x inside a generous hull.  With
-    ``zoom_rounds > 1`` the sample budget is spread over coarse-to-fine
-    rounds: most draws concentrate in a shrinking box around the incumbent
-    while a fixed share keeps exploring the full hull.  Plain uniform
-    sampling stalls at grid resolution near isolated optima; the zoom
-    schedule converges geometrically instead.
-    """
-    x = float(x)
-    if f.is_zero:
-        return 0.0
-    rng = np.random.default_rng(seed)
-    b0, bm = f.breakpoints[0], f.breakpoints[-1]
-    span = max(bm - b0, 1e-9)
-    ulo0, uhi0 = min(b0, x) - span, x
-    vlo0, vhi0 = x, max(bm, x) + span
-    best = abs(f(x))
-    bu, bv = x, x
-    box = (ulo0, uhi0, vlo0, vhi0)
-    per_round = max(1, samples // max(zoom_rounds, 1))
-    for rnd in range(max(zoom_rounds, 1)):
-        n_explore = per_round if rnd == 0 else per_round // 4
-        n_zoom = per_round - n_explore
-        u = rng.uniform(ulo0, uhi0, n_explore)
-        v = rng.uniform(vlo0, vhi0, n_explore)
-        if n_zoom:
-            u = np.concatenate((u, rng.uniform(box[0], box[1], n_zoom)))
-            v = np.concatenate((v, rng.uniform(box[2], box[3], n_zoom)))
-        lengths = v - u
-        ok = lengths > 0
-        if ok.any():
-            bnp, w, prefix = f._abs_arrays
-            masses = prefix_at(bnp, w, prefix, v[ok]) - prefix_at(bnp, w, prefix, u[ok])
-            ratios = masses / lengths[ok]
-            k = int(np.argmax(ratios))
-            if ratios[k] > best:
-                best = float(ratios[k])
-                bu, bv = float(u[ok][k]), float(v[ok][k])
-        wu = max((box[1] - box[0]) / 6.0, 1e-15)
-        wv = max((box[3] - box[2]) / 6.0, 1e-15)
-        box = (
-            max(ulo0, bu - wu),
-            min(uhi0, bu + wu),
-            max(vlo0, bv - wv),
-            min(vhi0, bv + wv),
-        )
-    return best
+    return _shaped(maximal(bf, pts) - _values_at(b, pts) * maximal(f, pts), scalar)
 
 
 # ---------------------------------------------------------------------------

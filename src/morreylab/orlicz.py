@@ -247,13 +247,14 @@ def _llog_rows(f: StepFunction, lefts: np.ndarray, rights: np.ndarray) -> tuple[
     lefts, rights, mass = lefts[live], rights[live], mass[live]
     area = rights - lefts
     mean = mass / area
+    log_mean = np.log(mean)  # v / mean can overflow, where a window missing v would add 0 * inf
     acc, u_run, w_run, u, c, floor = (np.zeros(len(live)) for _ in range(6))
     found = np.zeros(len(live), dtype=bool)
     for v, meas in level_measures(f, lefts, rights):
         if v == 0.0:
             break
         lv, logv = meas * v, math.log(v)
-        acc += lv * (1.0 + np.maximum(np.log(v / mean), 0.0))
+        acc += lv * (1.0 + np.maximum(logv - log_mean, 0.0))
         hit = ~found & (v * area + u_run * logv - (mass + w_run) <= 0.0)
         floor[hit], u[hit], c[hit] = v, u_run[hit], w_run[hit]
         found |= hit

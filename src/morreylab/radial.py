@@ -82,7 +82,6 @@ as ``OverflowError``; a level or a supremum is never returned non-finite.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property, wraps
@@ -91,7 +90,7 @@ from typing import Sequence
 import numpy as np
 
 from .norms import NormEstimate
-from .stepfn import Interval, StepFunction
+from .stepfn import Interval, StepFunction, _points, _shaped
 
 __all__ = [
     "RadialProfile",
@@ -316,35 +315,39 @@ class HardyOriginWarning(UserWarning):
     """Raised when the Hardy operator is evaluated at the removable point 0."""
 
 
-def hardy(p: RadialProfile, x: float) -> float:
+def hardy(p: RadialProfile, xs: float | np.ndarray) -> float | np.ndarray:
     """Exact n-dimensional Hardy operator H f(x) = n I(|x|) / |x|^n, the
     solid average of |f| over the ball of radius |x|, with I the inner
-    integral, summed over the cells (l, r) with l < |x|.  With
-    m = min(r, |x|) a cell adds |v| (m / |x|)^n (1 - (l / m)^n), where
+    integral, at a point or at a 1-D array of points (a float in gives a
+    float out; a non-finite point raises ValueError).  It is summed over the
+    cells (l, r) with l < |x|, left to right.  With m = min(r, |x|) a cell
+    adds |v| (m / |x|)^n (1 - (l / m)^n), where
     1 - (l / m)^n = -expm1(n log1p((l - m) / m)), or 1 when l = 0.  Every
     term is nonnegative and both ratios are at most 1, so no step overflows
     or cancels, in any dimension; a power that underflows leaves a term
-    below the smallest float.  x = 0 is a removable limit; the first-cell
-    value is returned under a warning to keep pipelines total.
+    below the smallest float.  Only the points past l enter a cell's terms.
+    x = 0 is a removable limit; the first-cell value is returned there, under
+    one warning per call, to keep pipelines total.
     """
-    r = abs(float(x))
-    if r == 0.0:
+    pts, scalar = _points(xs)
+    r = np.abs(pts)
+    total = np.zeros(len(pts))
+    origin = r == 0.0
+    if origin.any():
         warnings.warn(
             "Hardy operator at x = 0 returns the limit value |phi(0+)|",
             HardyOriginWarning,
             stacklevel=2,
         )
-        if p.profile.is_zero:
-            return 0.0
-        return abs(p.profile(p.profile.breakpoints[0])) if p.profile.breakpoints[0] == 0.0 else 0.0
+        total[origin] = abs(p.profile(0.0))
     n = p.dimension
-    total = 0.0
     for l, right, v in p.profile.cells():
-        if l >= r:
+        on = np.flatnonzero(l < r)
+        if not on.size:
             break
-        m = min(right, r)
-        total += abs(v) * (m / r) ** n * (-math.expm1(n * math.log1p((l - m) / m)) if l else 1.0)
-    return total
+        m = np.minimum(right, r[on])
+        total[on] += abs(v) * (m / r[on]) ** n * (-np.expm1(n * np.log1p((l - m) / m)) if l else 1.0)
+    return _shaped(total, scalar)
 
 
 def _sign_roots(f, df, pts: np.ndarray, coef: tuple) -> tuple[np.ndarray, np.ndarray]:

@@ -347,19 +347,21 @@ def average(f: StepFunction, interval: Interval) -> float:
 
 
 def combine(
-    f: StepFunction, g: StepFunction, op: Callable[[float, float], float]
+    f: StepFunction, g: StepFunction, op: Callable[[np.ndarray, np.ndarray], np.ndarray]
 ) -> StepFunction:
     """Pointwise binary ``op`` of two step functions on the merged breakpoints.
 
-    ``op(0, 0)`` must be 0, otherwise the result is not compactly supported.
+    ``op`` is applied once, elementwise, to the arrays of f's and g's values
+    on the merged cells, so it must be array-safe (arithmetic, ``abs`` and
+    numpy ufuncs are).  ``op(0, 0)`` must be 0, otherwise the result is not
+    compactly supported.
     """
     if op(0.0, 0.0) != 0.0:
         raise ValueError("op(0, 0) must be 0 for a compactly supported result")
-    pts = sorted(set(f.breakpoints) | set(g.breakpoints))
+    pts = np.union1d(f.breakpoints, g.breakpoints)
     if len(pts) < 2:
         return StepFunction.zero()
-    vals = [op(f(l), g(l)) for l in pts[:-1]]
-    return StepFunction(pts, vals)
+    return StepFunction(pts, op(_values_at(f, pts[:-1]), _values_at(g, pts[:-1])))
 
 
 def pos_neg_parts(b: StepFunction) -> tuple[StepFunction, StepFunction]:
@@ -485,6 +487,25 @@ def _values_at(f: StepFunction, xs: np.ndarray) -> np.ndarray:
     """f at every point of xs (vectorized ``f(x)``: the right cell's value
     at a breakpoint, 0 off the support)."""
     return np.concatenate(([0.0], f.values, [0.0]))[np.searchsorted(f.breakpoints, xs, side="right")]
+
+
+def _points(xs) -> tuple[np.ndarray, bool]:
+    """The points of a pointwise operator as a 1-D float array, and whether
+    they came as a scalar; a non-finite point raises ValueError."""
+    arr = np.asarray(xs, dtype=float)
+    if arr.ndim > 1:
+        raise ValueError(f"need a point or a 1-D array of points, got shape {arr.shape}")
+    pts = arr.reshape(-1)
+    bad = pts[~np.isfinite(pts)]
+    if bad.size:
+        raise ValueError(f"need a finite point, got x={bad[0]}")
+    return pts, arr.ndim == 0
+
+
+def _shaped(vals: np.ndarray, scalar: bool) -> float | np.ndarray:
+    """An operator's values as :func:`_points` took its points: a float for
+    a scalar, else the array."""
+    return float(vals[0]) if scalar else vals
 
 
 def prefix_at(b: np.ndarray, w: np.ndarray, prefix: np.ndarray, x: np.ndarray) -> np.ndarray:

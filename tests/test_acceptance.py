@@ -19,7 +19,6 @@ from morreylab.experiments import (
     suite_counterexample,
 )
 from morreylab.maxops import (
-    brute_force_maximal,
     maximal,
     maximal_envelope,
 )
@@ -34,6 +33,7 @@ from morreylab.orlicz import (
 )
 from morreylab.radial import RadialProfile, hardy_reduction_check, zm_radial_functional
 from morreylab.stepfn import Interval, StepFunction
+from oracles import brute_force_maximal
 
 EXPECTED = json.loads((Path(__file__).parent / "expected_constants.json").read_text())
 CHI01 = StepFunction.indicator(0.0, 1.0)

@@ -3,7 +3,7 @@ no module imports a name it never uses, every private name that a module
 or class body binds is referenced somewhere in the package, and every
 private or module-qualified name that the text cites as ``name`` or
 :func:`name`, or README.md as `name`, exists.  Also, every name the traced
-benchmark run patches still exists."""
+benchmark run patches still exists, and README.md's python example runs."""
 
 from __future__ import annotations
 
@@ -143,3 +143,18 @@ def test_traced_names_resolve():
         if not callable(owner):
             missing.append(label)
     assert not missing
+
+
+def test_readme_python_blocks_run():
+    # the library example runs as printed and gives the values its comments state
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
+    assert blocks
+    scope: dict = {}
+    for block in blocks:
+        exec(block, scope)
+    assert scope["mf"] == 0.5
+    assert scope["mfs"].tolist() == [1.0, 0.5]
+    assert scope["est"].value <= scope["est"].upper_bound
+    env, lower, upper = scope["env"], scope["lower"], scope["upper"]
+    assert env.lower(0.5) <= env.upper(0.5)
+    assert lower[0] <= upper[0] and scope["capped"] == 0

@@ -15,7 +15,6 @@ from morreylab.maxops import (
     _candidate_arrays,
     _cell_floor,
     _side_chords,
-    brute_force_maximal,
     commutator,
     commutator_envelope,
     fractional_maximal,
@@ -29,6 +28,7 @@ from morreylab.radial import HardyOriginWarning, RadialProfile, hardy
 from morreylab.stepfn import (
     Interval, StepFunction, _pair_max, _values_at, average, combine, default_hull, integrate, prefix_at,
 )
+from oracles import brute_force_maximal
 
 CHI01 = StepFunction.indicator(0.0, 1.0)
 
@@ -213,17 +213,67 @@ class TestMaximal:
 
     @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
     def test_non_finite_point_rejected(self, x):
-        # commutator and maximal_commutator reach the check through maximal
-        ops = (
-            lambda: maximal(CHI01, x),
-            lambda: maximal(StepFunction.zero(), x),
-            lambda: fractional_maximal(CHI01, 0.5, x),
-            lambda: maximal_commutator(CHI01, CHI01, x),
-            lambda: commutator(CHI01, CHI01, x),
-        )
-        for op in ops:
-            with pytest.raises(ValueError, match="finite point"):
-                op()
+        # alone or inside an array of points
+        profile = RadialProfile(CHI01, 1)
+        for pts in (x, [0.5, x], np.array([x, 0.5, 2.0])):
+            ops = (
+                lambda: maximal(CHI01, pts),
+                lambda: maximal(StepFunction.zero(), pts),
+                lambda: fractional_maximal(CHI01, 0.5, pts),
+                lambda: maximal_commutator(CHI01, CHI01, pts),
+                lambda: commutator(CHI01, CHI01, pts),
+                lambda: hardy(profile, pts),
+            )
+            for op in ops:
+                with pytest.raises(ValueError, match="finite point"):
+                    op()
+
+
+class TestPointArrays:
+    """Every pointwise operator takes a float, for a float, or a 1-D array of
+    points, for an array, by one code path."""
+
+    def test_array_equals_one_point_calls(self):
+        rng = np.random.default_rng(33)
+        zero = StepFunction.zero()
+        # 3000 cells spread the points over several blocks of the broadcast
+        big = StepFunction(np.linspace(-2.0, 2.0, 3001), np.exp(rng.uniform(-3.0, 3.0, 3000)))
+        for i in range(41):
+            f = zero if i % 10 == 0 else big if i == 40 else random_step(rng, signed=bool(i % 2))
+            b = zero if i % 10 == 5 else random_step(rng, max_cells=6, signed=True)
+            xs = np.concatenate((rng.uniform(-3.0, 3.0, 12), f.breakpoints[:40], b.breakpoints, [-5.0, 5.0]))
+            ops = (
+                lambda y: maximal(f, y),
+                lambda y: fractional_maximal(f, 0.5, y),
+                lambda y: maximal_commutator(b, f, y),
+                lambda y: commutator(b, f, y),
+            )
+            for op in ops:
+                one = [op(float(x)) for x in xs]
+                assert all(type(v) is float for v in one)
+                assert op(xs).tobytes() == np.array(one).tobytes()
+                assert op(list(xs)).tobytes() == np.array(one).tobytes()
+                assert op(xs[:0]).shape == (0,)
+
+    def test_matrix_of_points_rejected(self):
+        with pytest.raises(ValueError, match="1-D"):
+            maximal(CHI01, np.zeros((2, 2)))
+
+    def test_memory_is_bounded_by_the_block(self):
+        # 1000 points on 10^4 cells: a points x cells temporary would take 80 MB
+        rng = np.random.default_rng(34)
+        m = 10_000
+        f = StepFunction(np.linspace(0.0, 1.0, m + 1), np.exp(rng.uniform(-3.0, 3.0, m)))
+        xs = rng.uniform(-0.25, 1.25, 1000)
+        want = [maximal(f, float(x)) for x in xs[:20]]  # also builds f's cached arrays
+        tracemalloc.start()
+        try:
+            got = maximal(f, xs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got[:20].tolist() == want
+        assert peak < 16 * 8 * (max(maxops._BLOCK, m + 1) + len(xs))
 
 
 def extended_cells(f, xs):
@@ -1041,6 +1091,24 @@ class TestHardy:
         p = RadialProfile(CHI01, 2)
         with pytest.warns(HardyOriginWarning):
             assert hardy(p, 0.0) == 1.0
+
+    def test_array_equals_one_point_calls(self):
+        rng = np.random.default_rng(21)
+        for n in (1, 2, 3, 7):
+            k = int(rng.integers(1, 6))
+            radii = np.sort(rng.uniform(0.1, 3.0, k))
+            vals = np.exp(rng.uniform(-2.0, 2.0, k))
+            start = 0.0 if n % 2 else 0.05  # a leading gap: the limit at 0 is 0
+            p = RadialProfile(StepFunction(np.concatenate(([start], radii)), vals), n)
+            xs = np.concatenate((rng.uniform(-4.0, 4.0, 20), radii, -radii, [0.0, 1e-300, -0.0, 1e300]))
+            with pytest.warns(HardyOriginWarning) as caught:
+                got = hardy(p, xs)
+            assert len(caught) == 1
+            off = xs != 0.0
+            one = [hardy(p, float(x)) for x in xs[off]]
+            assert all(type(v) is float for v in one)
+            assert got[off].tobytes() == np.array(one).tobytes()
+            assert np.all(got[~off] == (vals[0] if start == 0.0 else 0.0))
 
     def test_even_decreasing_factor_two_band(self):
         # even nonincreasing step f: Mf and Hf agree within a factor of 2

@@ -537,6 +537,17 @@ class TestAnchoredSearch:
                 else:
                     assert est.upper_bound <= _psi_max(lam) * est.value * (1 + 1e-12)
 
+    def test_levels_far_apart_keep_a_finite_bracket(self):
+        # v / mean_Q overflows for v = 1e300 on a window inside (1, 2), where
+        # that level's measure is 0: the llog functional must not read 0 * inf
+        f = StepFunction((0.0, 1.0, 2.0), (1e300, 1e-300))
+        _, func = _llog_rows(f, np.array([1.25, 0.0]), np.array([1.75, 1.0]))
+        assert func.tolist() == pytest.approx([1e-300, 1e300], rel=1e-12)
+        for lam in (0.1, 0.5, 0.9):
+            for est in (zygmund_morrey_norm(f, lam), characterization_functional(f, lam)):
+                # (0, 1) alone gives 1e300 to both
+                assert 1e300 <= est.value <= est.upper_bound < math.inf
+
     def test_counterexample_certified_past_the_old_cap(self):
         # the family-based upper bound was 298 % above the value at K = 128 and raised at K = 256
         for K in (128, 256):
