@@ -56,10 +56,6 @@ class Interval:
     def length(self) -> float:
         return self.right - self.left
 
-    def contains(self, x: float) -> bool:
-        """Closed containment; endpoint membership is measure-irrelevant."""
-        return self.left <= x <= self.right
-
     def expanded(self, margin: float) -> "Interval":
         return Interval(self.left - margin, self.right + margin)
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from morreylab.experiments import (
+    CONSTANTS,
     CounterexampleSpec,
     build_counterexample,
     cb_chi_lower_check,
@@ -21,8 +22,6 @@ from morreylab.experiments import (
     suite_pointwise,
     suite_radial,
     suite_weaktype,
-    weak_morrey_M2_constant,
-    weak_type_constant,
 )
 from morreylab.norms import zygmund_morrey_norm
 from morreylab.stepfn import Interval, StepFunction
@@ -88,12 +87,16 @@ class TestLowerBoundChain:
 
 class TestWeakTypeConstants:
     def test_m2_report_locked(self):
-        rep = weak_type_constant("M2", EXPECTED["weak_type_M2"]["corpus"]["functions"])
+        from morreylab.experiments import _reports
+
+        rep = _reports({"weak_type_M2": CONSTANTS["weak_type_M2"]})["weak_type_M2"]
         want = EXPECTED["weak_type_M2"]["constant"]
         assert rep.constant == pytest.approx(want, rel=1e-9)
 
     def test_witness_reevaluates(self):
-        for key in ("weak_type_M2", "weak_type_Cb", "weak_type_MbCommutator"):
+        for key in (
+            "weak_type_M2", "weak_type_Cb", "weak_type_MbCommutator", "weak_morrey_M2", "commutator_vs_bmo_m2"
+        ):
             exp = EXPECTED[key]
             from morreylab.experiments import ConstantReport
 
@@ -104,8 +107,10 @@ class TestWeakTypeConstants:
             assert again == pytest.approx(exp["constant"], rel=1e-9)
 
     def test_unknown_op_rejected(self):
+        from morreylab.experiments import _witness_lower
+
         with pytest.raises(ValueError):
-            weak_type_constant("M3", {"seed": 1, "size": 2, "max_cells": 3, "signed": False})
+            _witness_lower("M3", corpus(1, 2, 3, False)[0], None)
 
     def test_dilation_invariance(self):
         # both sides of the weak-type inequality scale linearly under
@@ -243,6 +248,22 @@ class TestRegressionLocks:
             for max_cells in (1, 5, 12, 24) * 8:
                 f, g = random_step_function(got, max_cells, signed), formula(want, max_cells)
                 assert (f.breakpoints, f.values) == (g.breakpoints, g.values)
+
+    def test_records_match_the_lock_file(self):
+        # the lock file stores each record's inequality and corpus as the
+        # registry draws it; only the four bands and the BMO-scaled pointwise
+        # constant are observed rather than certified
+        assert set(CONSTANTS) == set(EXPECTED)
+        for key, record in CONSTANTS.items():
+            assert (record.inequality, record.corpus) == (EXPECTED[key]["inequality"], EXPECTED[key]["corpus"]), key
+        observed = {key for key, record in CONSTANTS.items() if record.kind != "certified"}
+        assert observed == {
+            "commutator_vs_bmo_m2",
+            "orlicz_vs_m2_band_lo",
+            "orlicz_vs_m2_band_hi",
+            "radial_vs_interval_band_lo",
+            "radial_vs_interval_band_hi",
+        }
 
     def test_expected_file_structure(self):
         for key, obj in EXPECTED.items():

@@ -43,8 +43,6 @@ class TestInterval:
     def test_length_contains(self):
         q = Interval(-1.0, 3.0)
         assert q.length == 4.0
-        assert q.contains(-1.0) and q.contains(3.0) and q.contains(0.5)
-        assert not q.contains(3.5)
 
 
 class TestCanonicalForm:
