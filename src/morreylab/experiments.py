@@ -651,8 +651,8 @@ def suite_weaktype(seed: int = 7) -> dict:
     constants: dict[str, float] = {}
     for name, small, check, positive in _WEAKTYPE_CHECKS:
         rep = _reports({name: replace(CONSTANTS[name], corpus=small)})[name]
-        c = constants[name] = rep.constant
-        checks.append(_check(check, (0.0 < c if positive else 0.0 <= c) and c < math.inf, constant=c))
+        value = constants[name] = rep.constant
+        checks.append(_check(check, (0.0 < value if positive else 0.0 <= value) and value < math.inf, constant=value))
         if name == "weak_type_M2":
             # dilation invariance: scale the witnessed function by 4 and recompute
             base_ratio = reevaluate_constant(rep)
