@@ -470,7 +470,6 @@ def _level_ratio(op_id: str, f: StepFunction, b: StepFunction | None, t: float) 
 
 @dataclass
 class DominationResult:
-    checked_points: int
     violations: list[dict]
     c16: float | None
     c16_witness: dict
@@ -518,7 +517,7 @@ def pointwise_domination_suite(
                 denom = bmo * float(up)
                 if denom > 0.0 and (c16 is None or cb[i] / denom > c16):
                     c16, c16_witness = float(cb[i] / denom), {"x": points[i]}
-    return DominationResult(len(points), violations, c16, c16_witness)
+    return DominationResult(violations, c16, c16_witness)
 
 
 def cb_chi_lower_check(b: StepFunction, q0: Interval) -> tuple[float, float]:

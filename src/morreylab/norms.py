@@ -39,29 +39,46 @@ lemmas follow from convexity and 1 + log+(ab) <= (1 + log+ a)(1 + log+ b):
 - containment: Q inside Q' gives obj(Q) <= obj(Q') (|Q'|/|Q|)^(1-lam);
 - one cell: inside the anchor's first cell t_Q is its |value|, so obj rises
   with |Q|;
-- extension: if f = 0 on Q minus Q1, obj(Q) <= obj(Q1) psi(|Q|/|Q1|) with
-  psi(c) = c^lam / k, k (1 + log k) = c.  In s = 1 + log k, log psi =
-  (lam-1)(s-1) + lam log s is concave and 0 at s = 1, so psi <= 1 past the
-  reach c* (:func:`_reach`), and psi <= :func:`_psi_max` everywhere.
+- tail: let Q run from an anchor a past the far end of the support, which
+  lies at distance D_a from a.  f vanishes on the rest of Q, so
+  int_Q Phi(|f|/t) does not depend on where Q ends.  Over the suffix (the
+  support beyond a) let S be the mass of |f| and, for the values v > t of
+  |f|, U and W the sums of l v and l v log v, l the measure of {|f| = v};
+  put C = S + W and s = -log t.  As Phi(v/t) is (v/t)(1 + log v - log t)
+  for v > t and v/t below, the integral is e^s (C + U s), so t_Q solves
+  |Q| = e^s (C + U s), and log obj = -(1-lam) s + lam log(C + U s).  |Q| rises
+  with s, and |Q| >= D_a is s >= s_D.  Between consecutive levels of |f|, U
+  and C are constant, and log obj is concave in s (its second derivative is
+  -lam U^2 / (C + U s)^2), stationary at s* = lam/(1-lam) - C/U.  So the
+  tail's supremum is the larger of obj at |Q| = D_a and the values at each
+  piece's s*, clipped to the piece, where those lie past s_D.
+
+At most half.  U (1 - s) - C = sum_{v>t} l v (log t - log v) - sum_{v<=t} l v
+<= 0, so U <= C + U s and d(log obj)/ds = -(1-lam) + lam U / (C + U s) <= 2 lam
+- 1.  For lam <= 1/2 log obj never rises in s, so no tail beats |Q| = D_a.
 
 A region is an anchor, a side and a range (lo, d] of the free end's
 distance, scored at d and bounded by score (d/lo)^(1-lam).  First cells
-are scored once.  Each anchor and side then has the region (first cell,
-D], D the distance to the far end of the support, and the tail (D, D c*],
-bounded also by psi_max times the score at D; past D c* the score at D
-bounds every interval.  Where the tail would leave float range (lam above
-about 0.99, or extreme scales), psi_max times the best score bounds it.  Regions
-bounded above (1 + 1e-3) times the best score are cut into eight geometric
-pieces until none is.  A last batch scores the breakpoints inside every
-region still bounded above the best, and 63 evenly spaced points inside
-the 64 highest of them.  ``upper_bound`` is the largest bound left.  A batch
-costs its intervals times the distinct levels of |f|, and one that would
-take the total past ``_SEARCH_BUDGET`` raises first.
+are scored once, and each anchor and side then has the region (first cell,
+D].  For lam > 1/2 one level sweep over the suffixes gives every anchor's
+tail supremum, kept in logs so that it has no float-range limit (one past
+float range raises OverflowError), and its maximizing Q, scored with every
+other interval.  That Q's length is capped where one window could not be
+scored in floats: a +- |Q| finite, max|f| |Q| and the mass over |Q| normal.
+The cap limits only which interval attains ``value``, never the upper side.
+Regions bounded above (1 + 1e-3) times the best score are cut into eight
+geometric pieces until none is.  A last batch scores the breakpoints inside
+every region still bounded above the best, and 63 evenly spaced points
+inside the 64 highest of them.  ``upper_bound`` is the largest of the
+bounds left and the tails' suprema.  A batch costs its intervals times the
+distinct levels of |f|, and the tails the 2m anchors times the levels; one
+that would take the total past ``_SEARCH_BUDGET`` raises first.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -115,28 +132,43 @@ class NormEstimate:
 # the anchored search (module docstring)
 
 
-def _psi_max(lam: float) -> float:
-    """sup over c >= 1 of psi(c) (module docstring): log psi is stationary
-    at s = lam/(1-lam), in s >= 1 iff lam >= 1/2, so the supremum is 1 (at
-    c = 1) for lam <= 1/2 and e^(1-2 lam) (lam/(1-lam))^lam above."""
-    if lam <= 0.5:
-        return 1.0
-    return math.exp(1.0 - 2.0 * lam) * (lam / (1.0 - lam)) ** lam
-
-
-def _reach(lam: float) -> float:
-    """The reach c* = s e^(s-1) past which psi <= 1, s > 1 the root of the
-    concave log psi (module docstring), by Newton from above the root, which
-    falls onto it; 1 for lam <= 1/2, inf where c* overflows a float."""
-    if lam <= 0.5:
-        return 1.0
-    s = 4.0 * (lam / (1.0 - lam)) ** 2  # past the root: log s <= 2 (sqrt s - 1)
-    while (new := s - ((lam - 1.0) * (s - 1.0) + lam * math.log(s)) / (lam / s + lam - 1.0)) < s:
-        s = new
-    return s * math.exp(s - 1.0) if s < 700.0 else math.inf
-
-
 _SEARCH_BUDGET = 2e8  # intervals scored times distinct levels of |f|
+_LOG_MAX, _LOG_TINY = math.log(sys.float_info.max), math.log(sys.float_info.min)
+
+
+def _tails(f: StepFunction, lam: float, E: np.ndarray, far: np.ndarray) -> tuple[float, np.ndarray]:
+    """The tail lemma (module docstring) for every anchor E looking toward
+    far, the far end of the support: the supremum over the Q that run from an
+    anchor past far, and each anchor's free end of its maximizing Q (far
+    itself where no Q past far beats it), capped so that its window is scored
+    in floats.  Kept in logs, the supremum has no float-range limit short of
+    its own."""
+    b, w, prefix = f._abs_arrays
+    lefts, rights = np.minimum(E, far), np.maximum(E, far)
+    mass = window_integrals(w, prefix, window_split(b, lefts, rights))
+    log_d, u, c = np.log(rights - lefts), np.zeros(len(E)), mass.copy()
+    best, at = np.full(len(E), -np.inf), log_d.copy()
+    levels = np.unique(w)[::-1]
+    sig = -np.log(levels[levels > 0])  # the pieces' ends in s; the sweep's zero level comes last, unpaired
+    for (v, meas), lo, hi in zip(level_measures(f, lefts, rights), sig, np.append(sig[1:], np.inf)):
+        u += meas * v
+        c += meas * v * math.log(v)
+        with np.errstate(divide="ignore", over="ignore"):
+            ratio = c / u  # inf where u = 0, c being the mass then, or u is below c by the float range
+        flat = np.isinf(ratio)  # there s* = -inf and c + u s is c to rounding
+        s = np.clip(lam / (1.0 - lam) - ratio, lo, hi)  # the concave piece's maximum
+        inner = np.log(np.where(flat, c, u)) + np.log(np.where(flat, 1.0, ratio + s))  # log(c + u s)
+        g, length = lam * inner - (1.0 - lam) * s, s + inner
+        hit = (length > log_d) & (g > best)
+        best[hit], at[hit] = g[hit], length[hit]
+    top = float(best.max())
+    if top >= _LOG_MAX:
+        raise OverflowError(f"the Zygmund-Morrey upper side e^{top:.6g} exceeds float range")
+    # max|f| |Q| and mass / |Q| stay normal and E +- |Q| finite, each with a factor 4 to spare,
+    # as the llog Newton step adds to |Q| a term at most |Q|
+    cap = np.minimum.reduce((np.full(len(E), _LOG_MAX - math.log(w.max())), np.log(mass) - _LOG_TINY,
+                             np.log(sys.float_info.max - np.abs(E)))) - math.log(4.0)
+    return math.exp(top), E + np.copysign(np.exp(np.minimum(at, cap)), far - E)
 
 
 def _anchored_search(f: StepFunction, lam: float) -> tuple[NormEstimate, NormEstimate]:
@@ -149,12 +181,15 @@ def _anchored_search(f: StepFunction, lam: float) -> tuple[NormEstimate, NormEst
     b, w, _ = f._abs_arrays
     levels, charged, found = len(np.unique(w)), 0, [(0.0, None), (0.0, None)]
 
-    def score(e: np.ndarray, v: np.ndarray) -> np.ndarray:
+    def charge(intervals: int) -> None:
         nonlocal charged
-        charged += len(e) * levels
+        charged += intervals * levels
         if charged > _SEARCH_BUDGET:
             raise ValueError(f"the anchored search would score {charged:.3g} interval-levels, "
                              f"over its budget of {_SEARCH_BUDGET:.3g}")
+
+    def score(e: np.ndarray, v: np.ndarray) -> np.ndarray:
+        charge(len(e))
         lefts, rights = np.minimum(e, v), np.maximum(e, v)
         rows = [(rights - lefts) ** lam * r for r in _llog_rows(f, lefts, rights)]
         for k, row in enumerate(rows):
@@ -164,29 +199,25 @@ def _anchored_search(f: StepFunction, lam: float) -> tuple[NormEstimate, NormEst
         return rows[0]
 
     # anchors b[:-1] look right, b[1:] left: first cells end at near, the support at far
-    m, reach = len(w), _reach(lam)
+    m = len(w)
     E, near, far = np.concatenate((b[:-1], b[1:])), np.concatenate((b[1:], b[:-1])), np.repeat(b[[-1, 0]], m)
     S = score(np.concatenate((E, E)), np.concatenate((near, far)))[m * 2:]  # one-cell lemma: first cells done
-    # regions (near, far], scored, and (far, far c*], unscored (inf) and capped by psi_max times the score at far
-    LO, HI, C = near, far, np.full(2 * m, np.inf)
-    # a tail window holds a boundary cell and spans <= reach * width: in float range while these logs sum < 700
-    lw, lv = math.log(b[-1] - b[0]), math.log(w.max())
-    lm = min(math.log(w[0]) + math.log(b[1] - b[0]), math.log(w[-1]) + math.log(b[-1] - b[-2]))
-    fits = math.log(reach) + abs(lw) + abs(lv) + lw + lv - lm < 700.0
-    if 1.0 < reach and fits:
-        E, LO, HI, C = (np.concatenate(x) for x in ((E, E), (LO, far), (HI, E + (far - E) * reach),
-                                                    (C, _psi_max(lam) * S)))
-        S = np.concatenate((S, np.full(2 * m, np.inf)))
+    tail = 0.0  # the tails past far; for lam <= 1/2 none beats the score at far (module docstring)
+    if lam > 0.5:
+        charge(2 * m)
+        tail, free = _tails(f, lam, E, far)
+        score(E, free)
+    LO, HI = near, far  # regions (near, far], scored at far
     while True:
-        bound = np.minimum(S * (np.abs(HI - E) / np.abs(LO - E)) ** (1.0 - lam), C)
+        bound = S * (np.abs(HI - E) / np.abs(LO - E)) ** (1.0 - lam)
         cut = bound > (1.0 + 1e-3) * found[0][0]
         if not cut.any():
             break
         e, lo, hi = E[cut], LO[cut], HI[cut]
         steps = (np.abs(hi - e) / np.abs(lo - e))[:, None] ** (np.arange(1, 8) / 8.0)
         ends = np.column_stack((lo, e[:, None] + (lo - e)[:, None] * steps, hi))
-        e, lo, hi, c = np.repeat(e, 8), ends[:, :-1].ravel(), ends[:, 1:].ravel(), np.repeat(C[cut], 8)
-        E, LO, HI, C = (np.concatenate((x[~cut], y)) for x, y in ((E, e), (LO, lo), (HI, hi), (C, c)))
+        e, lo, hi = np.repeat(e, 8), ends[:, :-1].ravel(), ends[:, 1:].ravel()
+        E, LO, HI = (np.concatenate((x[~cut], y)) for x, y in ((E, e), (LO, lo), (HI, hi)))
         S = np.concatenate((S[~cut], score(e, hi)))
     hot = bound > found[0][0]  # polish: the breakpoints inside each, 63 points in the 64 highest (one at least)
     start = b.searchsorted(np.minimum(LO[hot], HI[hot]), side="right")
@@ -195,7 +226,7 @@ def _anchored_search(f: StepFunction, lam: float) -> tuple[NormEstimate, NormEst
     grid = LO[top, None] + (HI - LO)[top, None] * np.linspace(0.0, 1.0, 65)[1:-1]
     score(np.concatenate((E[hot][at], np.repeat(E[top], 63))),
           np.concatenate((b[np.arange(len(at)) - np.repeat(np.cumsum(count) - count, count) + start[at]], grid.ravel())))
-    upper = max((1.0 if fits else _psi_max(lam)) * found[0][0], float(bound.max(initial=0.0)))
+    upper = max(found[0][0], float(bound.max(initial=0.0)), tail)
     (value, arg), (func, func_arg) = found
     return NormEstimate(value, upper, arg, None), NormEstimate(func, max(func, 2.0 * upper), func_arg, None)
 

@@ -15,8 +15,10 @@ from __future__ import annotations
 import bisect
 import json
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -65,6 +67,8 @@ class Interval:
 
 def _canonical(breakpoints: list[float], values: list[float]) -> tuple[tuple[float, ...], tuple[float, ...]]:
     # merge adjacent cells sharing a value, then trim zero-valued boundary cells
+    if values and values[0] != 0.0 and values[-1] != 0.0 and all(map(operator.ne, values, islice(values, 1, None))):
+        return tuple(breakpoints), tuple(values)
     bp: list[float] = [breakpoints[0]]
     vals: list[float] = []
     for i, v in enumerate(values):
@@ -97,21 +101,16 @@ class StepFunction:
     values: tuple[float, ...]
 
     def __init__(self, breakpoints: Sequence[float], values: Sequence[float]):
-        bp = [float(b) for b in breakpoints]
-        vals = [float(v) for v in values]
-        if not bp:
-            bp = [0.0]
+        bp = list(map(float, breakpoints)) or [0.0]
+        vals = list(map(float, values))
         if len(vals) != len(bp) - 1:
             raise ValueError("values must have one entry per cell")
-        for b in bp:
-            if not math.isfinite(b):
-                raise ValueError("breakpoints must be finite")
-        for v in vals:
-            if not math.isfinite(v):
-                raise ValueError("values must be finite")
-        for a, b in zip(bp, bp[1:]):
-            if not a < b:
-                raise ValueError("breakpoints must be strictly increasing")
+        if not all(map(math.isfinite, bp)):
+            raise ValueError("breakpoints must be finite")
+        if not all(map(math.isfinite, vals)):
+            raise ValueError("values must be finite")
+        if not all(map(operator.lt, bp, islice(bp, 1, None))):
+            raise ValueError("breakpoints must be strictly increasing")
         cbp, cvals = _canonical(bp, vals)
         object.__setattr__(self, "breakpoints", cbp)
         object.__setattr__(self, "values", cvals)

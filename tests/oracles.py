@@ -1,9 +1,13 @@
 """Oracles the tests compare the exact operators against, kept apart from
 the package because no code path of the package uses them."""
 
+import math
+import sys
+
 import numpy as np
 
-from morreylab.stepfn import StepFunction, prefix_at
+from morreylab.orlicz import _llog_rows
+from morreylab.stepfn import Interval, StepFunction, prefix_at
 
 
 def brute_force_maximal(
@@ -61,3 +65,28 @@ def brute_force_maximal(
             min(vhi0, bv + wv),
         )
     return best
+
+
+def log_grid_witness(f: StepFunction, lam: float, per_e: int = 64) -> tuple[float, Interval]:
+    """Largest Zygmund-Morrey objective |Q|^lam t_Q over the intervals Q that
+    start at a breakpoint of f and run to either side, with lengths on a log
+    grid of ``per_e`` points per factor e: from a hundredth of the shortest
+    cell up to the longest length at which every such window is still scored
+    in floats (|Q|, max|f| |Q| and the breakpoints plus |Q| stay finite, and
+    the smaller boundary cell's mass over |Q| normal, with a factor 4 to
+    spare).  Each interval is scored through ``_llog_rows``, so the result is
+    attained: a lower bound of the norm, with the interval attaining it.
+    """
+    b, w, _ = f._abs_arrays
+    dx = np.diff(b)
+    boundary_mass = min(w[0] * dx[0], w[-1] * dx[-1])
+    top = min(math.log(sys.float_info.max / 4) - math.log(max(w.max(), np.abs(b).max(), 1.0)),
+              math.log(boundary_mass) - math.log(4 * sys.float_info.min))
+    logs = np.append(np.arange(math.log(dx.min() / 100), top, 1.0 / per_e), top)
+    lengths = np.tile(np.exp(logs), len(b))
+    anchors = np.repeat(b, len(logs))
+    lefts = np.concatenate((anchors, anchors - lengths))
+    rights = np.concatenate((anchors + lengths, anchors))
+    obj = (rights - lefts) ** lam * _llog_rows(f, lefts, rights)[0]
+    i = int(np.argmax(obj))
+    return float(obj[i]), Interval(lefts[i], rights[i])

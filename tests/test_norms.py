@@ -17,7 +17,6 @@ from morreylab.experiments import build_counterexample
 from morreylab.norms import (
     NormEstimate,
     _oscillation_rows,
-    _psi_max,
     _two_level_oscillation_sup,
     bmo_p_seminorm,
     bmo_seminorm,
@@ -29,6 +28,7 @@ from morreylab.norms import (
 )
 from morreylab.orlicz import LLOG, _llog_rows, llog_functional, luxemburg_average, weak_llog_average
 from morreylab.stepfn import EnvelopePair, Interval, StepFunction, default_hull
+from oracles import log_grid_witness
 
 CHI01 = StepFunction.indicator(0.0, 1.0)
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
@@ -523,19 +523,22 @@ class TestAnchoredSearch:
                 assert ch.upper_bound == 2.0 * est.upper_bound
 
     def test_lambda_near_one_keeps_a_finite_bracket(self):
-        # past lam of about 0.9907 the reach overflows, and at extreme scales the
-        # tail windows would leave float range: the tail then takes psi_max
+        # tiny is a scaled copy of chi(0, 1), far from 1 in both values and lengths;
+        # past lam = 0.995 the maximizing |Q| leaves float range, so no interval attains
+        # the supremum, and the upper sides may not exceed the ones that psi_max gave
         f = StepFunction((0.0, 0.4, 1.0, 1.3), (3.0, 0.5, 2.0))
         tiny = StepFunction((0.0, 1e-150), (1e-150,))
+        psi_max_upper = {(0.999, f): 947.7013059683148, (0.999, tiny): 5.1658290452031685e-298,
+                         (1.0 - 1e-9, f): 953566344.1181554, (1.0 - 1e-9, tiny): 3.678795713810768e-292}
         for lam in (0.9, 0.99, 0.995, 0.999, 1.0 - 1e-9):
             for g in (f, tiny):
                 est, ch = zygmund_morrey_norm(g, lam), characterization_functional(g, lam)
                 assert 0.0 < est.value <= est.upper_bound < math.inf
                 assert 0.0 < ch.value <= ch.upper_bound == 2.0 * est.upper_bound
-                if g is f and lam <= 0.99:
+                if lam <= 0.995:
                     assert est.upper_bound <= (1 + 1e-3) * est.value
                 else:
-                    assert est.upper_bound <= _psi_max(lam) * est.value * (1 + 1e-12)
+                    assert est.upper_bound <= psi_max_upper[lam, g] * (1 + 1e-3)
 
     def test_levels_far_apart_keep_a_finite_bracket(self):
         # v / mean_Q overflows for v = 1e300 on a window inside (1, 2), where
@@ -572,6 +575,43 @@ class TestAnchoredSearch:
             with pytest.raises(ValueError, match="budget"):
                 op(f, 0.5)
         assert time.process_time() - cpu < 2.0
+
+
+GAP = StepFunction((0.0, 1.0, 2.0, 3.0), (1.0, 0.1, 5.0))
+FAR_APART = StepFunction((0.0, 1.0, 2.0), (1e300, 1e-300))
+
+
+class TestTailClosedForm:
+    """The tails past the support, in closed form.  The suprema were computed
+    apart from the package, as the maximum of lam log G(t) + log t over a fine
+    grid of log t, with G(t) = int Phi(|f| / t) the length of the Q past the
+    support whose average is t."""
+
+    @pytest.mark.parametrize("f, lam, sup", [(CHI01, 0.995, 72.0124), (GAP, 0.995, 438.12),
+                                             (FAR_APART, 0.9, 3.24626e300)])
+    def test_value_attains_the_supremum(self, f, lam, sup):
+        est = zygmund_morrey_norm(f, lam)
+        witness, _ = log_grid_witness(f, lam)
+        assert est.value >= (1 - 1e-3) * max(sup, witness)
+        assert witness <= est.upper_bound <= (1 + 1e-3) * est.value
+        q = est.argmax_interval
+        assert q.length**lam * luxemburg_average(f, q, LLOG) == pytest.approx(est.value, rel=1e-9)
+
+    @pytest.mark.parametrize("f, sup", [(CHI01, 365.7126895401), (GAP, 2229.672450284)])
+    def test_supremum_past_float_range(self, f, sup):
+        # the maximizing |Q| is about e^1005, past float range: no interval attains sup
+        est = zygmund_morrey_norm(f, 0.999)
+        witness, _ = log_grid_witness(f, 0.999)
+        assert witness <= est.upper_bound <= sup * (1 + 1e-9)
+        assert est.upper_bound <= 1.07 * est.value
+        assert est.value >= (1 - 1e-3) * witness
+        q = est.argmax_interval
+        assert q.length**0.999 * luxemburg_average(f, q, LLOG) == pytest.approx(est.value, rel=1e-9)
+
+    def test_upper_side_past_float_range_raises(self):
+        # the supremum is about 3.68e8 times 1e300; psi_max's bracket read inf here
+        with pytest.raises(OverflowError, match="float range"):
+            zygmund_morrey_norm(StepFunction.indicator(0.0, 1.0, 1e300), 1.0 - 1e-9)
 
 
 def weak_pair_oracle(f, lam):
@@ -712,40 +752,6 @@ class TestPairKernelTies:
         assume(not f.is_zero)
         for lam in (0.25, 0.5, 0.75):
             assert weak_zygmund_morrey_norm(f, lam).value == pytest.approx(weak_pair_oracle(f, lam), rel=1e-12)
-
-
-def psi_on_grid(lam, s):
-    """psi(c) = c^lam / k at c = s e^(s-1), where k = e^(s-1) solves
-    k (1 + log k) = c; s = 1 + log k runs over a fine grid, so c does too."""
-    return np.exp(lam * (np.log(s) + s - 1.0) - (s - 1.0))
-
-
-class TestPsiMax:
-    S = 1.0 + np.linspace(0.0, 300.0, 600_001)
-
-    def test_closed_form(self):
-        for lam in (0.55, 0.6, 0.75, 0.9, 0.99):
-            want = math.exp(1.0 - 2.0 * lam) * (lam / (1.0 - lam)) ** lam
-            assert _psi_max(lam) == pytest.approx(want, rel=1e-12)
-            psi = psi_on_grid(lam, self.S)
-            assert psi.max() <= want * (1 + 1e-12)
-            assert psi.max() >= want * (1 - 1e-7)
-
-    def test_at_most_one_past_the_reach(self):
-        for lam in (0.55, 0.6, 0.75, 0.9, 0.95, 0.98, 0.99):
-            reach = norms._reach(lam)
-            s = np.exp(np.linspace(0.0, np.log(705.0), 600_001))
-            past = np.log(s) + s - 1.0 >= math.log(reach)  # c = s e^(s-1) at or past the reach
-            assert past.any() and not past.all()
-            assert psi_on_grid(lam, s[past]).max() <= 1.0
-            assert psi_on_grid(lam, s[~past]).max() > 1.0
-        assert norms._reach(0.5) == norms._reach(0.2) == 1.0
-        assert norms._reach(0.995) == math.inf
-
-    def test_one_at_most_half(self):
-        for lam in (0.1, 0.25, 0.5):
-            assert _psi_max(lam) == 1.0
-            assert psi_on_grid(lam, self.S).max() <= 1.0 + 1e-12
 
 
 class TestCharacterization:
