@@ -83,6 +83,19 @@ the last vertex that gains in O(log n) per point.  L is the same query on
 the mirror (-b, -P), whose negation is exact, so both sides score in the
 same floats.  The charged value is the query from (x, P(x) + charge).  The
 climb only picks the vertex: the value is K_v / (v - x) in the form above.
+
+On a function of at most ``_TABLE_BREAKPOINTS`` breakpoints the climb's
+fixed cost, its lifting steps and the rescore of three candidates, outweighs
+the work it saves, so each point instead scans every chord end on its side:
+the maximum of the definition, which no rounded comparison can stop short.
+The K_v of every extended cell and side sit in one table,
+:attr:`stepfn.StepFunction._chord_table`, and a point scores them as the
+climb does, with the same operations in the same order, so the two agree
+bitwise wherever the climb finds the steepest chord.  An exact tie goes to
+the first maximum, the nearest chord end: any end that attains R(a) or L(b)
+keeps the bridge floor sound.  The path is chosen by the number of
+breakpoints of f alone, never by the batch, so a point's results do not
+depend on the other points of its call.
 """
 
 from __future__ import annotations
@@ -130,7 +143,7 @@ def _candidate_arrays(f: StepFunction, left: float, right: float):
     return ts, ps, k + 1
 
 
-_BLOCK = 1 << 14  # scores per block in :func:`maximal`: 16 points x 1000 cells, 128 KB
+_BLOCK = 1 << 14  # scores per block in :func:`maximal` (16 points x 1000 cells, 128 KB) and :func:`_scan_table`
 
 
 def maximal(f: StepFunction, xs: float | np.ndarray) -> float | np.ndarray:
@@ -216,6 +229,12 @@ def _charge(prefix: np.ndarray) -> float:
     return 4.0 * math.ulp(prefix[-1])
 
 
+# up to this many breakpoints _side_chords scans f._chord_table; measured on
+# envelopes of random functions, the scan took 0.62 and 0.88 of the climb's
+# time at 48 breakpoints (tol 0.05 and 1e-3), and 0.77 and 0.99 at 64
+_TABLE_BREAKPOINTS = 48
+
+
 def _side_chords(f: StepFunction, xs: np.ndarray, cells: np.ndarray) -> tuple[np.ndarray, ...]:
     """R and L (module docstring) at each point x of xs in the closed
     extended cell ``cells`` of f: R(x) = c + max(0, max_v K_v / (v - x))
@@ -224,12 +243,60 @@ def _side_chords(f: StepFunction, xs: np.ndarray, cells: np.ndarray) -> tuple[np
     Returns Mf = max(R, L), clamped to sup |f|, then R with every chord's
     mass charged by :func:`_charge` and the index of the breakpoint where it
     is attained (the cell's end when the 0 attains it), then the same two
-    for L.  All of them come from one tangent query (module docstring) per
-    point, side and charge, on :attr:`stepfn.StepFunction._hull_tree`."""
+    for L.  A function with at most ``_TABLE_BREAKPOINTS`` breakpoints
+    scores every chord end from :attr:`stepfn.StepFunction._chord_table`
+    (:func:`_scan_table`); a larger one takes one tangent query (module
+    docstring) per point, side and charge on
+    :attr:`stepfn.StepFunction._hull_tree` (:func:`_climb`).  The choice
+    rests on f alone, so a point's outputs do not depend on its batch."""
     b, w, prefix = f._abs_arrays
-    hx, hy, up, edge = f._hull_tree
     n, k = len(b), len(xs)
     c = np.concatenate(([0.0], w, [0.0]))[np.concatenate((cells, cells)) + 1]
+    if n <= _TABLE_BREAKPOINTS:
+        free, top, node = _scan_table(f, xs, cells, _charge(prefix))
+    else:
+        free, top, node = _climb(f, xs, cells, c, _charge(prefix))
+    end = np.concatenate((np.minimum(cells + 1, n - 1), np.maximum(cells, 0)))
+    hi, lo = c + np.maximum(free, 0.0), c + np.maximum(top, 0.0)
+    at = np.where(top > 0.0, node, end)
+    return np.minimum(np.maximum(hi[:k], hi[k:]), f.sup_abs()), lo[:k], at[:k], lo[k:], at[k:]
+
+
+def _scan_table(f: StepFunction, xs: np.ndarray, cells: np.ndarray, charge: float) -> tuple[np.ndarray, ...]:
+    """Each side's best K_v / (v - x), uncharged and charged, and the
+    breakpoint of the charged one, for :func:`_side_chords`: R entries, then
+    L entries, each a scan of the chord table's column for its cell and
+    side, in blocks of about ``_BLOCK`` scores.  The nodes of a column's
+    half past its end are its point's chord ends; the others score 0
+    through an infinite distance, which the 0 of R and L absorbs.  The
+    first maximum, the nearest chord end, wins a tie."""
+    n, k = len(f.breakpoints), len(xs)
+    cols, x = np.concatenate((cells, cells + n + 1)) + 1, np.concatenate((xs, -xs))
+    free, top, node = np.empty(2 * k), np.empty(2 * k), np.empty(2 * k, dtype=np.intp)
+    step = max(1, _BLOCK // n)
+    for s in range(0, 2 * k, step):
+        # take keeps the columns contiguous, and the scan works in place
+        hx, kv = f._chord_table.take(cols[s : s + step], axis=2)
+        dist = np.subtract(hx, x[s : s + step], out=hx)
+        charged = kv - charge
+        charged /= dist
+        top[s : s + step] = best = charged.max(axis=0)
+        node[s : s + step] = (charged == best).argmax(axis=0)
+        kv /= dist
+        free[s : s + step] = kv.max(axis=0)
+    node[k:] = n - 1 - node[k:]
+    return free, top, node
+
+
+def _climb(
+    f: StepFunction, xs: np.ndarray, cells: np.ndarray, c: np.ndarray, charge: float
+) -> tuple[np.ndarray, ...]:
+    """:func:`_scan_table`'s outputs by tangent queries (module docstring)
+    on the hull tree, with c the cell value of each entry; an entry with no
+    chord end reads 0."""
+    b = f._abs_arrays[0]
+    hx, hy, up, edge = f._hull_tree
+    n, k = len(b), len(xs)
     # R from the cell's right end over the breakpoints from j0 on; L from
     # its left end over those below j1, which is R of the mirror from node
     # 2n - j1 on; a cell end at x itself is no chord
@@ -242,12 +309,12 @@ def _side_chords(f: StepFunction, xs: np.ndarray, cells: np.ndarray) -> tuple[np
     m = len(live)
     # rows: the live R and L queries, then the same with every chord's mass charged
     v, e, x, cl = (np.concatenate((a[live], a[live])) for a in (start, end, np.concatenate((xs, -xs)), c))
-    charge = np.repeat([0.0, _charge(prefix)], m)
+    charges = np.repeat([0.0, charge], m)
     xe, ye = hx[e], hy[e]
 
     def score(v: np.ndarray) -> np.ndarray:
         # K_v / (v - x), charged: x enters only through v - x
-        return (hy[v] - ye - cl * (hx[v] - xe) - charge) / (hx[v] - x)
+        return (hy[v] - ye - cl * (hx[v] - xe) - charges) / (hx[v] - x)
 
     # along the hull path from the first chord end the slope from the query
     # point rises, then falls: climb to the last vertex that its successor
@@ -260,12 +327,10 @@ def _side_chords(f: StepFunction, xs: np.ndarray, cells: np.ndarray) -> tuple[np
     scores = np.stack([score(u) for u in cand])
     pick = scores.argmax(axis=0)
     top, node = scores[pick, np.arange(2 * m)], cand[pick, np.arange(2 * m)]
-    hi, lo, at = c.copy(), c.copy(), end.copy()
-    hi[live] += np.maximum(top[:m], 0.0)
-    lo[live] += np.maximum(top[m:], 0.0)
-    at[live] = np.where(top[m:] > 0.0, node[m:], end[live])
+    free, charged, at = np.zeros(2 * k), np.zeros(2 * k), np.zeros(2 * k, dtype=node.dtype)
+    free[live], charged[live], at[live] = top[:m], top[m:], node[m:]
     at[k:] = 2 * n - 1 - at[k:]
-    return np.minimum(np.maximum(hi[:k], hi[k:]), f.sup_abs()), lo[:k], at[:k], lo[k:], at[k:]
+    return free, charged, at
 
 
 def _cell_floor(
@@ -281,7 +346,7 @@ def _cell_floor(
     v, u = v[on], u[on]
     bridge = np.zeros(len(cells))
     bridge[on] = (prefix[v] - prefix[u] - _charge(prefix)) / (b[v] - b[u])
-    return np.minimum(np.maximum.reduce([r, l, bridge]), f.sup_abs())
+    return np.minimum(np.maximum(np.maximum(r, l), bridge), f.sup_abs())
 
 
 _MAX_ENVELOPE_CELLS = 200_000
@@ -331,7 +396,9 @@ def maximal_envelope(
 
     def halves(a: np.ndarray, z: np.ndarray) -> np.ndarray:
         # the children (left, mid) and (mid, right) of each divided cell, in order
-        return np.stack((a, z), axis=1).reshape(-1)
+        out = np.empty(2 * len(a), a.dtype)
+        out[0::2], out[1::2] = a, z
+        return out
 
     done: list[tuple[np.ndarray, ...]] = []
     kept = capped = 0
@@ -438,8 +505,8 @@ def iterated_maximal(
     envelopes' counts of cells left open at float resolution, is 0, up to
     rounding and the charge.
 
-    On a 2-vCPU host, random 1000- and 200-cell inputs took 0.11 and
-    0.86 s of CPU at tol 0.05 and 1e-3 (medians of 5 runs).
+    On a 2-vCPU host, random 1000- and 200-cell inputs took 0.07 and
+    0.64 s of CPU at tol 0.05 and 1e-3 (medians of 5 runs).
     """
     if f.is_zero:  # the zero pair, once tol is checked
         return maximal_envelope(f, tol)

@@ -88,6 +88,12 @@ def _canonical(breakpoints: list[float], values: list[float]) -> tuple[tuple[flo
     return tuple(bp), tuple(vals)
 
 
+def _floats(a: Sequence[float]) -> list[float]:
+    # an array converts in one C call; float() on each of its elements costs
+    # about five times as much
+    return np.asarray(a, dtype=float).tolist() if isinstance(a, np.ndarray) else list(map(float, a))
+
+
 @dataclass(frozen=True, init=False)
 class StepFunction:
     """Canonical piecewise-constant function; immutable and hashable.
@@ -101,8 +107,8 @@ class StepFunction:
     values: tuple[float, ...]
 
     def __init__(self, breakpoints: Sequence[float], values: Sequence[float]):
-        bp = list(map(float, breakpoints)) or [0.0]
-        vals = list(map(float, values))
+        bp = _floats(breakpoints) or [0.0]
+        vals = _floats(values)
         if len(vals) != len(bp) - 1:
             raise ValueError("values must have one entry per cell")
         if not all(map(math.isfinite, bp)):
@@ -192,19 +198,26 @@ class StepFunction:
         return b, w, prefix
 
     @cached_property
+    def _nodes(self) -> tuple[np.ndarray, np.ndarray]:
+        """The 2n chord ends of :attr:`stepfn.StepFunction._hull_tree` and
+        :attr:`stepfn.StepFunction._chord_table` as (xs, ys): nodes 0..n-1
+        are the points (b, P), the breakpoints and prefix integrals of |f|,
+        and nodes n..2n-1 the points (-b, -P) in reverse, so that each half
+        runs left to right."""
+        b, _, prefix = self._abs_arrays
+        return np.concatenate((b, -b[::-1])), np.concatenate((prefix, -prefix[::-1]))
+
+    @cached_property
     def _hull_tree(self) -> tuple[np.ndarray, np.ndarray, list[np.ndarray], np.ndarray]:
-        """Suffix hulls of the points (b, P), the breakpoints and prefix
-        integrals of |f|, and of their mirror, as (xs, ys, up, edge) over 2n
-        nodes: nodes 0..n-1 are the points (b, P) and nodes n..2n-1 the
-        points (-b, -P) in reverse, so that each half runs left to right.
-        up[0][k] is the next vertex of the upper hull of k's suffix in its
-        half (k itself at the half's last node), up[i] is up[0] applied 2**i
+        """Suffix hulls of each half of the nodes (xs, ys) of
+        :attr:`stepfn.StepFunction._nodes`, as (xs, ys, up, edge).  up[0][k]
+        is the next vertex of the upper hull of k's suffix in its half (k
+        itself at the half's last node), up[i] is up[0] applied 2**i
         times, for 2**len(up) > n - 1, and edge[k] is the slope from k to
         up[0][k] (-inf at a half's last node).  The hull of the suffix from
         k is the path k, up[0][k], ..., with falling edge slopes."""
-        b, _, prefix = self._abs_arrays
-        n = len(b)
-        xs, ys = np.concatenate((b, -b[::-1])), np.concatenate((prefix, -prefix[::-1]))
+        xs, ys = self._nodes
+        n = len(xs) // 2
         x, y = xs.tolist(), ys.tolist()
         parent, edge = list(range(2 * n)), [-math.inf] * (2 * n)
         # the monotone chain, right to left: the path from k + 1 is the hull
@@ -221,6 +234,32 @@ class StepFunction:
         while 1 << len(up) <= n - 1:
             up.append(up[-1][up[-1]])
         return xs, ys, up, np.array(edge)
+
+    @cached_property
+    def _chord_table(self) -> np.ndarray:
+        """The chords of every extended cell e (-1..n-1, the cells and the
+        two half-lines off the support) and side, over the half of the nodes
+        (xs, ys) of :attr:`stepfn.StepFunction._nodes` that side scans.
+        Column s (n + 1) + e + 1, for side s (0 right, 1 left), holds for
+        each node v of half s its xs and K_v = ys[v] - ys[end] -
+        c (xs[v] - xs[end]), with c the value of |f| on e (0 off the
+        support) and end the node of e's end on that side: e + 1 on the
+        right and 2n - 1 - e on the left, each kept inside the nodes.  The
+        nodes up to end are no chord end of a point of e: their xs read +inf
+        and their K 0.  Shape (2, n, 2 (n + 1)): [0] is xs, [1] is K, a node
+        per row, so that a scan reduces across rows.  It takes O(n^2)
+        memory, so only small functions build it."""
+        b, w, _ = self._abs_arrays
+        xs, ys = self._nodes
+        n = len(b)
+        cells = np.arange(-1, n)
+        end = np.concatenate((np.minimum(cells + 1, n - 1), 2 * n - 1 - np.maximum(cells, 0)))
+        c = np.tile(np.concatenate(([0.0], w, [0.0])), 2)
+        # node v of column j is v + n * (j > n): hx[v, j] and hy[v, j]
+        hx, hy = (np.repeat(a.reshape(2, n).T, n + 1, axis=1) for a in (xs, ys))
+        kv = hy - ys[end] - c * (hx - xs[end])
+        off = np.arange(n)[:, None] + n * (np.arange(2 * (n + 1)) > n) <= end
+        return np.stack((np.where(off, np.inf, hx), np.where(off, 0.0, kv)))
 
     # -- interchange formats -------------------------------------------
 

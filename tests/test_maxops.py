@@ -569,6 +569,70 @@ class TestSideChords:
         _, _, v, _, _ = _side_chords(f, np.array([-1.0, -10.0]), np.array([-1, -1]))
         assert v.tolist() == [2, 4]
 
+    @staticmethod
+    def both_paths(monkeypatch, call):
+        """call() as it is, with every function small enough for the chord
+        table on it, then with _side_chords forced onto the hull-tree climb."""
+        table = call()
+        monkeypatch.setattr(maxops, "_TABLE_BREAKPOINTS", 0)
+        climb = call()
+        monkeypatch.undo()
+        return table, climb
+
+    def test_table_matches_climb(self, monkeypatch):
+        # bitwise equal wherever the climb finds the steepest chord; on the
+        # few rows where it does not, the table's charged value is the
+        # larger, and each path's breakpoint attains its own value exactly
+        rows, odd = 0, 0
+        for f, xs, cells in self.inputs(40, 600):
+            if len(f.breakpoints) > maxops._TABLE_BREAKPOINTS:
+                continue
+            table, climb = self.both_paths(monkeypatch, lambda: _side_chords(f, xs, cells))
+            _, charged = scan_side_chords(f, xs, cells)
+            c = np.concatenate(([0.0], f._abs_arrays[1], [0.0]))[cells + 1]
+            k = len(xs)
+            same = np.ones(k, dtype=bool)
+            for i in range(5):
+                same &= table[i] == climb[i]
+            for i in np.flatnonzero(~same):
+                assert table[0][i] >= climb[0][i]
+                for lo, at, side in ((1, 2, charged[:k]), (3, 4, charged[k:])):
+                    assert table[lo][i] >= climb[lo][i]
+                    for got in (table, climb):
+                        assert c[i] + max(side[i, got[at][i]], 0.0) == got[lo][i]
+            rows += k
+            odd += np.count_nonzero(~same)
+        assert rows > 10_000 and odd <= 1e-3 * rows
+
+    def test_envelopes_match_climb(self, monkeypatch):
+        rng = np.random.default_rng(44)
+        for tol in (0.05, 1e-3):
+            for _ in range(50):
+                f = random_step(rng, max_cells=10)
+                hull = default_hull(f)
+                xs = np.linspace(hull.left, hull.right, 33)
+                table, climb = self.both_paths(monkeypatch, lambda: maximal_envelope(f, tol))
+                assert table == climb
+                table, climb = self.both_paths(monkeypatch, lambda: iterated_maximal_at(f, xs, tol))
+                assert all(np.array_equal(a, b) for a, b in zip(table, climb))
+
+    @pytest.mark.parametrize("m", [1, 10, 200])
+    def test_point_alone_as_in_a_batch(self, m):
+        # the path is chosen by f's breakpoint count alone, and the table
+        # scan's blocks split no point's scores: a point's outputs do not
+        # depend on the other points of its call
+        rng = np.random.default_rng(45)
+        f = StepFunction(np.sort(rng.uniform(0.0, 1.0, m + 1)), np.exp(rng.uniform(-3.0, 3.0, m)))
+        b = np.asarray(f.breakpoints)
+        xs = np.concatenate((b, rng.uniform(-0.5, 1.5, 1000 - len(b))))
+        cells = np.concatenate((np.arange(len(b)) - rng.integers(0, 2, len(b)), extended_cells(f, xs[len(b) :])))
+        batch = _side_chords(f, xs, cells)
+        for i in range(len(xs)):
+            alone = _side_chords(f, xs[i : i + 1], cells[i : i + 1])
+            assert all(a[0] == got[i] for a, got in zip(alone, batch))
+        empty = _side_chords(f, np.empty(0), np.empty(0, dtype=int))
+        assert [len(a) for a in empty] == [0] * 5
+
     def test_charged_sides_never_below_the_cell_value(self):
         # R and L are c + max(0, .): on the cell holding sup |f| every chord
         # of either side is below c, and charged further, but the 0 holds
@@ -589,8 +653,8 @@ class TestSideChords:
             assert np.all(r >= c) and np.all(l >= c)
 
     def test_iterated_maximal_cpu_budget(self):
-        """Budget: under 1.5 s of CPU each; about 0.11 s for 1000 cells at
-        tol 0.05 and 0.15 s for 10 cells at tol 1e-3 on a 2-vCPU host
+        """Budget: under 1.5 s of CPU each; about 0.07 s for 1000 cells at
+        tol 0.05 and 0.09 s for 10 cells at tol 1e-3 on a 2-vCPU host
         (medians of 5 runs)."""
         from morreylab.experiments import LOOSE
 

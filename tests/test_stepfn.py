@@ -81,6 +81,37 @@ class TestCanonicalForm:
         with pytest.raises(ValueError):
             StepFunction((0.0, 1.0), (math.nan,))
 
+    def test_array_inputs_match_lists(self):
+        # arrays convert in one call, lists element by element: both give
+        # tuples of Python floats, equal bitwise
+        rng = np.random.default_rng(1)
+        for _ in range(20):
+            f = random_step(rng)
+            bp, vals = np.array(f.breakpoints), np.array(f.values)
+            g = StepFunction(bp, vals)
+            assert g == f and g.breakpoints == tuple(bp.tolist()) and g.values == tuple(vals.tolist())
+            assert all(type(t) is float for t in g.breakpoints + g.values)
+        h = StepFunction(np.arange(4), np.array([1, 2, 3], dtype=np.int32))
+        assert h == StepFunction([0.0, 1.0, 2.0, 3.0], [1.0, 2.0, 3.0])
+        assert all(type(t) is float for t in h.breakpoints + h.values)
+        assert StepFunction(np.array([0.0, 1.0], dtype=np.float32), np.ones(1, dtype=np.float32)) == CHI01
+
+    @pytest.mark.parametrize(
+        "bp, vals",
+        [
+            ([0.0, 0.0], [1.0]),
+            ([1.0, 0.0], [1.0]),
+            ([0.0, math.inf], [1.0]),
+            ([0.0, 1.0], [math.nan]),
+            ([0.0, 1.0], [-math.inf]),
+            ([0.0, 1.0], [1.0, 2.0]),
+        ],
+    )
+    def test_array_inputs_refused_as_lists(self, bp, vals):
+        for b, v in ((bp, vals), (np.array(bp), np.array(vals))):
+            with pytest.raises(ValueError):
+                StepFunction(b, v)
+
 
 class TestEvaluation:
     def test_right_cell_fiat(self):
