@@ -143,7 +143,7 @@ def _candidate_arrays(f: StepFunction, left: float, right: float):
     return ts, ps, k + 1
 
 
-_BLOCK = 1 << 14  # scores per block in :func:`maximal` (16 points x 1000 cells, 128 KB) and :func:`_scan_table`
+_BLOCK = 1 << 14  # scores per block in maximal and _scan_table: 16 points x 1000 cells, 128 KB
 
 
 def maximal(f: StepFunction, xs: float | np.ndarray) -> float | np.ndarray:
@@ -252,10 +252,11 @@ def _side_chords(f: StepFunction, xs: np.ndarray, cells: np.ndarray) -> tuple[np
     b, w, prefix = f._abs_arrays
     n, k = len(b), len(xs)
     c = np.concatenate(([0.0], w, [0.0]))[np.concatenate((cells, cells)) + 1]
+    charge = _charge(prefix)
     if n <= _TABLE_BREAKPOINTS:
-        free, top, node = _scan_table(f, xs, cells, _charge(prefix))
+        free, top, node = _scan_table(f, xs, cells, charge)
     else:
-        free, top, node = _climb(f, xs, cells, c, _charge(prefix))
+        free, top, node = _climb(f, xs, cells, c, charge)
     end = np.concatenate((np.minimum(cells + 1, n - 1), np.maximum(cells, 0)))
     hi, lo = c + np.maximum(free, 0.0), c + np.maximum(top, 0.0)
     at = np.where(top > 0.0, node, end)
